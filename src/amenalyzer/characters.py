@@ -418,10 +418,12 @@ def check_prop_2_5(
     derivation; for essential algebras it must also be non-cyclic.  For
     unital algebras the point-derivation space must coincide with the
     functionals killing both the unit and the ideal square.
+
+    ``analysis`` is an Analysis of ``a``; when its backend matches, its
+    derivation and inner spaces are used instead of being solved again.
     """
     exact = phi.exact and not isinstance(d, np.ndarray)
     backend = EXACT if exact else FLOAT
-    z = derivation_space(a, backend, tol)
     commutative = a.is_commutative()
     unital, u = is_unital(a)
     essential = is_essential(a, EXACT, tol)
@@ -440,10 +442,13 @@ def check_prop_2_5(
         dv = np.asarray([complex(x) for x in d], dtype=np.complex128)
         dmap = rank_one_dual_map(dv, phi_vec, FLOAT)
         flat = dmap.reshape(-1)
+    if analysis is not None and analysis.backend == backend:
+        z, inn = analysis.derivations.z, analysis.derivations.inner
+    else:
+        z, inn = derivation_space(a, backend, tol), inner_space(a, backend, tol)
     checks = {"applicable": True, "gates": gates}
     checks["is_derivation"] = z.contains(flat)
     if commutative or unital:
-        inn = inner_space(a, backend, tol)
         checks["non_inner"] = not inn.contains(flat)
     if essential:
         checks["non_cyclic"] = not is_cyclic(dmap, tol)

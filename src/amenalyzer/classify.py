@@ -148,7 +148,14 @@ def character_json(ch):
 
 
 def build_report(analysis: Analysis, include_witnesses=False) -> dict:
-    """Assemble the versioned classification report for one algebra."""
+    """Assemble the versioned classification report for one algebra.
+
+    ``dims.quasi_additive`` is dim Z: by Theorem 3.1 the quasi-additive
+    functionals on the tensor square are, coordinate for coordinate, the
+    derivations into the dual, so the report solves that system once.  The
+    ``T3.1`` cross-check assembles the tensor-square system separately and
+    asserts the equality.
+    """
     a = analysis.algebra
     d = analysis.derivations
     p = analysis.points
@@ -165,7 +172,7 @@ def build_report(analysis: Analysis, include_witnesses=False) -> dict:
             "Inn": d.inner.dim,
             "Zc": d.zc.dim,
             "t_rank": d.t_rank,
-            "quasi_additive": analysis.qa_space.dim,
+            "quasi_additive": d.z.dim,
             "radical": analysis.radical.dim,
             "product_span": analysis.product_span.dim,
             "zero_point_space": p.zero_space_dim,

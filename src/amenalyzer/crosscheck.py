@@ -268,7 +268,7 @@ def check_p25(an: Analysis, ctx):
             return PASS, "vacuous: no nonzero point derivations"
         return SKIP, "hypothesis not met: no nonzero point derivations"
     for ch, d in nonzero_pairs:
-        rep = check_prop_2_5(ean.algebra, d, ch, tol=ean.tol)
+        rep = check_prop_2_5(ean.algebra, d, ch, analysis=ean, tol=ean.tol)
         if not rep.get("applicable"):
             continue
         if not rep["ok"]:
@@ -405,7 +405,7 @@ def check_c32(an: Analysis, ctx):
         an.flags,
         an.points.point_amenable if an.characters.characters else None,
         an.characters.characters,
-        an.backend,
+        (an.qa_space, an.inner_qa, an.cyclic_qa),
         an.tol,
     )
     for key in ("wa_agree", "ca_agree", "cwa_agree"):

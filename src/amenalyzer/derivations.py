@@ -18,9 +18,9 @@ from .linalg import (
     EXACT,
     FLOAT,
     Subspace,
+    matvec_exact,
     nullspace,
     rowspace,
-    subspace_intersect,
     subspace_leq,
     subspace_equal,
 )
@@ -73,17 +73,42 @@ def _assemble_derivation_rows(a: FiniteAlgebra):
     return rows
 
 
+def _broadcast_derivation_rows(sc: np.ndarray) -> np.ndarray:
+    """The same constraints as a complex128 array, rows and columns in the
+    same order: C[(i,j,l),(p,q)] = sc[i,j,p] d_lq - d_ip sc[j,l,q] - d_jp sc[l,i,q].
+
+    Each Kronecker delta selects a diagonal slice of the five-index array,
+    into which the (n, n, n) tensor is broadcast whole.
+    """
+    n = sc.shape[0]
+    c = np.zeros((n, n, n, n, n), dtype=np.complex128)
+    sc_lis = sc.transpose(1, 0, 2)
+    for t in range(n):
+        c[:, :, t, :, t] += sc
+        c[t, :, :, t, :] -= sc
+        c[:, t, :, t, :] -= sc_lis
+    return c.reshape(n**3, n * n)
+
+
+def _derivation_rows(a: FiniteAlgebra, backend=EXACT):
+    """The n^3-by-n^2 derivation system: QQi rows, or one complex128 array."""
+    if backend == FLOAT:
+        return _broadcast_derivation_rows(a.complex_tensor)
+    return _assemble_derivation_rows(a)
+
+
 def derivation_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     """Kernel of the derivation constraint system, inside C^(n*n)."""
-    rows = _assemble_derivation_rows(a)
-    if backend == FLOAT:
-        rows = [[complex(x) for x in r] for r in rows]
-    return nullspace(rows, a.dim * a.dim, backend, tol)
+    return nullspace(_derivation_rows(a, backend), a.dim * a.dim, backend, tol)
 
 
 def inner_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     """Image of F -> (i,j) |-> F(e_i e_j - e_j e_i), one row per dual basis F."""
     n = a.dim
+    if backend == FLOAT:
+        sc = a.complex_tensor
+        rows = (sc - sc.transpose(1, 0, 2)).transpose(2, 0, 1).reshape(n, n * n)
+        return rowspace(rows, n * n, FLOAT, tol)
     rows = []
     for k in range(n):
         row = []
@@ -91,30 +116,57 @@ def inner_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
             for j in range(n):
                 row.append(a.sc[i][j][k] - a.sc[j][i][k])
         rows.append(row)
-    if backend == FLOAT:
-        rows = [[complex(x) for x in r] for r in rows]
-    return rowspace(rows, n * n, backend, tol)
+    return rowspace(rows, n * n, EXACT, tol)
+
+
+def _symmetric_pairs(n):
+    """Flat positions (i*n+j, j*n+i) of the entry pairs with i <= j."""
+    return [(i * n + j, j * n + i) for i in range(n) for j in range(i, n)]
 
 
 def antisymmetric_space(n, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     """Matrices with M[i][j] + M[j][i] = 0, as a subspace of C^(n*n)."""
-    rows = []
     nn = n * n
-    for i in range(n):
-        for j in range(i, n):
-            row = [ZERO] * nn
-            row[i * n + j] = row[i * n + j] + ONE
-            row[j * n + i] = row[j * n + i] + ONE
-            rows.append(row)
+    pairs = _symmetric_pairs(n)
     if backend == FLOAT:
-        rows = [[complex(x) for x in r] for r in rows]
-    return nullspace(rows, nn, backend, tol)
+        rows = np.zeros((len(pairs), nn), dtype=np.complex128)
+        for r, (ij, ji) in enumerate(pairs):
+            rows[r, ij] += 1.0
+            rows[r, ji] += 1.0
+        return nullspace(rows, nn, FLOAT, tol)
+    rows = []
+    for ij, ji in pairs:
+        row = [ZERO] * nn
+        row[ij] = row[ij] + ONE
+        row[ji] = row[ji] + ONE
+        rows.append(row)
+    return nullspace(rows, nn, EXACT, tol)
 
 
 def cyclic_subspace(a: FiniteAlgebra, z: Subspace) -> Subspace:
-    """Cyclic derivations: the derivation space meets the antisymmetric matrices."""
-    anti = antisymmetric_space(a.dim, z.backend, z.tol)
-    return subspace_intersect(z, anti)
+    """Cyclic derivations: the antisymmetric elements of Z, solved in Z's coordinates.
+
+    A combination sum_k c_k z_k of Z's basis rows is antisymmetric when
+    sum_k c_k (z_k[i][j] + z_k[j][i]) = 0 for every i <= j: dim Z unknowns
+    and n(n+1)/2 equations.  The combinations spanned by the kernel are
+    canonicalized to RREF, so on the exact backend the rows are those of
+    the intersection of Z with the antisymmetric matrices.
+    """
+    if z.dim == 0:
+        return z
+    n = a.dim
+    if z.backend == FLOAT:
+        basis = np.asarray(z.rows)
+        mats = basis.reshape(z.dim, n, n)
+        upper = np.triu_indices(n)
+        eqs = (mats + mats.transpose(0, 2, 1))[:, upper[0], upper[1]].T
+        coeffs = nullspace(eqs, z.dim, FLOAT, z.tol)
+        return rowspace(np.asarray(coeffs.rows) @ basis, n * n, FLOAT, z.tol)
+    pairs = _symmetric_pairs(n)
+    eqs = [[row[ij] + row[ji] for row in z.rows] for ij, ji in pairs]
+    coeffs = nullspace(eqs, z.dim, EXACT, z.tol)
+    columns = list(zip(*z.rows))
+    return rowspace([matvec_exact(columns, c) for c in coeffs.rows], n * n, EXACT, z.tol)
 
 
 def t_operator_rank(z: Subspace, zc: Subspace) -> int:

@@ -235,7 +235,7 @@ def nullspace(rows, ncols, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
                     v[p] = -coef
             basis.append(v)
         return subspace_from_rows(basis, ncols, EXACT, tol)
-    arr = np.array(rows, dtype=np.complex128).reshape(-1, ncols) if len(rows) else np.zeros((0, ncols), dtype=np.complex128)
+    arr = np.asarray(rows, dtype=np.complex128).reshape(-1, ncols) if len(rows) else np.zeros((0, ncols), dtype=np.complex128)
     if arr.shape[0] == 0:
         return full_space(ncols, FLOAT, tol)
     red, pivots = rref_float(arr, tol)

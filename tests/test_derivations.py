@@ -1,10 +1,19 @@
 """Derivation spaces against the brute-force oracle, plus frozen dimensions."""
 
+import numpy as np
 import pytest
 
-from amenalyzer.algebra import matrix_algebra, truncated_polynomial, upper_triangular, zero_algebra
+from amenalyzer.algebra import (
+    matrix_algebra,
+    truncated_polynomial,
+    unitize,
+    upper_triangular,
+    zero_algebra,
+)
 from amenalyzer.corpus import corpus
+from amenalyzer.crosscheck import _rows_match
 from amenalyzer.derivations import (
+    _derivation_rows,
     antisymmetric_space,
     classify_derivations,
     cyclic_subspace,
@@ -19,10 +28,15 @@ from amenalyzer.derivations import (
     vanishes_on_diameter,
     flatten_map,
 )
-from amenalyzer.linalg import EXACT, FLOAT, subspace_leq
+from amenalyzer.linalg import EXACT, FLOAT, subspace_intersect, subspace_leq
 from amenalyzer.scalars import ONE, ZERO, qq
 
-from oracles import oracle_cyclic_dim, oracle_derivation_dim, oracle_inner_dim
+from oracles import (
+    derivation_constraint_matrix,
+    oracle_cyclic_dim,
+    oracle_derivation_dim,
+    oracle_inner_dim,
+)
 
 # dimensions computed by the SVD-rank oracle in oracles.py and frozen here
 FROZEN_DIMS = {
@@ -249,3 +263,28 @@ def test_float_backend_agrees_on_dims():
         de = classify_derivations(a, EXACT)
         df = classify_derivations(a, FLOAT)
         assert de.dims == df.dims, name
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_DIMS), ids=str)
+def test_broadcast_float_system_equals_oracle_matrix(name):
+    # both evaluate a - b - c per entry from the same doubles, so the
+    # arrays agree bit for bit, rows and columns in the same order
+    a = corpus()[name]
+    assert np.array_equal(_derivation_rows(a, FLOAT), derivation_constraint_matrix(a))
+
+
+ZC_ALGEBRAS = dict(corpus(), UpperTri4=upper_triangular(4), Zero8Sharp=unitize(zero_algebra(8)))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("name", sorted(ZC_ALGEBRAS), ids=str)
+def test_cyclic_subspace_equals_annihilator_intersection(name, backend):
+    a = ZC_ALGEBRAS[name]
+    z = derivation_space(a, backend)
+    zc = cyclic_subspace(a, z)
+    ref = subspace_intersect(z, antisymmetric_space(a.dim, backend))
+    if backend == EXACT:
+        assert zc.rows == ref.rows
+        assert zc.pivots == ref.pivots
+    else:
+        assert _rows_match(zc, ref)

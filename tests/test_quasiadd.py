@@ -1,7 +1,11 @@
 """Tensor-square functionals, their semigroup form, and weighted norms."""
 
+import sys
+
 import numpy as np
 import pytest
+
+from amenalyzer import linalg
 
 from amenalyzer.algebra import (
     matrix_algebra,
@@ -12,10 +16,10 @@ from amenalyzer.algebra import (
     zero_algebra,
 )
 from amenalyzer.characters import find_characters
-from amenalyzer.classify import Analysis
+from amenalyzer.classify import Analysis, build_report
 from amenalyzer.corpus import corpus
 from amenalyzer.derivations import classify_derivations
-from amenalyzer.linalg import subspace_equal, subspace_leq
+from amenalyzer.linalg import EXACT, FLOAT, subspace_equal, subspace_leq
 from amenalyzer.quasiadd import (
     NotASemigroupAlgebra,
     cd_space,
@@ -71,6 +75,11 @@ def test_zero2_cyclic_space_is_antisymmetric_line():
     assert flat[1] == -flat[2]
 
 
+def _spaces(a):
+    qa = quasi_additive_space(a)
+    return qa, inner_quasi_space(a), cyclic_quasi_space(a, qa)
+
+
 def _flags(a):
     d = classify_derivations(a)
     return {
@@ -82,7 +91,7 @@ def _flags(a):
 
 def test_corollary_flag_agreement_matrix_algebra():
     a = matrix_algebra(2)
-    rep = corollary_3_2_check(a, _flags(a), None, ())
+    rep = corollary_3_2_check(a, _flags(a), None, (), _spaces(a))
     assert rep["wa_agree"] and rep["ca_agree"] and rep["cwa_agree"]
     assert rep["iv_status"] == "skipped: no characters"
 
@@ -90,7 +99,7 @@ def test_corollary_flag_agreement_matrix_algebra():
 def test_corollary_truncpoly2_witness():
     a = truncated_polynomial(2)
     chars = find_characters(a).characters
-    rep = corollary_3_2_check(a, _flags(a), False, chars)
+    rep = corollary_3_2_check(a, _flags(a), False, chars, _spaces(a))
     assert rep["wa_agree"] and rep["ca_agree"] and rep["cwa_agree"]
     # the non-cyclic witness pairs x against 1 asymmetrically
     qa = quasi_additive_space(a)
@@ -101,7 +110,7 @@ def test_corollary_truncpoly2_witness():
 def test_corollary_pointwise_vacuously_strong():
     a = pointwise_algebra(2)
     chars = find_characters(a).characters
-    rep = corollary_3_2_check(a, _flags(a), True, chars)
+    rep = corollary_3_2_check(a, _flags(a), True, chars, _spaces(a))
     assert rep["qa_dim"] == 0
     assert rep["iv_status"] == "pass"
 
@@ -220,3 +229,23 @@ def test_weighted_variant_flags_identical():
     plain = Analysis(corpus()["Z2"])
     weighted = Analysis(corpus()["Z2w"])
     assert plain.flags == weighted.flags
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_report_solves_one_derivation_system(monkeypatch, backend):
+    # Theorem 3.1 lets the report take dim Z for the quasi-additive dim, so
+    # the n^3-row system is eliminated once, wherever nullspace is bound
+    a = upper_triangular(3)
+    real = linalg.nullspace
+    row_counts = []
+
+    def counting(rows, ncols, *args, **kwargs):
+        row_counts.append(len(rows))
+        return real(rows, ncols, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("amenalyzer") and getattr(module, "nullspace", None) is real:
+            monkeypatch.setattr(module, "nullspace", counting)
+    report = build_report(Analysis(a, backend))
+    assert row_counts.count(a.dim**3) == 1
+    assert report["dims"]["quasi_additive"] == report["dims"]["Z"]
