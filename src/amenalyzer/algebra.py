@@ -11,9 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
-
-import numpy as np
 
 from .linalg import (
     EXACT,
@@ -64,21 +61,6 @@ class FiniteAlgebra:
                     if not c.is_zero():
                         out[k] = out[k] + coef * c
         return out
-
-    @cached_property
-    def complex_tensor(self) -> np.ndarray:
-        """The structure tensor as a read-only (n, n, n) complex128 array.
-
-        Converted once per algebra; the float backend builds its systems
-        from this array instead of converting scalars entry by entry.
-        """
-        n = self.dim
-        t = np.array(
-            [complex(c) for row in self.sc for cell in row for c in cell],
-            dtype=np.complex128,
-        ).reshape(n, n, n)
-        t.setflags(write=False)
-        return t
 
     def basis_vector(self, i):
         return [ONE if j == i else ZERO for j in range(self.dim)]

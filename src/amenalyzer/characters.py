@@ -442,13 +442,12 @@ def check_prop_2_5(
         dv = np.asarray([complex(x) for x in d], dtype=np.complex128)
         dmap = rank_one_dual_map(dv, phi_vec, FLOAT)
         flat = dmap.reshape(-1)
-    if analysis is not None and analysis.backend == backend:
-        z, inn = analysis.derivations.z, analysis.derivations.inner
-    else:
-        z, inn = derivation_space(a, backend, tol), inner_space(a, backend, tol)
+    cached = analysis.derivations if analysis is not None and analysis.backend == backend else None
+    z = cached.z if cached is not None else derivation_space(a, backend, tol)
     checks = {"applicable": True, "gates": gates}
     checks["is_derivation"] = z.contains(flat)
     if commutative or unital:
+        inn = cached.inner if cached is not None else inner_space(a, backend, tol)
         checks["non_inner"] = not inn.contains(flat)
     if essential:
         checks["non_cyclic"] = not is_cyclic(dmap, tol)

@@ -23,6 +23,8 @@ from .linalg import (
     rowspace,
     subspace_leq,
     subspace_equal,
+    to_complex_matrix,
+    to_complex_vector,
 )
 from .scalars import ONE, ZERO
 
@@ -73,6 +75,12 @@ def _assemble_derivation_rows(a: FiniteAlgebra):
     return rows
 
 
+def _complex_tensor(a: FiniteAlgebra) -> np.ndarray:
+    """The structure tensor as an (n, n, n) complex128 array, n^3 conversions."""
+    n = a.dim
+    return to_complex_vector(c for row in a.sc for cell in row for c in cell).reshape(n, n, n)
+
+
 def _broadcast_derivation_rows(sc: np.ndarray) -> np.ndarray:
     """The same constraints as a complex128 array, rows and columns in the
     same order: C[(i,j,l),(p,q)] = sc[i,j,p] d_lq - d_ip sc[j,l,q] - d_jp sc[l,i,q].
@@ -93,7 +101,7 @@ def _broadcast_derivation_rows(sc: np.ndarray) -> np.ndarray:
 def _derivation_rows(a: FiniteAlgebra, backend=EXACT):
     """The n^3-by-n^2 derivation system: QQi rows, or one complex128 array."""
     if backend == FLOAT:
-        return _broadcast_derivation_rows(a.complex_tensor)
+        return _broadcast_derivation_rows(_complex_tensor(a))
     return _assemble_derivation_rows(a)
 
 
@@ -105,10 +113,6 @@ def derivation_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspa
 def inner_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     """Image of F -> (i,j) |-> F(e_i e_j - e_j e_i), one row per dual basis F."""
     n = a.dim
-    if backend == FLOAT:
-        sc = a.complex_tensor
-        rows = (sc - sc.transpose(1, 0, 2)).transpose(2, 0, 1).reshape(n, n * n)
-        return rowspace(rows, n * n, FLOAT, tol)
     rows = []
     for k in range(n):
         row = []
@@ -116,7 +120,9 @@ def inner_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
             for j in range(n):
                 row.append(a.sc[i][j][k] - a.sc[j][i][k])
         rows.append(row)
-    return rowspace(rows, n * n, EXACT, tol)
+    if backend == FLOAT:
+        rows = to_complex_matrix(rows)
+    return rowspace(rows, n * n, backend, tol)
 
 
 def _symmetric_pairs(n):
@@ -127,20 +133,15 @@ def _symmetric_pairs(n):
 def antisymmetric_space(n, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     """Matrices with M[i][j] + M[j][i] = 0, as a subspace of C^(n*n)."""
     nn = n * n
-    pairs = _symmetric_pairs(n)
-    if backend == FLOAT:
-        rows = np.zeros((len(pairs), nn), dtype=np.complex128)
-        for r, (ij, ji) in enumerate(pairs):
-            rows[r, ij] += 1.0
-            rows[r, ji] += 1.0
-        return nullspace(rows, nn, FLOAT, tol)
     rows = []
-    for ij, ji in pairs:
+    for ij, ji in _symmetric_pairs(n):
         row = [ZERO] * nn
         row[ij] = row[ij] + ONE
         row[ji] = row[ji] + ONE
         rows.append(row)
-    return nullspace(rows, nn, EXACT, tol)
+    if backend == FLOAT:
+        rows = to_complex_matrix(rows)
+    return nullspace(rows, nn, backend, tol)
 
 
 def cyclic_subspace(a: FiniteAlgebra, z: Subspace) -> Subspace:
@@ -155,18 +156,14 @@ def cyclic_subspace(a: FiniteAlgebra, z: Subspace) -> Subspace:
     if z.dim == 0:
         return z
     n = a.dim
+    eqs = [[row[ij] + row[ji] for row in z.rows] for ij, ji in _symmetric_pairs(n)]
+    coeffs = nullspace(eqs, z.dim, z.backend, z.tol)
     if z.backend == FLOAT:
-        basis = np.asarray(z.rows)
-        mats = basis.reshape(z.dim, n, n)
-        upper = np.triu_indices(n)
-        eqs = (mats + mats.transpose(0, 2, 1))[:, upper[0], upper[1]].T
-        coeffs = nullspace(eqs, z.dim, FLOAT, z.tol)
-        return rowspace(np.asarray(coeffs.rows) @ basis, n * n, FLOAT, z.tol)
-    pairs = _symmetric_pairs(n)
-    eqs = [[row[ij] + row[ji] for row in z.rows] for ij, ji in pairs]
-    coeffs = nullspace(eqs, z.dim, EXACT, z.tol)
-    columns = list(zip(*z.rows))
-    return rowspace([matvec_exact(columns, c) for c in coeffs.rows], n * n, EXACT, z.tol)
+        combos = np.asarray(coeffs.rows) @ np.asarray(z.rows)
+    else:
+        columns = list(zip(*z.rows))
+        combos = [matvec_exact(columns, c) for c in coeffs.rows]
+    return rowspace(combos, n * n, z.backend, z.tol)
 
 
 def t_operator_rank(z: Subspace, zc: Subspace) -> int:

@@ -57,15 +57,6 @@ def quasi_additive_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Su
     """
     n = a.dim
     basis, prod = _basis_products(a)
-    if backend == FLOAT:
-        x = to_complex_matrix(row for pair_row in prod for row in pair_row).reshape(n, n, n)
-        e = np.eye(n, dtype=np.complex128)
-        rows = (
-            np.einsum("ija,lb->ijlab", x, e)
-            - np.einsum("ia,jlb->ijlab", e, x)
-            - np.einsum("ja,lib->ijlab", e, x)
-        )
-        return nullspace(rows.reshape(n**3, n * n), n * n, FLOAT, tol)
     rows = []
     for i in range(n):
         for j in range(n):
@@ -75,7 +66,9 @@ def quasi_additive_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Su
                 _add_elementary(row, basis[i], prod[j][l], n, subtract=True)
                 _add_elementary(row, basis[j], prod[l][i], n, subtract=True)
                 rows.append(row)
-    return nullspace(rows, n * n, EXACT, tol)
+    if backend == FLOAT:
+        rows = to_complex_matrix(rows)
+    return nullspace(rows, n * n, backend, tol)
 
 
 def inner_quasi_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
