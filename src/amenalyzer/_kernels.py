@@ -4,7 +4,7 @@ The hot loop of the float backend is Gauss-Jordan elimination with partial
 pivoting on complex128 matrices.  By default it is compiled with numba;
 setting the environment variable ``AMENALYZER_NO_NUMBA=1`` (or a failed
 numba import) selects a pure-numpy implementation with identical pivoting
-semantics.  ``benchmarks/bench_float_rref.py`` compares the two paths.
+semantics.
 """
 
 from __future__ import annotations

@@ -22,7 +22,12 @@ from .characters import (
 )
 from .derivations import DerivationAnalysis, classify_derivations
 from .linalg import DEFAULT_TOL, EXACT
-from .quasiadd import cyclic_quasi_space, inner_quasi_space, quasi_additive_space
+from .quasiadd import (
+    cyclic_quasi_space,
+    inner_quasi_space,
+    quasi_additive_space,
+    semigroup_quasi_additive,
+)
 from .scalars import QQi, pair_str
 
 SCHEMA_VERSION = 1
@@ -90,6 +95,11 @@ class Analysis:
     @cached_property
     def cyclic_qa(self):
         return cyclic_quasi_space(self.algebra, self.qa_space, self.backend, self.tol)
+
+    @cached_property
+    def table_qa(self):
+        """The table-indexed quasi-additive space; semigroup algebras only."""
+        return semigroup_quasi_additive(self.algebra, self.backend, self.tol)
 
     @property
     def flags(self) -> dict:

@@ -152,15 +152,14 @@ def cmd_quasiadd(args):
         NotASemigroupAlgebra,
         cd_space,
         inner_q,
-        semigroup_quasi_additive,
         weighted_norm,
     )
 
     table = recover_cayley_table(an.algebra)
     if table is not None:
-        sg = {"table_indexed": semigroup_quasi_additive(an.algebra, args.backend, args.tol).dim}
+        sg = {"table_indexed": an.table_qa.dim}
         try:
-            sg["cd"] = cd_space(an.algebra, args.backend, args.tol).dim
+            sg["cd"] = cd_space(an.algebra, an.table_qa).dim
         except NotASemigroupAlgebra:
             sg["cd"] = None
         sg["inner"] = inner_q(an.algebra, args.backend, args.tol).dim

@@ -1,4 +1,4 @@
-"""Field-generic dense linear algebra on two scalar backends.
+"""Field-generic linear algebra on two scalar backends.
 
 Everything downstream reduces to row-reduced echelon forms, kernels, and a
 small lattice of subspaces of coordinate space.  Two backends are supported:
@@ -6,6 +6,8 @@ small lattice of subspaces of coordinate space.  Two backends are supported:
 * ``exact``  - matrices are tuples of tuples of :class:`~amenalyzer.scalars.QQi`
   (complex numbers with rational parts); arithmetic never rounds, so RREF is
   a syntactically canonical form and subspace equality is entry equality.
+  :func:`rref_exact` eliminates on the nonzero entries of each row and drops
+  zero and duplicate rows itself; rows go in and come out dense.
 * ``float``  - matrices are numpy complex128 arrays; rank decisions use a
   tolerance relative to the largest row norm (default ``1e-9``).
 
@@ -31,50 +33,77 @@ class AmbientMismatch(ValueError):
     """Raised when subspace operands live in different coordinate spaces."""
 
 
-def _as_exact_rows(rows):
-    return [list(r) for r in rows]
+def _subtract_multiple(row, f, other):
+    """row -= f * other, in place, on {column: QQi} dicts of nonzeros."""
+    for c, v in other.items():
+        x = row.get(c)
+        if x is None:
+            row[c] = -(f * v)
+            continue
+        x = x - f * v
+        if x:
+            row[c] = x
+        else:
+            del row[c]
 
 
 def rref_exact(rows):
-    """Exact Gauss-Jordan reduction.
+    """Exact reduced row echelon form, computed on the nonzero entries.
 
-    Returns (tuple of nonzero RREF rows, tuple of pivot columns).  The pivot
-    in each step is the first nonzero entry of the column, which makes the
-    output canonical for a given row space.
+    ``rows`` is any iterable of equal-length ``QQi`` sequences.  Each row is
+    read into a {column: value} dict of its nonzeros; zero rows and exact
+    duplicates of an earlier row are dropped.  A kept row is reduced by the
+    pivot row of its leading column until it vanishes or leads in a new
+    column, where it becomes that column's pivot row, scaled to pivot 1.
+    Back-substitution over the pivot columns, last to first, then clears
+    every pivot column outside its own row.
+
+    Returns (tuple of nonzero RREF rows, tuple of pivot columns), the rows
+    as dense tuples in pivot order.  The RREF of a row space is unique, so
+    the output is canonical whatever the row order or elimination order.
     """
-    work = _as_exact_rows(rows)
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r >= nrows:
-            break
-        prow = None
-        for i in range(r, nrows):
-            if not work[i][col].is_zero():
-                prow = i
-                break
-        if prow is None:
+    ncols = 0
+    seen = set()
+    # pivot column -> the other nonzeros of its row; the pivot itself is 1
+    pivot_rows = {}
+    for row in rows:
+        ncols = len(row)
+        # assembled rows share the ZERO object, so test identity first
+        sparse = {c: x for c, x in enumerate(row) if x is not ZERO and x}
+        if not sparse:
             continue
-        if prow != r:
-            work[r], work[prow] = work[prow], work[r]
-        piv = work[r][col]
-        if piv != ONE:
-            inv = piv.inverse()
-            work[r] = [x * inv for x in work[r]]
-        rrow = work[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = work[i][col]
-            if f.is_zero():
-                continue
-            row = work[i]
-            work[i] = [a - f * b for a, b in zip(row, rrow)]
-        pivots.append(col)
-        r += 1
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+        key = tuple(sparse.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        while sparse:
+            lead = min(sparse)
+            tail = pivot_rows.get(lead)
+            if tail is None:
+                piv = sparse.pop(lead)
+                if piv != ONE:
+                    inv = piv.inverse()
+                    sparse = {c: x * inv for c, x in sparse.items()}
+                pivot_rows[lead] = sparse
+                break
+            _subtract_multiple(sparse, sparse.pop(lead), tail)
+    pivots = sorted(pivot_rows)
+    for k in range(len(pivots) - 1, 0, -1):
+        p = pivots[k]
+        tail = pivot_rows[p]
+        for q in pivots[:k]:
+            upper = pivot_rows[q]
+            f = upper.pop(p, None)
+            if f is not None:
+                _subtract_multiple(upper, f, tail)
+    out = []
+    for p in pivots:
+        dense = [ZERO] * ncols
+        dense[p] = ONE
+        for c, x in pivot_rows[p].items():
+            dense[c] = x
+        out.append(tuple(dense))
+    return tuple(out), tuple(pivots)
 
 
 def rref_float(arr, tol=DEFAULT_TOL):
@@ -201,27 +230,10 @@ def full_space(ambient, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     return Subspace(ambient, eye, tuple(range(ambient)), FLOAT, tol)
 
 
-def _dedup_exact_rows(rows):
-    seen = set()
-    out = []
-    for row in rows:
-        t = tuple(row)
-        if all(x.is_zero() for x in t):
-            continue
-        if t in seen:
-            continue
-        seen.add(t)
-        out.append(t)
-    return out
-
-
 def nullspace(rows, ncols, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     """Kernel {v : rows . v = 0} as a canonical Subspace of dimension ncols."""
     if backend == EXACT:
-        pruned = _dedup_exact_rows(rows)
-        if not pruned:
-            return full_space(ncols, EXACT, tol)
-        red, pivots = rref_exact(pruned)
+        red, pivots = rref_exact(rows)
         pivset = set(pivots)
         basis = []
         for f in range(ncols):
@@ -253,9 +265,7 @@ def nullspace(rows, ncols, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
 
 
 def rowspace(rows, ncols, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
-    if backend == EXACT:
-        return subspace_from_rows(_dedup_exact_rows(rows), ncols, EXACT, tol)
-    return subspace_from_rows(rows, ncols, FLOAT, tol)
+    return subspace_from_rows(rows, ncols, backend, tol)
 
 
 def _check_compatible(a: Subspace, b: Subspace):

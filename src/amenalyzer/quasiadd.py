@@ -261,27 +261,27 @@ def semigroup_identity(a: FiniteAlgebra):
     return None
 
 
-def cd_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
+def cd_space(a: FiniteAlgebra, qa: Subspace) -> Subspace:
     """Quasi-additive functions normalized against the identity element.
 
     Defined as the quasi-additive functions q with q(x, e) = 0 for every x,
-    where e is the two-sided identity; requires a monoid.  For semigroups
-    without identity use the antisymmetric form via
-    :func:`cyclic_quasi_space` on the group algebra.
+    where e is the two-sided identity; requires a monoid.  ``qa`` is the
+    solved table-indexed space :func:`semigroup_quasi_additive` of ``a``,
+    on the backend under test.  For semigroups without identity use the
+    antisymmetric form via :func:`cyclic_quasi_space` on the group algebra.
     """
     e = semigroup_identity(a)
     if e is None:
         raise NotASemigroupAlgebra(f"{a.name}: no identity element for normalization")
-    qa = semigroup_quasi_additive(a, backend, tol)
     n = a.dim
     rows = []
     for x in range(n):
         row = [ZERO] * (n * n)
         row[x * n + e] = ONE
         rows.append(row)
-    if backend == FLOAT:
+    if qa.backend == FLOAT:
         rows = [[complex(v) for v in r] for r in rows]
-    normal = nullspace(rows, n * n, backend, tol)
+    normal = nullspace(rows, n * n, qa.backend, qa.tol)
     return subspace_intersect(qa, normal)
 
 

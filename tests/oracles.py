@@ -4,12 +4,16 @@ These deliberately avoid the package's exact elimination path: constraint
 matrices are built by numerically evaluating the defining identities on
 basis vectors (via the algebra's own multiply), and dimensions come from
 numpy's SVD-based rank.  Agreement between these oracles and the engines
-is therefore a genuine two-route check.
+is therefore a genuine two-route check.  The one exact oracle,
+:func:`reference_rref_exact`, is a dense Gauss-Jordan elimination kept as
+the reference for the package's sparse ``rref_exact``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from amenalyzer.scalars import ONE
 
 
 def _vec(a, i):
@@ -121,3 +125,45 @@ def oracle_product_span_dim(a) -> int:
         mul_float(a, _vec(a, i), _vec(a, j)) for i in range(n) for j in range(n)
     ]
     return int(np.linalg.matrix_rank(np.array(rows), tol=1e-8))
+
+
+def reference_rref_exact(rows):
+    """Dense exact Gauss-Jordan reduction over whole QQi rows.
+
+    Returns (tuple of nonzero RREF rows, tuple of pivot columns).  The pivot
+    in each step is the first nonzero entry of the column; zero and
+    duplicate rows are eliminated like any others.
+    """
+    work = [list(r) for r in rows]
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r >= nrows:
+            break
+        prow = None
+        for i in range(r, nrows):
+            if not work[i][col].is_zero():
+                prow = i
+                break
+        if prow is None:
+            continue
+        if prow != r:
+            work[r], work[prow] = work[prow], work[r]
+        piv = work[r][col]
+        if piv != ONE:
+            inv = piv.inverse()
+            work[r] = [x * inv for x in work[r]]
+        rrow = work[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = work[i][col]
+            if f.is_zero():
+                continue
+            row = work[i]
+            work[i] = [a - f * b for a, b in zip(row, rrow)]
+        pivots.append(col)
+        r += 1
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)

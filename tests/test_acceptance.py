@@ -222,7 +222,7 @@ def test_criterion_09_finite_group_checks(entries):
     for gname in ("Z2", "Z3"):
         assert names[gname].qa_space.dim == 0, gname
     s3 = names["S3"].algebra
-    cds = cd_space(s3)
+    cds = cd_space(s3, names["S3"].table_qa)
     iq = inner_q(s3)
     assert cds.dim == iq.dim == 3
     assert subspace_leq(cds, iq) and subspace_leq(iq, cds)

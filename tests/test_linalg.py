@@ -23,7 +23,9 @@ from amenalyzer.linalg import (
     subspace_sum,
     trivial_space,
 )
-from amenalyzer.scalars import ONE, ZERO, qq
+from amenalyzer.scalars import ONE, ZERO, QQi, qq
+
+from oracles import reference_rref_exact
 
 
 def exact_rows(int_rows):
@@ -182,3 +184,42 @@ def test_trivial_and_full_space_extremes():
     assert trivial_space(3).dim == 0
     assert full_space(3).dim == 3
     assert subspace_leq(trivial_space(3), full_space(3))
+
+
+# Entries mix zeros, integers, fractions and non-real values, so the sparse
+# path meets fill-in, cancellation and complex pivots.
+qqi_entry = st.one_of(
+    st.just(ZERO),
+    st.builds(qq, st.integers(-3, 3)),
+    st.builds(
+        QQi,
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    ),
+)
+
+
+@st.composite
+def qqi_matrix_with_plants(draw):
+    cols = draw(st.integers(1, 6))
+    row = st.lists(qqi_entry, min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, min_size=0, max_size=6))
+    # plant zero rows, exact duplicates and a sum of two rows
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [ZERO] * cols)
+    if rows:
+        for _ in range(draw(st.integers(0, 2))):
+            src = draw(st.sampled_from(rows))
+            rows.insert(draw(st.integers(0, len(rows))), list(src))
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            rows.append([x + y for x, y in zip(a, b)])
+    return rows
+
+
+@given(m=qqi_matrix_with_plants(), as_generator=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_rref_exact_equals_dense_reference(m, as_generator):
+    expected = reference_rref_exact(m)
+    rows = (tuple(r) for r in m) if as_generator else m
+    assert rref_exact(rows) == expected

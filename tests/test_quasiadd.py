@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from amenalyzer import linalg
+from amenalyzer import linalg, quasiadd
 
 from amenalyzer.algebra import (
     matrix_algebra,
@@ -18,6 +18,7 @@ from amenalyzer.algebra import (
 from amenalyzer.characters import find_characters
 from amenalyzer.classify import Analysis, build_report
 from amenalyzer.corpus import corpus
+from amenalyzer.crosscheck import run_crosscheck
 from amenalyzer.derivations import classify_derivations
 from amenalyzer.linalg import EXACT, FLOAT, subspace_equal, subspace_leq
 from amenalyzer.quasiadd import (
@@ -160,15 +161,18 @@ def test_quasi_verdict_recorded_on_upper_triangular():
 
 def test_z2_quasi_additive_trivial():
     z2 = corpus()["Z2"]
-    assert semigroup_quasi_additive(z2).dim == 0
-    assert cd_space(z2).dim == 0
+    qa = semigroup_quasi_additive(z2)
+    assert qa.dim == 0
+    assert cd_space(z2, qa).dim == 0
 
 
 def test_requires_table_structure():
     with pytest.raises(NotASemigroupAlgebra):
         semigroup_quasi_additive(truncated_polynomial(2))
+    a = _no_identity_semigroup()
+    qa = semigroup_quasi_additive(a)
     with pytest.raises(NotASemigroupAlgebra):
-        cd_space(_no_identity_semigroup())
+        cd_space(a, qa)
 
 
 def _no_identity_semigroup():
@@ -182,7 +186,7 @@ def test_commutative_semigroup_inner_trivial():
 
 def test_s3_cd_equals_inner():
     s3 = corpus()["S3"]
-    cds = cd_space(s3)
+    cds = cd_space(s3, semigroup_quasi_additive(s3))
     iq = inner_q(s3)
     assert cds.dim == iq.dim == 3
     assert subspace_equal(cds, iq)
@@ -190,7 +194,7 @@ def test_s3_cd_equals_inner():
 
 def test_s3_cd_is_antisymmetric_with_zero_diagonal():
     s3 = corpus()["S3"]
-    cds = cd_space(s3)
+    cds = cd_space(s3, semigroup_quasi_additive(s3))
     cyc = cyclic_quasi_space(s3)
     assert cds.rows == cyc.rows
     n = s3.dim
@@ -249,3 +253,23 @@ def test_report_solves_one_derivation_system(monkeypatch, backend):
     report = build_report(Analysis(a, backend))
     assert row_counts.count(a.dim**3) == 1
     assert report["dims"]["quasi_additive"] == report["dims"]["Z"]
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_group_checks_solve_table_system_once(monkeypatch, backend):
+    # T5.5f and T5.6f share the Analysis's table-indexed space, so each
+    # group algebra's n^3-row table system is solved once across both
+    real = quasiadd.semigroup_quasi_additive
+    solved = []
+
+    def counting(a, *args, **kwargs):
+        solved.append(a.name)
+        return real(a, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("amenalyzer") and getattr(module, "semigroup_quasi_additive", None) is real:
+            monkeypatch.setattr(module, "semigroup_quasi_additive", counting)
+    out = run_crosscheck(only=("T5.5f", "T5.6f"), backend=backend)
+    groups = {r["algebra"] for r in out["results"] if r["status"] != "skip"}
+    assert groups and all(r["status"] != "fail" for r in out["results"])
+    assert sorted(solved) == sorted(groups)

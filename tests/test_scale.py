@@ -1,6 +1,13 @@
-"""Desk-scale checks beyond the corpus (dimensions up to twelve)."""
+"""Desk-scale checks beyond the corpus (dimensions up to sixteen)."""
 
-from amenalyzer.algebra import matrix_algebra, pointwise_algebra, upper_triangular
+import pytest
+
+from amenalyzer.algebra import (
+    matrix_algebra,
+    pointwise_algebra,
+    truncated_polynomial,
+    upper_triangular,
+)
 from amenalyzer.characters import amenability_flags, find_characters
 from amenalyzer.derivations import classify_derivations
 from amenalyzer.linalg import FLOAT
@@ -38,3 +45,11 @@ def test_matrix_algebra_3_float_agrees():
     de = classify_derivations(a)
     df = classify_derivations(a, FLOAT)
     assert de.dims == df.dims
+
+
+@pytest.mark.parametrize("a", [truncated_polynomial(16), matrix_algebra(4)], ids=lambda a: a.name)
+def test_exact_dims_at_dimension_16(a):
+    # constraint system 4096 x 256, eliminated exactly
+    d = classify_derivations(a)
+    assert d.z.dim == oracle_derivation_dim(a)
+    assert d.inner.dim == oracle_inner_dim(a)
