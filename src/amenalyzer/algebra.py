@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from .linalg import (
     EXACT,
-    FLOAT,
     DEFAULT_TOL,
     Subspace,
+    matvec_exact,
     nullspace,
     rowspace,
     solve_exact,
@@ -67,12 +67,6 @@ class FiniteAlgebra:
 
     def basis_product(self, i, j):
         return list(self.sc[i][j])
-
-    def left_mult_matrix(self, x):
-        """Matrix of left multiplication by x, columns = images of basis."""
-        n = self.dim
-        cols = [self.multiply(x, self.basis_vector(j)) for j in range(n)]
-        return [[cols[j][k] for j in range(n)] for k in range(n)]
 
     def is_commutative(self) -> bool:
         n = self.dim
@@ -193,8 +187,6 @@ def validate(a: FiniteAlgebra) -> ValidationReport:
 def product_span(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     """Span of all products of basis vectors."""
     rows = [a.basis_product(i, j) for i in range(a.dim) for j in range(a.dim)]
-    if backend == FLOAT:
-        rows = [[complex(x) for x in r] for r in rows]
     return rowspace(rows, a.dim, backend, tol)
 
 
@@ -487,27 +479,15 @@ def radical(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
 
     v lies in the radical iff trace of left multiplication by v*b vanishes
     on the unitization for every basis vector b of the unitization; valid
-    in characteristic zero.
+    in characteristic zero.  The trace of left multiplication by e_s is
+    tau_s = sum_t sc#[s][t][t], so the entry for e_k and b_j is
+    sum_s sc#[k][j][s] tau_s.
     """
     sharp = unitize(a)
-    n, m = a.dim, sharp.dim
-    rows = []
-    for j in range(m):
-        bj = sharp.basis_vector(j)
-        row = []
-        for k in range(n):
-            ek = [ZERO] * m
-            ek[k] = ONE
-            prod = sharp.multiply(ek, bj)
-            lm = sharp.left_mult_matrix(prod)
-            tr = ZERO
-            for t in range(m):
-                tr = tr + lm[t][t]
-            row.append(tr)
-        rows.append(row)
-    if backend == FLOAT:
-        rows = [[complex(x) for x in r] for r in rows]
-    return nullspace(rows, n, backend, tol)
+    m = sharp.dim
+    tau = [sum((sharp.sc[s][t][t] for t in range(m)), ZERO) for s in range(m)]
+    rows = [matvec_exact([sharp.sc[k][j] for k in range(a.dim)], tau) for j in range(m)]
+    return nullspace(rows, a.dim, backend, tol)
 
 
 def is_semisimple(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> bool:

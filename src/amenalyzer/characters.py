@@ -27,12 +27,21 @@ from .algebra import (
     quotient_map,
     radical,
 )
-from .derivations import derivation_space, inner_space, is_cyclic, rank_one_dual_map
+from .derivations import (
+    _complex_tensor,
+    derivation_space,
+    flatten_map,
+    inner_space,
+    is_cyclic,
+    rank_one_dual_map,
+)
 from .linalg import (
     DEFAULT_TOL,
     EXACT,
     FLOAT,
+    LANES,
     Subspace,
+    lane_of,
     nullspace,
     rowspace,
     subspace_equal,
@@ -272,13 +281,13 @@ def find_characters(
 # point derivations
 
 
-def _phi_entries(a: FiniteAlgebra, phi, exact: bool):
-    n = a.dim
-    if phi is None:
-        return ([ZERO] * n) if exact else np.zeros(n, dtype=np.complex128)
-    if exact:
-        return list(phi.phi)
-    return phi.values_complex()
+def character_backend(phi) -> str:
+    """The lane a character's values live on; None, the zero functional, is exact."""
+    return EXACT if phi is None or phi.exact else FLOAT
+
+
+def _phi_entries(phi, n, lane):
+    return [lane.zero] * n if phi is None else lane.vector(phi.phi)
 
 
 def point_derivation_space(
@@ -287,58 +296,41 @@ def point_derivation_space(
     """Kernel of the point-derivation system at a character (or at zero).
 
     phi may be a verified Character or None for the zero functional, in
-    which case the space is the annihilator of the span of products.
+    which case the space is the annihilator of the span of products.  A
+    float character puts the system on the float lane.
     """
     if phi is not None and not isinstance(phi, Character):
         raise ValueError("phi must be a verified Character or None")
-    exact = backend == EXACT and (phi is None or phi.exact)
+    lane = lane_of(backend, character_backend(phi))
     n = a.dim
+    pv = _phi_entries(phi, n, lane)
     rows = []
-    pv = _phi_entries(a, phi, exact)
     for i in range(n):
         for j in range(n):
-            if exact:
-                row = [ZERO] * n
-                for k in range(n):
-                    c = a.sc[i][j][k]
-                    if not c.is_zero():
-                        row[k] = row[k] + c
-                row[i] = row[i] - pv[j]
-                row[j] = row[j] - pv[i]
-            else:
-                row = np.zeros(n, dtype=np.complex128)
-                for k in range(n):
-                    c = a.sc[i][j][k]
-                    if not c.is_zero():
-                        row[k] += complex(c)
-                row[i] -= pv[j]
-                row[j] -= pv[i]
+            row = [lane.zero] * n
+            for k, c in enumerate(a.sc[i][j]):
+                if not c.is_zero():
+                    row[k] = row[k] + lane.coerce(c)
+            row[i] = row[i] - pv[j]
+            row[j] = row[j] - pv[i]
             rows.append(row)
-    return nullspace(rows, n, EXACT if exact else FLOAT, tol)
+    return nullspace(rows, n, lane.backend, tol)
 
 
 def maximal_ideal(a: FiniteAlgebra, phi: Character, tol=DEFAULT_TOL) -> Subspace:
     """Kernel of the character, a subspace of dimension n - 1."""
-    if phi.exact:
-        return nullspace([list(phi.phi)], a.dim, EXACT, tol)
-    return nullspace([phi.values_complex()], a.dim, FLOAT, tol)
+    return nullspace([list(phi.phi)], a.dim, character_backend(phi), tol)
 
 
 def ideal_product_span(a: FiniteAlgebra, s: Subspace, tol=DEFAULT_TOL) -> Subspace:
     """Span of all pairwise products of basis vectors of a subspace."""
-    vecs = [list(v) for v in s.basis_vectors()] if s.backend == EXACT else None
+    vecs = s.basis_vectors()
     if s.backend == EXACT:
         rows = [a.multiply(u, v) for u in vecs for v in vecs]
-        return rowspace(rows, a.dim, EXACT, tol)
-    fvecs = [np.asarray(v) for v in s.basis_vectors()]
-    sc = np.zeros((a.dim, a.dim, a.dim), dtype=np.complex128)
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                if not a.sc[i][j][k].is_zero():
-                    sc[i, j, k] = complex(a.sc[i][j][k])
-    rows = [np.einsum("i,j,ijk->k", u, v, sc) for u in fvecs for v in fvecs]
-    return rowspace(rows, a.dim, FLOAT, tol)
+    else:
+        sc = _complex_tensor(a)
+        rows = [np.einsum("i,j,ijk->k", u, v, sc) for u in vecs for v in vecs]
+    return rowspace(rows, a.dim, s.backend, tol)
 
 
 def cotangent_dim(a: FiniteAlgebra, phi: Character, tol=DEFAULT_TOL) -> int:
@@ -347,21 +339,10 @@ def cotangent_dim(a: FiniteAlgebra, phi: Character, tol=DEFAULT_TOL) -> int:
     return m.dim - msq.dim
 
 
-def pairing(d, v):
-    """Evaluate a functional (coordinate vector) on a vector."""
-    if isinstance(d, np.ndarray) or isinstance(v, np.ndarray):
-        dv = np.asarray(
-            [complex(x) for x in d] if not isinstance(d, np.ndarray) else d
-        )
-        vv = np.asarray(
-            [complex(x) for x in v] if not isinstance(v, np.ndarray) else v
-        )
-        return complex(np.dot(dv, vv))
-    acc = ZERO
-    for x, y in zip(d, v):
-        if not (x.is_zero() or y.is_zero()):
-            acc = acc + x * y
-    return acc
+def _rank_one_map(d, phi: Character, lane):
+    """The dual map a, b -> d(a) phi(b) on the lane, and its flattening."""
+    dmap = rank_one_dual_map(d, phi.phi, lane.backend)
+    return dmap, flatten_map(dmap, len(d))
 
 
 def check_prop_2_4(a: FiniteAlgebra, d, phi: Character, z=None, pd=None, tol=DEFAULT_TOL):
@@ -372,22 +353,15 @@ def check_prop_2_4(a: FiniteAlgebra, d, phi: Character, z=None, pd=None, tol=DEF
     the point-derivation space at phi.  Reports whether they agree and
     whether d kills the span of products of the maximal ideal.
     """
-    exact = phi.exact and not isinstance(d, np.ndarray)
-    backend = EXACT if exact else FLOAT
+    lane = lane_of(character_backend(phi), d)
     if z is None:
-        z = derivation_space(a, backend, tol)
+        z = derivation_space(a, lane.backend, tol)
     if pd is None:
-        pd = point_derivation_space(a, phi, backend, tol)
-    phi_vec = phi.phi if exact else phi.values_complex()
-    if exact:
-        dmap = rank_one_dual_map(list(d), list(phi_vec), EXACT)
-        flat = [dmap[i][j] for i in range(a.dim) for j in range(a.dim)]
-    else:
-        dv = np.asarray([complex(x) for x in d], dtype=np.complex128)
-        dmap = rank_one_dual_map(dv, phi_vec, FLOAT)
-        flat = dmap.reshape(-1)
+        pd = point_derivation_space(a, phi, lane.backend, tol)
+    d = lane.vector(d)
+    _, flat = _rank_one_map(d, phi, lane)
     via_derivation = z.contains(flat)
-    via_point = pd.contains(list(d) if exact else np.asarray([complex(x) for x in d]))
+    via_point = pd.contains(d)
     result = {
         "rank_one_is_derivation": via_derivation,
         "is_point_derivation": via_point,
@@ -397,15 +371,9 @@ def check_prop_2_4(a: FiniteAlgebra, d, phi: Character, z=None, pd=None, tol=DEF
     if via_point:
         m = maximal_ideal(a, phi, tol)
         msq = ideal_product_span(a, m, tol)
-        ok = True
-        for w in msq.basis_vectors():
-            val = pairing(d, w)
-            if isinstance(val, complex):
-                if abs(val) > tol * 100:
-                    ok = False
-            elif not val.is_zero():
-                ok = False
-        result["annihilates_ideal_square"] = ok
+        result["annihilates_ideal_square"] = all(
+            lane.is_zero(lane.dot(d, w), tol * 100) for w in msq.basis_vectors()
+        )
     return result
 
 
@@ -422,8 +390,7 @@ def check_prop_2_5(
     ``analysis`` is an Analysis of ``a``; when its backend matches, its
     derivation and inner spaces are used instead of being solved again.
     """
-    exact = phi.exact and not isinstance(d, np.ndarray)
-    backend = EXACT if exact else FLOAT
+    lane = lane_of(character_backend(phi), d)
     commutative = a.is_commutative()
     unital, u = is_unital(a)
     essential = is_essential(a, EXACT, tol)
@@ -434,20 +401,13 @@ def check_prop_2_5(
     }
     if not any(gates.values()):
         return {"applicable": False, "gates": gates}
-    phi_vec = phi.phi if exact else phi.values_complex()
-    if exact:
-        dmap = rank_one_dual_map(list(d), list(phi_vec), EXACT)
-        flat = [dmap[i][j] for i in range(a.dim) for j in range(a.dim)]
-    else:
-        dv = np.asarray([complex(x) for x in d], dtype=np.complex128)
-        dmap = rank_one_dual_map(dv, phi_vec, FLOAT)
-        flat = dmap.reshape(-1)
-    cached = analysis.derivations if analysis is not None and analysis.backend == backend else None
-    z = cached.z if cached is not None else derivation_space(a, backend, tol)
+    dmap, flat = _rank_one_map(lane.vector(d), phi, lane)
+    cached = analysis.derivations if analysis is not None and analysis.backend == lane.backend else None
+    z = cached.z if cached is not None else derivation_space(a, lane.backend, tol)
     checks = {"applicable": True, "gates": gates}
     checks["is_derivation"] = z.contains(flat)
     if commutative or unital:
-        inn = cached.inner if cached is not None else inner_space(a, backend, tol)
+        inn = cached.inner if cached is not None else inner_space(a, lane.backend, tol)
         checks["non_inner"] = not inn.contains(flat)
     if essential:
         checks["non_cyclic"] = not is_cyclic(dmap, tol)
@@ -473,48 +433,29 @@ def tensor_point_derivation(a1, phi1, d1, a2, phi2, d2, pd1=None, pd2=None, tol=
     """
     from .algebra import tensor_product
 
-    exact = (
-        (phi1 is None or phi1.exact)
-        and (phi2 is None or phi2.exact)
-        and not isinstance(d1, np.ndarray)
-        and not isinstance(d2, np.ndarray)
-    )
-    backend = EXACT if exact else FLOAT
+    lane = lane_of(character_backend(phi1), character_backend(phi2), d1, d2)
     if pd1 is None:
-        pd1 = point_derivation_space(a1, phi1, backend, tol)
+        pd1 = point_derivation_space(a1, phi1, lane.backend, tol)
     if pd2 is None:
-        pd2 = point_derivation_space(a2, phi2, backend, tol)
-    d1v = list(d1) if exact else np.asarray([complex(x) for x in d1])
-    d2v = list(d2) if exact else np.asarray([complex(x) for x in d2])
+        pd2 = point_derivation_space(a2, phi2, lane.backend, tol)
+    d1v = lane.vector(d1)
+    d2v = lane.vector(d2)
     if not pd1.contains(d1v):
         raise ValueError("d1 is not a point derivation of the first factor")
     if not pd2.contains(d2v):
         raise ValueError("d2 is not a point derivation of the second factor")
     big = tensor_product(a1, a2)
-    p1 = _phi_entries(a1, phi1, exact)
-    p2 = _phi_entries(a2, phi2, exact)
     n1, n2 = a1.dim, a2.dim
-    if exact:
-        combined = [
-            d1v[i] * p2[p] + d2v[p] * p1[i] for i in range(n1) for p in range(n2)
-        ]
-        phi_vals = [p1[i] * p2[p] for i in range(n1) for p in range(n2)]
-        nonzero_phi = any(not x.is_zero() for x in phi_vals)
-    else:
-        combined = np.array(
-            [d1v[i] * p2[p] + d2v[p] * p1[i] for i in range(n1) for p in range(n2)]
-        )
-        phi_vals = np.array([p1[i] * p2[p] for i in range(n1) for p in range(n2)])
-        nonzero_phi = bool(np.abs(phi_vals).max() > tol)
-    if nonzero_phi:
-        big_phi = Character(
-            tuple(phi_vals) if exact else tuple(complex(x) for x in phi_vals),
-            exact,
-            0.0,
-        )
-    else:
-        big_phi = None
-    big_pd = point_derivation_space(big, big_phi, backend, tol)
+    p1 = _phi_entries(phi1, n1, lane)
+    p2 = _phi_entries(phi2, n2, lane)
+    combined = lane.vector(
+        [d1v[i] * p2[p] + d2v[p] * p1[i] for i in range(n1) for p in range(n2)]
+    )
+    phi_vals = [lane.coerce(p1[i] * p2[p]) for i in range(n1) for p in range(n2)]
+    big_phi = None
+    if not all(lane.is_zero(x, tol) for x in phi_vals):
+        big_phi = Character(tuple(phi_vals), lane.exact, 0.0)
+    big_pd = point_derivation_space(big, big_phi, lane.backend, tol)
     member = big_pd.contains(combined)
     return big, big_phi, combined, member
 
@@ -568,9 +509,8 @@ def amenability_flags(
 
 def extend_character_to_unitization(phi: Character) -> Character:
     """Extension of a character to the unitization (value 1 on the new unit)."""
-    if phi.exact:
-        return Character(tuple(list(phi.phi) + [ONE]), True, 0.0)
-    return Character(tuple(list(phi.phi) + [1.0 + 0.0j]), False, phi.residual)
+    one = LANES[character_backend(phi)].one
+    return Character(tuple(phi.phi) + (one,), phi.exact, phi.residual)
 
 
 def augmentation_character(n: int) -> Character:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from functools import cached_property
 
-import numpy as np
-
 from .algebra import (
     FiniteAlgebra,
     is_essential,
@@ -145,8 +143,6 @@ def _vector_json(v):
 
 
 def _matrix_json(m):
-    if isinstance(m, np.ndarray):
-        return [[_scalar_json(x) for x in row] for row in m]
     return [[_scalar_json(x) for x in row] for row in m]
 
 

@@ -15,8 +15,6 @@ Statuses per (check, algebra):
 
 from __future__ import annotations
 
-import numpy as np
-
 from .algebra import (
     recover_cayley_table,
     subalgebra_on,
@@ -36,14 +34,17 @@ from .characters import (
 from .classify import Analysis, AnalysisCache
 from .corpus import corpus
 from .derivations import (
+    flatten_map,
     is_cyclic,
     pairing_with_unit_vanishes,
     rank_one_dual_map,
+    unflatten_map,
     vanishes_on_diameter,
 )
 from .linalg import (
     DEFAULT_TOL,
     EXACT,
+    LANES,
     annihilator,
     nullspace,
     rowspace,
@@ -65,12 +66,6 @@ SKIP = "skip"
 OPEN = "open"
 
 
-def _flatten(mat, n):
-    if isinstance(mat, np.ndarray):
-        return mat.reshape(-1)
-    return [mat[i][j] for i in range(n) for j in range(n)]
-
-
 def _exact_chars(an: Analysis):
     return [c for c in an.characters.characters if c.exact]
 
@@ -90,18 +85,7 @@ def _rows_match(s1, s2) -> bool:
     """Coordinatewise basis equality, entry-exact or entry-close by backend."""
     if s1.dim != s2.dim or s1.backend != s2.backend:
         return False
-    if s1.backend == EXACT:
-        return s1.rows == s2.rows
-    if s1.dim == 0:
-        return True
-    diff = np.abs(np.asarray(s1.rows) - np.asarray(s2.rows))
-    return bool(diff.max() <= max(s1.tol, s2.tol) * 100)
-
-
-def _as_map(flat, n, backend):
-    if backend == EXACT:
-        return tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-    return np.asarray(flat).reshape(n, n)
+    return LANES[s1.backend].rows_equal(s1.rows, s2.rows, max(s1.tol, s2.tol) * 100)
 
 
 def _nonzero_pd_basis(an: Analysis):
@@ -168,11 +152,7 @@ def check_p21(an: Analysis, ctx):
     n = an.algebra.dim
     unital, _ = an.unital
     for v in an.derivations.z.basis_vectors():
-        mat = (
-            v.reshape(n, n)
-            if isinstance(v, np.ndarray)
-            else tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
-        )
+        mat = unflatten_map(v, n)
         cyc = is_cyclic(mat, an.tol)
         dia = vanishes_on_diameter(mat, an.tol)
         if cyc != dia:
@@ -211,7 +191,7 @@ def check_p23(an: Analysis, ctx):
     scale = witness[a0_idx].inverse()
     witness = [x * scale for x in witness]
     dmap = rank_one_dual_map(witness, witness, EXACT)
-    flat = _flatten(dmap, an.algebra.dim)
+    flat = flatten_map(dmap, an.algebra.dim)
     if not ean.derivations.z.contains(flat):
         return FAIL, "rank-one witness is not a derivation"
     if is_cyclic(dmap):
@@ -301,7 +281,7 @@ def check_c26(an: Analysis, ctx):
         for ch, d, _ in _nonzero_pd_basis(ean):
             if any(not x.is_zero() for x in d):
                 dmap = rank_one_dual_map(list(d), list(ch.phi), EXACT)
-                flat = _flatten(dmap, an.algebra.dim)
+                flat = flatten_map(dmap, an.algebra.dim)
                 if ean.derivations.z.contains(flat) and any(
                     not x.is_zero() for x in flat
                 ):
@@ -363,7 +343,7 @@ def check_t31(an: Analysis, ctx):
     n = a.dim
     if unital:
         for flat in an.qa_space.basis_vectors():
-            mat = _as_map(flat, n, an.backend)
+            mat = unflatten_map(flat, n)
             anti = is_cyclic(mat, an.tol)
             pu = pairing_with_unit_vanishes(a, mat, an.tol)
             if anti != pu:
@@ -373,7 +353,7 @@ def check_t31(an: Analysis, ctx):
     open_notes = []
     for ch, dvec, pd in _nonzero_pd_basis(ean):
         dmap = rank_one_dual_map(dvec, list(ch.phi), EXACT)
-        flat = _flatten(dmap, n)
+        flat = flatten_map(dmap, n)
         if not ean.qa_space.contains(flat):
             return FAIL, "rank-one functional of a point derivation not quasi-additive"
         a0_idx = next(
@@ -557,7 +537,7 @@ def check_p45(an: Analysis, ctx):
         for t in range(a.dim):
             d = a.basis_vector(t)
             dmap = rank_one_dual_map(d, list(ch.phi), EXACT)
-            if ean.derivations.z.contains(_flatten(dmap, a.dim)):
+            if ean.derivations.z.contains(flatten_map(dmap, a.dim)):
                 return FAIL, "nonzero rank-one map is a derivation"
     return PASS, None
 
@@ -634,15 +614,13 @@ def check_t55f(an: Analysis, ctx):
         return FAIL, "group equivalences diverge"
     e = semigroup_identity(an.algebra)
     n = an.algebra.dim
-    half = qq("1/2")
+    lane = LANES[an.backend]
+    half = lane.coerce(qq("1/2"))
     for flat in qa_table.basis_vectors():
         for x in range(n):
             lhs = flat[x * n + x]
             rhs = flat[table[x][x] * n + e]
-            if an.backend == EXACT:
-                if lhs != half * rhs:
-                    return FAIL, "diagonal halving identity fails"
-            elif abs(lhs - 0.5 * rhs) > an.tol * 100:
+            if not lane.is_zero(lhs - half * rhs, an.tol * 100):
                 return FAIL, "diagonal halving identity fails"
     return PASS, None
 
@@ -659,11 +637,10 @@ def check_t56f(an: Analysis, ctx):
     if not _rows_match(cds, an.cyclic_qa):
         return FAIL, "identity normalization differs from antisymmetry"
     n = an.algebra.dim
+    lane = LANES[an.backend]
     for flat in cds.basis_vectors():
         for x in range(n):
-            diag = flat[x * n + x]
-            vanish = diag.is_zero() if an.backend == EXACT else abs(diag) <= an.tol * 100
-            if not vanish:
+            if not lane.is_zero(flat[x * n + x], an.tol * 100):
                 return FAIL, "normalized function has a nonzero diagonal value"
     all_inner = subspace_equal(cds, iq)
     if an.derivations.cyclically_amenable != all_inner:

@@ -17,29 +17,25 @@ from .linalg import (
     DEFAULT_TOL,
     EXACT,
     FLOAT,
+    LANES,
     Subspace,
+    lane_of,
     matvec_exact,
     nullspace,
     rowspace,
     subspace_leq,
     subspace_equal,
-    to_complex_matrix,
-    to_complex_vector,
 )
 from .scalars import ONE, ZERO
 
 
 def flatten_map(m, n):
     """Row-major flattening of an n-by-n dual-map matrix."""
-    if isinstance(m, np.ndarray):
-        return m.reshape(n * n)
-    return [m[i][j] for i in range(n) for j in range(n)]
+    return lane_of(m).vector([m[i][j] for i in range(n) for j in range(n)])
 
 
 def unflatten_map(v, n):
-    if isinstance(v, np.ndarray):
-        return v.reshape(n, n)
-    return tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
+    return lane_of(v).matrix([v[i * n:(i + 1) * n] for i in range(n)])
 
 
 def _assemble_derivation_rows(a: FiniteAlgebra):
@@ -77,8 +73,7 @@ def _assemble_derivation_rows(a: FiniteAlgebra):
 
 def _complex_tensor(a: FiniteAlgebra) -> np.ndarray:
     """The structure tensor as an (n, n, n) complex128 array, n^3 conversions."""
-    n = a.dim
-    return to_complex_vector(c for row in a.sc for cell in row for c in cell).reshape(n, n, n)
+    return np.array(a.sc, dtype=np.complex128)
 
 
 def _broadcast_derivation_rows(sc: np.ndarray) -> np.ndarray:
@@ -120,8 +115,6 @@ def inner_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
             for j in range(n):
                 row.append(a.sc[i][j][k] - a.sc[j][i][k])
         rows.append(row)
-    if backend == FLOAT:
-        rows = to_complex_matrix(rows)
     return rowspace(rows, n * n, backend, tol)
 
 
@@ -139,8 +132,6 @@ def antisymmetric_space(n, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
         row[ij] = row[ij] + ONE
         row[ji] = row[ji] + ONE
         rows.append(row)
-    if backend == FLOAT:
-        rows = to_complex_matrix(rows)
     return nullspace(rows, nn, backend, tol)
 
 
@@ -177,11 +168,8 @@ def rank_one_dual_map(f1, f2, backend=EXACT):
     """Dual map pairing a against b as F1(a) * F2(b)."""
     if len(f1) != len(f2):
         raise ValueError(f"length mismatch: {len(f1)} vs {len(f2)}")
-    if backend == FLOAT:
-        v1 = np.asarray(f1, dtype=np.complex128)
-        v2 = np.asarray(f2, dtype=np.complex128)
-        return np.outer(v1, v2)
-    return tuple(tuple(x * y for y in f2) for x in f1)
+    lane = LANES[backend]
+    return lane.matrix([[lane.coerce(x) * lane.coerce(y) for y in f2] for x in f1])
 
 
 def vanishes_on_diameter(m, tol=DEFAULT_TOL) -> bool:
@@ -191,34 +179,25 @@ def vanishes_on_diameter(m, tol=DEFAULT_TOL) -> bool:
     basis vectors and pairwise sums, which is an independent route from
     the antisymmetry test.
     """
-    if isinstance(m, np.ndarray):
-        n = m.shape[0]
-        scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-        for i in range(n):
-            if abs(m[i, i]) > tol * scale:
-                return False
-            for j in range(i + 1, n):
-                if abs(m[i, i] + m[j, j] + m[i, j] + m[j, i]) > tol * scale:
-                    return False
-        return True
+    lane = lane_of(m)
+    bound = tol * lane.scale(m)
     n = len(m)
     for i in range(n):
-        if not m[i][i].is_zero():
+        if not lane.is_zero(m[i][i], bound):
             return False
         for j in range(i + 1, n):
-            if not (m[i][i] + m[j][j] + m[i][j] + m[j][i]).is_zero():
+            if not lane.is_zero(m[i][i] + m[j][j] + m[i][j] + m[j][i], bound):
                 return False
     return True
 
 
 def is_cyclic(m, tol=DEFAULT_TOL) -> bool:
     """Antisymmetry of the coordinate matrix."""
-    if isinstance(m, np.ndarray):
-        scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-        return bool(np.abs(m + m.T).max() <= tol * scale) if m.size else True
+    lane = lane_of(m)
+    bound = tol * lane.scale(m)
     n = len(m)
     return all(
-        (m[i][j] + m[j][i]).is_zero() for i in range(n) for j in range(i, n)
+        lane.is_zero(m[i][j] + m[j][i], bound) for i in range(n) for j in range(i, n)
     )
 
 
@@ -227,32 +206,21 @@ def pairing_with_unit_vanishes(a: FiniteAlgebra, m, tol=DEFAULT_TOL) -> bool:
     ok, u = is_unital(a)
     if not ok:
         raise ValueError(f"{a.name} is not unital")
-    n = a.dim
-    if isinstance(m, np.ndarray):
-        uu = np.array([complex(x) for x in u])
-        scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-        return bool(np.abs(m @ uu).max() <= tol * scale)
-    for i in range(n):
-        acc = ZERO
-        for j in range(n):
-            if not (m[i][j].is_zero() or u[j].is_zero()):
-                acc = acc + m[i][j] * u[j]
-        if not acc.is_zero():
-            return False
-    return True
+    lane = lane_of(m)
+    bound = tol * lane.scale(m)
+    u = lane.vector(u)
+    return all(lane.is_zero(lane.dot(row, u), bound) for row in m)
 
 
 def is_derivation(a: FiniteAlgebra, m, z: Subspace | None = None) -> bool:
     if z is None:
-        backend = FLOAT if isinstance(m, np.ndarray) else EXACT
-        z = derivation_space(a, backend)
+        z = derivation_space(a, lane_of(m).backend)
     return z.contains(flatten_map(m, a.dim))
 
 
 def is_inner(a: FiniteAlgebra, m, inn: Subspace | None = None) -> bool:
     if inn is None:
-        backend = FLOAT if isinstance(m, np.ndarray) else EXACT
-        inn = inner_space(a, backend)
+        inn = inner_space(a, lane_of(m).backend)
     return inn.contains(flatten_map(m, a.dim))
 
 

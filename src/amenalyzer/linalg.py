@@ -1,7 +1,8 @@
 """Field-generic linear algebra on two scalar backends.
 
 Everything downstream reduces to row-reduced echelon forms, kernels, and a
-small lattice of subspaces of coordinate space.  Two backends are supported:
+small lattice of subspaces of coordinate space.  This module is the one
+place that knows the two backends, or lanes:
 
 * ``exact``  - matrices are tuples of tuples of :class:`~amenalyzer.scalars.QQi`
   (complex numbers with rational parts); arithmetic never rounds, so RREF is
@@ -10,6 +11,14 @@ small lattice of subspaces of coordinate space.  Two backends are supported:
   zero and duplicate rows itself; rows go in and come out dense.
 * ``float``  - matrices are numpy complex128 arrays; rank decisions use a
   tolerance relative to the largest row norm (default ``1e-9``).
+
+Each lane is an ops object in :data:`LANES` holding its zero and one, scalar
+coercion, a zero test (``QQi.is_zero()`` exact, ``abs(x) <= bound`` float),
+its vector and matrix containers and its elimination.  :func:`nullspace`,
+:func:`rowspace`, :func:`subspace_from_rows` and :meth:`Subspace.contains`
+take ``QQi`` input on either backend, or complex input on the float one, and
+convert it once, at this door, to the lane of their backend; every
+algorithm above them is written once.
 
 Subspaces are always stored by their RREF basis, one row per basis vector.
 """
@@ -21,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .scalars import ONE, ZERO, QQi
+from .scalars import ONE, ZERO
 
 DEFAULT_TOL = 1e-9
 
@@ -130,6 +139,120 @@ def matrix_scale(arr) -> float:
     return max(1.0, float(np.sqrt((np.abs(a) ** 2).sum(axis=1)).max()))
 
 
+# ---------------------------------------------------------------------------
+# the two lanes
+
+
+class _ExactLane:
+    """Exact arithmetic over Q(i): entries are QQi and zero means zero."""
+
+    backend = EXACT
+    exact = True
+    zero = ZERO
+    one = ONE
+
+    @staticmethod
+    def coerce(x):
+        return x
+
+    @staticmethod
+    def is_zero(x, bound=0.0) -> bool:
+        return x.is_zero()
+
+    @staticmethod
+    def scale(values) -> float:
+        return 1.0
+
+    @staticmethod
+    def vector(values):
+        return list(values)
+
+    @staticmethod
+    def matrix(rows):
+        return tuple(tuple(r) for r in rows)
+
+    @staticmethod
+    def dot(u, v):
+        acc = ZERO
+        for x, y in zip(u, v):
+            if not (x.is_zero() or y.is_zero()):
+                acc = acc + x * y
+        return acc
+
+    @staticmethod
+    def sub_multiple(v, coef, row):
+        return [a - coef * b for a, b in zip(v, row)]
+
+    @staticmethod
+    def rows_equal(r1, r2, bound) -> bool:
+        return r1 == r2
+
+    @staticmethod
+    def rref(rows, ncols, tol):
+        return rref_exact(rows)
+
+
+class _FloatLane:
+    """complex128 arithmetic: a value is zero when its modulus is within a bound."""
+
+    backend = FLOAT
+    exact = False
+    zero = 0j
+    one = 1 + 0j
+    coerce = complex
+
+    @staticmethod
+    def is_zero(x, bound=0.0) -> bool:
+        return bool(abs(x) <= bound)
+
+    @staticmethod
+    def scale(values) -> float:
+        """Largest modulus of the entries, floored at 1."""
+        a = np.asarray(values, dtype=np.complex128)
+        return max(1.0, float(np.abs(a).max())) if a.size else 1.0
+
+    @staticmethod
+    def vector(values):
+        return np.array(values, dtype=np.complex128)
+
+    matrix = vector
+
+    @staticmethod
+    def dot(u, v):
+        return complex(np.dot(np.asarray(u, dtype=np.complex128), np.asarray(v, dtype=np.complex128)))
+
+    @staticmethod
+    def sub_multiple(v, coef, row):
+        return v - coef * row
+
+    @staticmethod
+    def rows_equal(r1, r2, bound) -> bool:
+        diff = np.abs(np.asarray(r1) - np.asarray(r2))
+        return bool(diff.max() <= bound) if diff.size else True
+
+    @staticmethod
+    def rref(rows, ncols, tol):
+        arr = np.asarray(rows, dtype=np.complex128)
+        arr = arr.reshape(-1, ncols) if arr.size else np.zeros((0, ncols), dtype=np.complex128)
+        basis, pivots = rref_float(arr, tol)
+        basis.setflags(write=False)
+        return basis, pivots
+
+
+LANES = {EXACT: _ExactLane, FLOAT: _FloatLane}
+
+
+def lane_of(*parts):
+    """The lane of a computation on ``parts``: backend names, vectors or matrices.
+
+    Float when any part is ``FLOAT`` or a numpy array, so exact arithmetic
+    runs only on exact data; exact otherwise.
+    """
+    if any(isinstance(p, np.ndarray) or p == FLOAT for p in parts):
+        return _FloatLane
+    return _ExactLane
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace of coordinate space in canonical RREF form."""
@@ -153,115 +276,59 @@ class Subspace:
             other.dim,
         ):
             return False
-        if self.backend == EXACT:
-            return self.rows == other.rows
-        if self.dim == 0:
-            return True
-        return bool(
-            np.max(np.abs(np.asarray(self.rows) - np.asarray(other.rows)))
-            <= max(self.tol, other.tol)
-        )
+        return LANES[self.backend].rows_equal(self.rows, other.rows, max(self.tol, other.tol))
 
     def __hash__(self):
-        if self.backend == EXACT:
-            return hash((self.ambient, self.rows))
-        return hash((self.ambient, self.dim, self.backend))
+        return hash((self.ambient, self.backend, self.dim))
 
     def contains(self, vec) -> bool:
         """Membership test by reduction against the RREF basis."""
-        if self.backend == EXACT:
-            v = list(vec)
-            if len(v) != self.ambient:
-                raise AmbientMismatch(
-                    f"vector of length {len(v)} in ambient {self.ambient}"
-                )
-            for row, p in zip(self.rows, self.pivots):
-                coef = v[p]
-                if coef.is_zero():
-                    continue
-                v = [a - coef * b for a, b in zip(v, row)]
-            return all(x.is_zero() for x in v)
-        v = np.array(vec, dtype=np.complex128)
-        if v.shape != (self.ambient,):
-            raise AmbientMismatch(
-                f"vector of shape {v.shape} in ambient {self.ambient}"
-            )
-        scale = max(1.0, float(np.abs(v).max())) if v.size else 1.0
-        for row, p in zip(np.asarray(self.rows), self.pivots):
+        lane = LANES[self.backend]
+        v = lane.vector(vec)
+        if len(v) != self.ambient:
+            raise AmbientMismatch(f"vector of length {len(v)} in ambient {self.ambient}")
+        bound = self.tol * lane.scale(v)
+        for row, p in zip(self.rows, self.pivots):
             coef = v[p]
-            if coef != 0:
-                v = v - coef * row
-        return bool(np.abs(v).max() <= self.tol * scale) if v.size else True
+            if not lane.is_zero(coef):
+                v = lane.sub_multiple(v, coef, row)
+        return all(lane.is_zero(x, bound) for x in v)
 
     def basis_vectors(self):
-        if self.backend == EXACT:
-            return list(self.rows)
-        return [np.asarray(r) for r in np.asarray(self.rows)]
+        return list(self.rows)
 
 
 def subspace_from_rows(rows, ambient, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     """Canonicalize a spanning set of row vectors into a Subspace."""
-    if backend == EXACT:
-        basis, pivots = rref_exact(rows)
-        return Subspace(ambient, basis, pivots, EXACT, tol)
-    arr = np.array(rows, dtype=np.complex128).reshape(-1, ambient) if len(rows) else np.zeros((0, ambient), dtype=np.complex128)
-    basis, pivots = rref_float(arr, tol)
-    basis.setflags(write=False)
-    return Subspace(ambient, basis, pivots, FLOAT, tol)
+    basis, pivots = LANES[backend].rref(rows, ambient, tol)
+    return Subspace(ambient, basis, pivots, backend, tol)
 
 
 def trivial_space(ambient, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
-    if backend == EXACT:
-        return Subspace(ambient, (), (), EXACT, tol)
-    empty = np.zeros((0, ambient), dtype=np.complex128)
-    empty.setflags(write=False)
-    return Subspace(ambient, empty, (), FLOAT, tol)
+    return subspace_from_rows([], ambient, backend, tol)
 
 
 def full_space(ambient, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
-    if backend == EXACT:
-        rows = tuple(
-            tuple(ONE if i == j else ZERO for j in range(ambient))
-            for i in range(ambient)
-        )
-        return Subspace(ambient, rows, tuple(range(ambient)), EXACT, tol)
-    eye = np.eye(ambient, dtype=np.complex128)
-    eye.setflags(write=False)
-    return Subspace(ambient, eye, tuple(range(ambient)), FLOAT, tol)
+    return nullspace([], ambient, backend, tol)
 
 
 def nullspace(rows, ncols, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     """Kernel {v : rows . v = 0} as a canonical Subspace of dimension ncols."""
-    if backend == EXACT:
-        red, pivots = rref_exact(rows)
-        pivset = set(pivots)
-        basis = []
-        for f in range(ncols):
-            if f in pivset:
-                continue
-            v = [ZERO] * ncols
-            v[f] = ONE
-            for idx, p in enumerate(pivots):
-                coef = red[idx][f]
-                if not coef.is_zero():
-                    v[p] = -coef
-            basis.append(v)
-        return subspace_from_rows(basis, ncols, EXACT, tol)
-    arr = np.asarray(rows, dtype=np.complex128).reshape(-1, ncols) if len(rows) else np.zeros((0, ncols), dtype=np.complex128)
-    if arr.shape[0] == 0:
-        return full_space(ncols, FLOAT, tol)
-    red, pivots = rref_float(arr, tol)
+    lane = LANES[backend]
+    red, pivots = lane.rref(rows, ncols, tol)
     pivset = set(pivots)
     basis = []
     for f in range(ncols):
         if f in pivset:
             continue
-        v = np.zeros(ncols, dtype=np.complex128)
-        v[f] = 1.0
-        for idx, p in enumerate(pivots):
-            v[p] = -red[idx, f]
+        v = [lane.zero] * ncols
+        v[f] = lane.one
+        for row, p in zip(red, pivots):
+            coef = row[f]
+            if not lane.is_zero(coef):
+                v[p] = -coef
         basis.append(v)
-    return subspace_from_rows(basis, ncols, FLOAT, tol)
+    return subspace_from_rows(basis, ncols, backend, tol)
 
 
 def rowspace(rows, ncols, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
@@ -277,10 +344,7 @@ def _check_compatible(a: Subspace, b: Subspace):
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_compatible(a, b)
-    if a.backend == EXACT:
-        return subspace_from_rows(list(a.rows) + list(b.rows), a.ambient, EXACT, a.tol)
-    stacked = np.vstack([np.asarray(a.rows), np.asarray(b.rows)])
-    return subspace_from_rows(stacked, a.ambient, FLOAT, a.tol)
+    return subspace_from_rows(list(a.rows) + list(b.rows), a.ambient, a.backend, a.tol)
 
 
 def annihilator(s: Subspace) -> Subspace:
@@ -291,12 +355,7 @@ def annihilator(s: Subspace) -> Subspace:
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection via the kernel of the stacked annihilator systems."""
     _check_compatible(a, b)
-    fa = annihilator(a)
-    fb = annihilator(b)
-    if a.backend == EXACT:
-        stacked = list(fa.rows) + list(fb.rows)
-    else:
-        stacked = np.vstack([np.asarray(fa.rows), np.asarray(fb.rows)])
+    stacked = list(annihilator(a).rows) + list(annihilator(b).rows)
     return nullspace(stacked, a.ambient, a.backend, a.tol)
 
 
@@ -329,19 +388,4 @@ def solve_exact(rows, rhs):
 
 
 def matvec_exact(rows, v):
-    out = []
-    for row in rows:
-        acc = ZERO
-        for a, b in zip(row, v):
-            if not (a.is_zero() or b.is_zero()):
-                acc = acc + a * b
-        out.append(acc)
-    return out
-
-
-def to_complex_matrix(rows) -> np.ndarray:
-    return np.array([[complex(x) for x in row] for row in rows], dtype=np.complex128)
-
-
-def to_complex_vector(v) -> np.ndarray:
-    return np.array([complex(x) for x in v], dtype=np.complex128)
+    return [_ExactLane.dot(row, v) for row in rows]

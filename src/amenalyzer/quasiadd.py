@@ -9,20 +9,18 @@ the independently assembled systems in :mod:`amenalyzer.derivations`.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .algebra import FiniteAlgebra, recover_cayley_table
-from .characters import Character, point_derivation_space
+from .characters import Character, character_backend, point_derivation_space
 from .derivations import antisymmetric_space
 from .linalg import (
     DEFAULT_TOL,
     EXACT,
-    FLOAT,
+    LANES,
     Subspace,
+    lane_of,
     nullspace,
     rowspace,
     subspace_intersect,
-    to_complex_matrix,
 )
 from .scalars import ONE, ZERO
 
@@ -66,8 +64,6 @@ def quasi_additive_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Su
                 _add_elementary(row, basis[i], prod[j][l], n, subtract=True)
                 _add_elementary(row, basis[j], prod[l][i], n, subtract=True)
                 rows.append(row)
-    if backend == FLOAT:
-        rows = to_complex_matrix(rows)
     return nullspace(rows, n * n, backend, tol)
 
 
@@ -79,8 +75,6 @@ def inner_quasi_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subsp
         [prod[i][j][k] - prod[j][i][k] for i in range(n) for j in range(n)]
         for k in range(n)
     ]
-    if backend == FLOAT:
-        rows = to_complex_matrix(rows)
     return rowspace(rows, n * n, backend, tol)
 
 
@@ -90,22 +84,6 @@ def cyclic_quasi_space(a: FiniteAlgebra, qa: Subspace | None = None, backend=EXA
         qa = quasi_additive_space(a, backend, tol)
     anti = antisymmetric_space(a.dim, qa.backend, qa.tol)
     return subspace_intersect(qa, anti)
-
-
-def pairing_column(p_flat, b, n, exact: bool):
-    """The functional a -> p(a tensor b) as a coordinate vector."""
-    if exact:
-        out = []
-        for i in range(n):
-            acc = ZERO
-            for j in range(n):
-                x = p_flat[i * n + j]
-                if not (x.is_zero() or b[j].is_zero()):
-                    acc = acc + x * b[j]
-            out.append(acc)
-        return out
-    mat = np.asarray(p_flat).reshape(n, n)
-    return mat @ np.asarray(b)
 
 
 def corollary_3_2_check(
@@ -145,27 +123,20 @@ def corollary_3_2_check(
     if point_amenable is None or not characters:
         out["iv_status"] = "skipped: no characters"
         return out
-    exact = qa.backend == EXACT
+    lane = LANES[qa.backend]
     n = a.dim
     columns_vanish = True
     witness = None
     for p_flat in qa.basis_vectors():
         for ch in characters:
-            phi = ch.phi if (exact and ch.exact) else ch.values_complex()
-            if exact and not ch.exact:
-                continue  # mixed precision handled by the float backend run
+            if lane_of(qa.backend, character_backend(ch)) is not lane:
+                continue  # a float character on the exact lane: the float backend run covers it
+            phi = lane.vector(ch.phi)
             for bidx in range(n):
-                val = phi[bidx]
-                nonzero = (not val.is_zero()) if exact else abs(val) > tol
-                if not nonzero:
+                if lane.is_zero(phi[bidx], tol):
                     continue
-                b = [ONE if t == bidx else ZERO for t in range(n)] if exact else np.eye(n)[bidx]
-                col = pairing_column(p_flat, b, n, exact)
-                if exact:
-                    vanish = all(x.is_zero() for x in col)
-                else:
-                    vanish = bool(np.abs(col).max() <= tol * 100)
-                if not vanish:
+                # p(. tensor e_b) is column b of P
+                if not all(lane.is_zero(p_flat[i * n + bidx], tol * 100) for i in range(n)):
                     columns_vanish = False
                     witness = (bidx, ch.sort_key())
     # sound direction: vanishing columns force point amenability
@@ -188,27 +159,15 @@ def point_derivation_from_quasi(
     rank-one map of an actual point derivation; for an arbitrary
     quasi-additive p the membership verdict is recorded, not assumed.
     """
-    exact = phi.exact and not isinstance(p_flat, np.ndarray)
+    lane = lane_of(character_backend(phi), p_flat)
     n = a.dim
-    if exact:
-        phi_a0 = ZERO
-        for x, y in zip(phi.phi, a0):
-            if not (x.is_zero() or y.is_zero()):
-                phi_a0 = phi_a0 + x * y
-        if phi_a0.is_zero():
-            raise ValueError("phi(a0) must be nonzero")
-        col = pairing_column(p_flat, list(a0), n, True)
-        d = [x / phi_a0 for x in col]
-        pd = point_derivation_space(a, phi, EXACT, tol)
-        return d, pd.contains(d)
-    phi_vals = phi.values_complex()
-    a0v = np.asarray([complex(x) for x in a0])
-    phi_a0 = complex(np.dot(phi_vals, a0v))
-    if abs(phi_a0) <= tol:
+    phi_a0 = lane.dot(phi.phi, a0)
+    if lane.is_zero(phi_a0, tol):
         raise ValueError("phi(a0) must be nonzero")
-    col = pairing_column(np.asarray(p_flat), a0v, n, False)
-    d = np.asarray(col) / phi_a0
-    pd = point_derivation_space(a, phi, FLOAT, tol)
+    # the functional x -> p(x tensor a0), one pairing per row of P
+    col = [lane.dot(p_flat[i * n:(i + 1) * n], a0) for i in range(n)]
+    d = lane.vector([x / phi_a0 for x in col])
+    pd = point_derivation_space(a, phi, lane.backend, tol)
     return d, pd.contains(d)
 
 
@@ -247,8 +206,6 @@ def semigroup_quasi_additive(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -
                 row[x * n + table[y][z]] = row[x * n + table[y][z]] - ONE
                 row[y * n + table[z][x]] = row[y * n + table[z][x]] - ONE
                 rows.append(row)
-    if backend == FLOAT:
-        rows = [[complex(v) for v in r] for r in rows]
     return nullspace(rows, nn, backend, tol)
 
 
@@ -279,8 +236,6 @@ def cd_space(a: FiniteAlgebra, qa: Subspace) -> Subspace:
         row = [ZERO] * (n * n)
         row[x * n + e] = ONE
         rows.append(row)
-    if qa.backend == FLOAT:
-        rows = [[complex(v) for v in r] for r in rows]
     normal = nullspace(rows, n * n, qa.backend, qa.tol)
     return subspace_intersect(qa, normal)
 
@@ -301,8 +256,6 @@ def inner_q(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
                     v = v - ONE
                 row.append(v)
         rows.append(row)
-    if backend == FLOAT:
-        rows = [[complex(v) for v in r] for r in rows]
     return rowspace(rows, n * n, backend, tol)
 
 

@@ -4,16 +4,19 @@ These deliberately avoid the package's exact elimination path: constraint
 matrices are built by numerically evaluating the defining identities on
 basis vectors (via the algebra's own multiply), and dimensions come from
 numpy's SVD-based rank.  Agreement between these oracles and the engines
-is therefore a genuine two-route check.  The one exact oracle,
-:func:`reference_rref_exact`, is a dense Gauss-Jordan elimination kept as
-the reference for the package's sparse ``rref_exact``.
+is therefore a genuine two-route check.  The exact oracles are
+references for rewritten package code: :func:`reference_rref_exact`, a
+dense Gauss-Jordan elimination, for the sparse ``rref_exact``, and
+:func:`reference_radical_rows`, the trace form read off whole
+left-multiplication matrices, for the trace-vector ``radical``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from amenalyzer.scalars import ONE
+from amenalyzer.algebra import unitize
+from amenalyzer.scalars import ONE, ZERO
 
 
 def _vec(a, i):
@@ -167,3 +170,29 @@ def reference_rref_exact(rows):
         pivots.append(col)
         r += 1
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def reference_radical_rows(a):
+    """The trace-form system of ``radical``, one left-multiplication matrix
+    per entry.
+
+    Row j, column k is the trace of left multiplication by e_k b_j on the
+    unitization, for every basis vector b_j of the unitization; the
+    matrix of left multiplication is built column by column with
+    ``multiply``.
+    """
+    sharp = unitize(a)
+    m = sharp.dim
+    rows = []
+    for j in range(m):
+        bj = sharp.basis_vector(j)
+        row = []
+        for k in range(a.dim):
+            prod = sharp.multiply(sharp.basis_vector(k), bj)
+            cols = [sharp.multiply(prod, sharp.basis_vector(t)) for t in range(m)]
+            tr = ZERO
+            for t in range(m):
+                tr = tr + cols[t][t]
+            row.append(tr)
+        rows.append(row)
+    return rows

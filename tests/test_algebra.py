@@ -29,9 +29,10 @@ from amenalyzer.algebra import (
     zero_algebra,
 )
 from amenalyzer.corpus import corpus
+from amenalyzer.linalg import nullspace
 from amenalyzer.scalars import ONE, ZERO, qq
 
-from oracles import oracle_product_span_dim
+from oracles import oracle_product_span_dim, reference_radical_rows
 
 
 @pytest.mark.parametrize(
@@ -218,6 +219,24 @@ def test_radical_is_an_ideal():
                 ej = a.basis_vector(j)
                 assert rad.contains(a.multiply(list(v), ej))
                 assert rad.contains(a.multiply(ej, list(v)))
+
+
+RADICAL_ALGEBRAS = dict(
+    corpus(),
+    TruncPoly16=truncated_polynomial(16),
+    UpperTri5=upper_triangular(5),
+    M4=matrix_algebra(4),
+    UpperTri3Sharp=unitize(upper_triangular(3)),
+)
+
+
+@pytest.mark.parametrize("name", sorted(RADICAL_ALGEBRAS), ids=str)
+def test_radical_equals_left_multiplication_reference(name):
+    a = RADICAL_ALGEBRAS[name]
+    ref = nullspace(reference_radical_rows(a), a.dim)
+    rad = radical(a)
+    assert rad.rows == ref.rows
+    assert rad.pivots == ref.pivots
 
 
 def test_group_algebras_semisimple_char_zero():

@@ -12,7 +12,6 @@ CLI = [sys.executable, "-m", "amenalyzer.cli"]
 
 def run_cli(args, env_extra=None, check=False):
     env = os.environ.copy()
-    env.setdefault("AMENALYZER_NO_NUMBA", "1")  # keep subprocesses snappy
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(CLI + args, capture_output=True, text=True, env=env)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from amenalyzer.algebra import (
+    is_unital,
     matrix_algebra,
     truncated_polynomial,
     unitize,
@@ -27,6 +28,7 @@ from amenalyzer.derivations import (
     t_operator_rank,
     vanishes_on_diameter,
     flatten_map,
+    unflatten_map,
 )
 from amenalyzer.linalg import EXACT, FLOAT, subspace_intersect, subspace_leq
 from amenalyzer.scalars import ONE, ZERO, qq
@@ -288,3 +290,25 @@ def test_cyclic_subspace_equals_annihilator_intersection(name, backend):
         assert zc.pivots == ref.pivots
     else:
         assert _rows_match(zc, ref)
+
+
+LANE_ALGEBRAS = dict(corpus(), UpperTri4=upper_triangular(4))
+
+
+def test_predicates_give_the_same_verdict_on_both_lanes():
+    # each predicate is written once; an exact matrix and its complex128
+    # form must take the same verdict through the exact and float lanes
+    verdicts = set()
+    for name, a in sorted(LANE_ALGEBRAS.items()):
+        unital, _ = is_unital(a)
+        for v in derivation_space(a).basis_vectors():
+            m = unflatten_map(v, a.dim)
+            mf = np.array(m, dtype=np.complex128)
+            cyc = is_cyclic(m)
+            assert is_cyclic(mf) == cyc, name
+            assert vanishes_on_diameter(mf) == vanishes_on_diameter(m), name
+            if unital:
+                pu = pairing_with_unit_vanishes(a, m)
+                assert pairing_with_unit_vanishes(a, mf) == pu, name
+            verdicts.add(cyc)
+    assert verdicts == {True, False}

@@ -26,7 +26,6 @@ NAMES = ["EF", "M2", "TruncPoly2", "Z2w"]
 def test_classify_matches_golden(name):
     env = os.environ.copy()
     env.pop("AMENALYZER_SEED", None)
-    env.setdefault("AMENALYZER_NO_NUMBA", "1")
     proc = subprocess.run(
         [sys.executable, "-m", "amenalyzer.cli", "classify", f"builtin:{name}", "--json", "--witnesses"],
         capture_output=True,

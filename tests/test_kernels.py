@@ -1,12 +1,7 @@
-"""The numba kernel and the pure-numpy fallback must be interchangeable."""
-
-import os
-import subprocess
-import sys
+"""The float elimination kernel produces a reduced row echelon form."""
 
 import numpy as np
 
-from amenalyzer import _kernels
 from amenalyzer.linalg import rref_float
 
 
@@ -24,38 +19,3 @@ def test_inplace_kernel_produces_rref():
         col = reduced[:, p]
         assert abs(col[r] - 1.0) < 1e-12
         assert np.abs(np.delete(col, r)).max() < 1e-9
-
-
-def test_fallback_matches_active_kernel():
-    a = _random_system(11)
-    rank_kernel, piv_kernel = _kernels.rref_inplace(a.copy(), 1e-9)
-    rank_np, piv_np = _kernels._rref_numpy(a.copy(), 1e-9)
-    assert rank_kernel == rank_np
-    assert tuple(piv_kernel) == tuple(piv_np)
-
-
-def test_env_flag_selects_numpy_path():
-    env = dict(os.environ, AMENALYZER_NO_NUMBA="1")
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from amenalyzer import _kernels; print(_kernels.kernel_backend())",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_both_paths_agree_on_reduced_rows():
-    a = _random_system(23, shape=(25, 12))
-    r1, p1 = rref_float(a.copy())
-    # run the numpy path directly on the same input
-    b = a.copy()
-    tol_abs = 1e-9 * max(1.0, float(np.sqrt((np.abs(b) ** 2).sum(axis=1)).max()))
-    rank, piv = _kernels._rref_numpy(b, tol_abs)
-    assert rank == len(p1) and tuple(piv) == p1
-    assert np.abs(b[:rank] - r1).max() < 1e-9

@@ -181,9 +181,10 @@ def test_float_nullspace_residual_bound():
 
 
 def test_trivial_and_full_space_extremes():
-    assert trivial_space(3).dim == 0
-    assert full_space(3).dim == 3
-    assert subspace_leq(trivial_space(3), full_space(3))
+    for backend in (EXACT, FLOAT):
+        assert trivial_space(3, backend).dim == 0
+        assert full_space(3, backend).dim == 3
+        assert subspace_leq(trivial_space(3, backend), full_space(3, backend))
 
 
 # Entries mix zeros, integers, fractions and non-real values, so the sparse
@@ -223,3 +224,15 @@ def test_rref_exact_equals_dense_reference(m, as_generator):
     expected = reference_rref_exact(m)
     rows = (tuple(r) for r in m) if as_generator else m
     assert rref_exact(rows) == expected
+
+
+@given(m=qqi_matrix_with_plants())
+@settings(max_examples=100, deadline=None)
+def test_float_lane_converts_qqi_rows_at_the_door(m):
+    cols = len(m[0]) if m else 3
+    pre = np.array([[complex(x) for x in r] for r in m], dtype=np.complex128).reshape(-1, cols)
+    for solve in (nullspace, rowspace):
+        got = solve(m, cols, FLOAT)
+        want = solve(pre, cols, FLOAT)
+        assert np.array_equal(got.rows, want.rows)
+        assert got.pivots == want.pivots
