@@ -4,6 +4,13 @@ The hot loop of the float backend is Gauss-Jordan elimination with partial
 pivoting on complex128 matrices, written with numpy row operations.  It is
 the package's one float elimination routine.  ``kernel_backend()`` names it
 so that benchmark records say which kernel produced their float timings.
+
+Each pivot step updates only the entries it can change.  Every column left
+of the current one is exactly zero in the rows not yet pivoted: each step
+zeroes its own column, and a column skipped as zero is zeroed from the
+current row down.  So the pivot row is exactly zero left of its pivot, and
+a row with an exactly zero entry in the pivot column is left as it is.  The
+values are those of a whole-matrix update; only the sign of zeros differs.
 """
 
 from __future__ import annotations
@@ -17,6 +24,12 @@ def rref_inplace(a: np.ndarray, tol_abs: float):
     Returns (rank, tuple of pivot columns).  Pivot choice: the first entry
     of largest modulus at or below the current row.  Entries with modulus
     <= tol_abs are treated as zero.
+
+    Invariant: when column ``col`` is pivoted in row ``r``, rows r and
+    below are exactly zero left of ``col``.  So the step scales
+    ``a[r, col:]`` and subtracts multiples of it from ``a[nz, col:]`` only,
+    ``nz`` being the rows with a nonzero entry in ``col``.  Zeros may come
+    out as -0.0; the caller clears their sign.
     """
     nrows, ncols = a.shape
     pivots = []
@@ -31,13 +44,14 @@ def rref_inplace(a: np.ndarray, tol_abs: float):
             continue
         if p != r:
             a[[r, p]] = a[[p, r]]
-        a[r] = a[r] / a[r, col]
-        a[r, col] = 1.0
+        prow = a[r, col:]
+        prow /= prow[0]
+        prow[0] = 1.0
         factors = a[:, col].copy()
         factors[r] = 0.0
-        a -= np.outer(factors, a[r])
-        a[:, col] = 0.0
-        a[r, col] = 1.0
+        nz = np.flatnonzero(factors)
+        a[nz, col:] -= np.outer(factors[nz], prow)
+        a[nz, col] = 0.0
         pivots.append(col)
         r += 1
     return r, tuple(pivots)

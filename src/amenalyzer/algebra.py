@@ -99,6 +99,17 @@ class ValidationReport:
         return "\n".join(f"[{i.kind}] at {i.where}: {i.message}" for i in self.issues)
 
 
+def _combination(terms):
+    """sum of coef * v over (coef, v) terms, v a list of (column, value)
+    nonzeros, as a {column: value} dict of the nonzero sums."""
+    out = {}
+    for coef, v in terms:
+        for k, x in v:
+            y = out.get(k)
+            out[k] = coef * x if y is None else y + coef * x
+    return {k: x for k, x in out.items() if x}
+
+
 def validate(a: FiniteAlgebra) -> ValidationReport:
     """Check associativity, unit identities, and weight constraints.
 
@@ -107,11 +118,17 @@ def validate(a: FiniteAlgebra) -> ValidationReport:
     """
     issues = []
     n = a.dim
+    # nz[i][j]: the (k, c_ijk) with c_ijk != 0, so e_i e_j = sum of c e_k
+    nz = [
+        [[(k, c) for k, c in enumerate(a.sc[i][j]) if not c.is_zero()] for j in range(n)]
+        for i in range(n)
+    ]
     for i in range(n):
         for j in range(n):
             for l in range(n):
-                lhs = a.multiply(a.basis_product(i, j), a.basis_vector(l))
-                rhs = a.multiply(a.basis_vector(i), a.basis_product(j, l))
+                # (e_i e_j) e_l = sum_k c_ijk e_k e_l;  e_i (e_j e_l) = sum_m c_jlm e_i e_m
+                lhs = _combination((c, nz[k][l]) for k, c in nz[i][j])
+                rhs = _combination((c, nz[i][m]) for m, c in nz[j][l])
                 if lhs != rhs:
                     issues.append(
                         ValidationIssue(

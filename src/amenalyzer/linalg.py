@@ -128,6 +128,8 @@ def rref_float(arr, tol=DEFAULT_TOL):
     rank, pivots = _kernels.rref_inplace(a, tol_abs)
     out = a[:rank]
     out[np.abs(out) <= tol_abs] = 0.0
+    # the kernel may leave -0.0 parts; adding +0.0 makes every zero positive
+    out += 0.0
     return out, pivots
 
 
@@ -181,7 +183,7 @@ class _ExactLane:
 
     @staticmethod
     def sub_multiple(v, coef, row):
-        return [a - coef * b for a, b in zip(v, row)]
+        return [a if b.is_zero() else a - coef * b for a, b in zip(v, row)]
 
     @staticmethod
     def rows_equal(r1, r2, bound) -> bool:

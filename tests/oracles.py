@@ -4,18 +4,22 @@ These deliberately avoid the package's exact elimination path: constraint
 matrices are built by numerically evaluating the defining identities on
 basis vectors (via the algebra's own multiply), and dimensions come from
 numpy's SVD-based rank.  Agreement between these oracles and the engines
-is therefore a genuine two-route check.  The exact oracles are
+is therefore a genuine two-route check.  The remaining oracles are
 references for rewritten package code: :func:`reference_rref_exact`, a
-dense Gauss-Jordan elimination, for the sparse ``rref_exact``, and
+dense Gauss-Jordan elimination, for the sparse ``rref_exact``;
+:func:`reference_rref_inplace`, the float Gauss-Jordan kernel updating
+whole rows, for the restricted update of ``_kernels.rref_inplace``;
 :func:`reference_radical_rows`, the trace form read off whole
-left-multiplication matrices, for the trace-vector ``radical``.
+left-multiplication matrices, for the trace-vector ``radical``; and
+:func:`reference_validate`, associativity tested by ``multiply`` on dense
+vectors, for the sparse test of ``validate``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from amenalyzer.algebra import unitize
+from amenalyzer.algebra import ValidationIssue, unitize
 from amenalyzer.scalars import ONE, ZERO
 
 
@@ -170,6 +174,64 @@ def reference_rref_exact(rows):
         pivots.append(col)
         r += 1
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def reference_rref_inplace(a, tol_abs):
+    """Float Gauss-Jordan with partial pivoting, each step updating the
+    whole matrix.
+
+    Same contract as ``_kernels.rref_inplace``: reduces the complex128
+    array ``a`` in place and returns (rank, tuple of pivot columns).  The
+    pivot row is scaled whole and its outer product with the pivot column
+    is subtracted from every row, zero factors included.
+    """
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r >= nrows:
+            break
+        col_abs = np.abs(a[r:, col])
+        p = r + int(np.argmax(col_abs))
+        if abs(a[p, col]) <= tol_abs:
+            a[r:, col] = 0.0
+            continue
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        a[r] = a[r] / a[r, col]
+        a[r, col] = 1.0
+        factors = a[:, col].copy()
+        factors[r] = 0.0
+        a -= np.outer(factors, a[r])
+        a[:, col] = 0.0
+        a[r, col] = 1.0
+        pivots.append(col)
+        r += 1
+    return r, tuple(pivots)
+
+
+def reference_validate(a):
+    """The associativity issues of ``validate``, in its order.
+
+    Both sides of every triple are evaluated with ``multiply`` on dense
+    coordinate vectors and compared entry by entry.
+    """
+    issues = []
+    n = a.dim
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                lhs = a.multiply(a.basis_product(i, j), a.basis_vector(l))
+                rhs = a.multiply(a.basis_vector(i), a.basis_product(j, l))
+                if lhs != rhs:
+                    issues.append(
+                        ValidationIssue(
+                            "associativity",
+                            (i, j, l),
+                            f"(e{i}*e{j})*e{l} != e{i}*(e{j}*e{l})",
+                        )
+                    )
+    return tuple(issues)
 
 
 def reference_radical_rows(a):

@@ -1,8 +1,12 @@
 """Constructors, validation, radical, and the JSON wire format."""
 
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amenalyzer.algebra import (
     AlgebraFormatError,
@@ -30,9 +34,9 @@ from amenalyzer.algebra import (
 )
 from amenalyzer.corpus import corpus
 from amenalyzer.linalg import nullspace
-from amenalyzer.scalars import ONE, ZERO, qq
+from amenalyzer.scalars import ONE, ZERO, QQi, qq
 
-from oracles import oracle_product_span_dim, reference_radical_rows
+from oracles import oracle_product_span_dim, reference_radical_rows, reference_validate
 
 
 @pytest.mark.parametrize(
@@ -61,9 +65,9 @@ def test_one_dim_idempotent_algebra_is_valid():
     assert validate(a).ok
 
 
-def test_validate_reports_broken_associativity():
+def _broken_algebra():
     # e0*e0 = e1 and e1*e0 = e0 cannot be associative: (e0 e0) e0 != e0 (e0 e0)
-    a = from_json_dict(
+    return from_json_dict(
         {
             "name": "broken",
             "dim": 2,
@@ -71,9 +75,80 @@ def test_validate_reports_broken_associativity():
             "sc": [[0, 0, 1, "1", "0"], [1, 0, 0, "1", "0"]],
         }
     )
-    report = validate(a)
+
+
+def test_validate_reports_broken_associativity():
+    report = validate(_broken_algebra())
     assert not report.ok
     assert any(i.kind == "associativity" and i.where == (0, 0, 0) for i in report.issues)
+
+
+def _perturbed(a, i, j, k, value):
+    """``a`` with the structure constant c_ijk replaced by ``value``."""
+    sc = [[list(v) for v in plane] for plane in a.sc]
+    sc[i][j][k] = value
+    frozen = tuple(tuple(tuple(v) for v in plane) for plane in sc)
+    return replace(a, name=f"{a.name}:c{i},{j},{k}={value}", sc=frozen)
+
+
+def _assert_validate_matches_reference(a):
+    issues = validate(a).issues
+    expected = reference_validate(a)
+    # associativity issues come first, in the reference's triple order
+    assert issues[: len(expected)] == expected
+    assert all(i.kind != "associativity" for i in issues[len(expected) :])
+    return expected
+
+
+_LADDER = (
+    matrix_algebra(3),
+    upper_triangular(4),
+    truncated_polynomial(10),
+    pointwise_algebra(12),
+    unitize(zero_algebra(8), name="Zero8Sharp"),
+    direct_sum(matrix_algebra(2), truncated_polynomial(3), name="M2+TruncPoly3"),
+    upper_triangular(5),
+    matrix_algebra(4),
+    truncated_polynomial(12),
+    tensor_product(corpus()["S3"], truncated_polynomial(2), name="S3xTruncPoly2"),
+)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [*corpus().values(), *_LADDER, _broken_algebra()]
+    + [
+        _perturbed(truncated_polynomial(12), 1, 1, 2, qq(Fraction(1, 2))),
+        _perturbed(matrix_algebra(4), 1, 4, 0, QQi(1, -1)),
+        _perturbed(upper_triangular(5), 0, 0, 3, qq(-2)),
+    ],
+    ids=lambda a: a.name,
+)
+def test_validate_equals_multiply_reference(a):
+    _assert_validate_matches_reference(a)
+
+
+_SMALL = (*corpus().values(), matrix_algebra(3), upper_triangular(4), _broken_algebra())
+_VALUES = st.one_of(
+    st.integers(-3, 3).map(qq),
+    st.builds(
+        QQi,
+        st.fractions(min_value=-2, max_value=2, max_denominator=5),
+        st.fractions(min_value=-2, max_value=2, max_denominator=5),
+    ),
+)
+
+
+@given(
+    ijk=st.sampled_from(_SMALL).flatmap(
+        lambda a: st.tuples(st.just(a), *[st.integers(0, a.dim - 1)] * 3)
+    ),
+    value=_VALUES,
+)
+@settings(max_examples=150, deadline=None)
+def test_validate_equals_multiply_reference_after_perturbation(ijk, value):
+    a, i, j, k = ijk
+    _assert_validate_matches_reference(_perturbed(a, i, j, k, value))
 
 
 def test_multiply_basis_vectors_reads_tensor():

@@ -236,3 +236,19 @@ def test_float_lane_converts_qqi_rows_at_the_door(m):
         want = solve(pre, cols, FLOAT)
         assert np.array_equal(got.rows, want.rows)
         assert got.pivots == want.pivots
+
+
+@given(m=qqi_matrix_with_plants(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_exact_membership_equals_rank_test(m, data):
+    cols = len(m[0]) if m else 3
+    s = rowspace(m, cols)
+    # a combination of the spanning rows (always inside), plus maybe a random row
+    v = [ZERO] * cols
+    for row in m:
+        c = data.draw(qqi_entry)
+        v = [x + c * y for x, y in zip(v, row)]
+    if data.draw(st.booleans()):
+        v = [x + y for x, y in zip(v, data.draw(st.lists(qqi_entry, min_size=cols, max_size=cols)))]
+    inside = rowspace(list(s.rows) + [v], cols).dim == s.dim
+    assert s.contains(v) == inside
