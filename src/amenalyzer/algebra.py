@@ -9,8 +9,9 @@ demand.  Values are immutable and hashable, so analyses can be cached.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import (
     EXACT,
@@ -76,6 +77,19 @@ class FiniteAlgebra:
 
     def __str__(self):
         return f"{self.name} (dim {self.dim})"
+
+    @cached_property
+    def _hash(self):
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+
+    def __hash__(self):
+        # the dataclass hash of the same fields, computed once: hashing the
+        # n^3 structure constants dominates every cache lookup otherwise
+        return self._hash
+
+    def __getstate__(self):
+        # string hashes are salted per process, so a pickle drops the cache
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 @dataclass(frozen=True)
@@ -337,6 +351,15 @@ def upper_triangular(k: int, name=None) -> FiniteAlgebra:
     return _make(name or f"UpperTri{k}", n, c, labels, unit=unit)
 
 
+def cayley_identity(table):
+    """The index of the two-sided identity of a Cayley table, or None."""
+    m = len(table)
+    for e in range(m):
+        if all(table[e][x] == x and table[x][e] == x for x in range(m)):
+            return e
+    return None
+
+
 def semigroup_algebra(table, weight=None, identity=None, name=None) -> FiniteAlgebra:
     """Convolution algebra of a finite semigroup given by its Cayley table.
 
@@ -361,11 +384,7 @@ def semigroup_algebra(table, weight=None, identity=None, name=None) -> FiniteAlg
                     raise AlgebraFormatError(
                         f"Cayley table is not associative at ({x},{y},{z})"
                     )
-    detected = None
-    for e in range(m):
-        if all(table[e][x] == x and table[x][e] == x for x in range(m)):
-            detected = e
-            break
+    detected = cayley_identity(table)
     if identity is not None and identity != detected:
         raise AlgebraFormatError(
             f"element {identity} is not a two-sided identity (found {detected})"
@@ -553,11 +572,7 @@ def quotient_map(a: FiniteAlgebra, ideal: Subspace):
     m = len(free)
 
     def project(v):
-        w = list(v)
-        for row, p in zip(ideal.rows, ideal.pivots):
-            coef = w[p]
-            if not coef.is_zero():
-                w = [x - coef * y for x, y in zip(w, row)]
+        _, w = ideal.reduce(v)
         return [w[f] for f in free]
 
     proj_rows = [project(a.basis_vector(i)) for i in range(n)]
@@ -591,26 +606,13 @@ def subalgebra_on(a: FiniteAlgebra, s: Subspace, name=None):
         row_coords = []
         for v in basis:
             prod = a.multiply(u, v)
-            expanded = _coords_in_rref_basis(prod, s)
-            if expanded is None:
+            expanded, rest = s.reduce(prod)
+            if any(not x.is_zero() for x in rest):
                 return None
             row_coords.append(expanded)
         coords.append(row_coords)
     c = [[[coords[p][q][t] for t in range(m)] for q in range(m)] for p in range(m)]
     return _make(name or f"{a.name}|sub", m, c, [f"b{t}" for t in range(m)])
-
-
-def _coords_in_rref_basis(v, s: Subspace):
-    w = list(v)
-    coeffs = []
-    for row, p in zip(s.rows, s.pivots):
-        coef = w[p]
-        coeffs.append(coef)
-        if not coef.is_zero():
-            w = [x - coef * y for x, y in zip(w, row)]
-    if any(not x.is_zero() for x in w):
-        return None
-    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,12 @@ from .algebra import (
     commutator_span,
     find_unit,
     ideal_closure,
-    is_essential,
-    is_unital,
     quotient_map,
     radical,
 )
 from .derivations import (
     _complex_tensor,
-    derivation_space,
     flatten_map,
-    inner_space,
     is_cyclic,
     rank_one_dual_map,
 )
@@ -149,20 +145,6 @@ def _verify_vector(a: FiniteAlgebra, values, tol, want_exact=True) -> Character 
     return Character(tuple(complex(v) for v in arr), False, res)
 
 
-def _left_mult_transposed_float(a: FiniteAlgebra):
-    """Stack of transposed left-multiplication matrices, complex dtype."""
-    n = a.dim
-    mats = np.zeros((n, n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c = a.sc[i][j][k]
-                if not c.is_zero():
-                    # column j of L_{e_i} is the product e_i e_j
-                    mats[i, j, k] = complex(c)
-    return mats  # mats[i] is L_{e_i} transposed: rows indexed by j, cols by k
-
-
 def _semisimple_commutative_characters(c_alg: FiniteAlgebra, rng, tol):
     """Characters of a commutative semisimple algebra via joint eigenvectors.
 
@@ -177,7 +159,8 @@ def _semisimple_commutative_characters(c_alg: FiniteAlgebra, rng, tol):
         # commutative semisimple algebras always have a unit; defensive only
         return [], False, 0
     u = np.array([complex(x) for x in unit], dtype=np.complex128)
-    lt = _left_mult_transposed_float(c_alg)
+    # lt[i] is L_{e_i} transposed: rows indexed by j, cols by k
+    lt = _complex_tensor(c_alg)
     attempts = 0
     for attempt in range(3):
         attempts = attempt + 1
@@ -345,7 +328,22 @@ def _rank_one_map(d, phi: Character, lane):
     return dmap, flatten_map(dmap, len(d))
 
 
-def check_prop_2_4(a: FiniteAlgebra, d, phi: Character, z=None, pd=None, tol=DEFAULT_TOL):
+# The helpers below take an Analysis of the algebra (``amenalyzer.classify``)
+# and read its solved spaces: ``pds``, ``derivations``, ``unital``,
+# ``commutative`` and ``essential``.  They solve nothing themselves.
+
+
+def _lane(an, *phis):
+    """The lane of the Analysis; a character of another lane is refused."""
+    for phi in phis:
+        if phi is not None and character_backend(phi) != an.backend:
+            raise ValueError(
+                f"a {character_backend(phi)} character given to a {an.backend} analysis"
+            )
+    return LANES[an.backend]
+
+
+def check_prop_2_4(an, d, phi: Character):
     """Cross-check the rank-one bridge between point derivations and derivations.
 
     Evaluates both routes independently: membership of the rank-one dual
@@ -353,15 +351,11 @@ def check_prop_2_4(a: FiniteAlgebra, d, phi: Character, z=None, pd=None, tol=DEF
     the point-derivation space at phi.  Reports whether they agree and
     whether d kills the span of products of the maximal ideal.
     """
-    lane = lane_of(character_backend(phi), d)
-    if z is None:
-        z = derivation_space(a, lane.backend, tol)
-    if pd is None:
-        pd = point_derivation_space(a, phi, lane.backend, tol)
+    lane = _lane(an, phi)
     d = lane.vector(d)
     _, flat = _rank_one_map(d, phi, lane)
-    via_derivation = z.contains(flat)
-    via_point = pd.contains(d)
+    via_derivation = an.derivations.z.contains(flat)
+    via_point = an.pds.space(phi).contains(d)
     result = {
         "rank_one_is_derivation": via_derivation,
         "is_point_derivation": via_point,
@@ -369,83 +363,70 @@ def check_prop_2_4(a: FiniteAlgebra, d, phi: Character, z=None, pd=None, tol=DEF
         "annihilates_ideal_square": None,
     }
     if via_point:
-        m = maximal_ideal(a, phi, tol)
-        msq = ideal_product_span(a, m, tol)
+        _, msq = an.pds.ideal_square(phi)
         result["annihilates_ideal_square"] = all(
-            lane.is_zero(lane.dot(d, w), tol * 100) for w in msq.basis_vectors()
+            lane.is_zero(lane.dot(d, w), an.tol * 100) for w in msq.basis_vectors()
         )
     return result
 
 
-def check_prop_2_5(
-    a: FiniteAlgebra, d, phi: Character, analysis=None, tol=DEFAULT_TOL
-):
+def unital_characterization(an, phi: Character) -> bool:
+    """For a unital algebra and an exact character: the point derivations at
+    phi are exactly the functionals killing the unit and the square of ker phi."""
+    _, u = an.unital
+    _, msq = an.pds.ideal_square(phi)
+    expected = nullspace(list(msq.rows) + [list(u)], an.algebra.dim, EXACT, an.tol)
+    return subspace_equal(expected, an.pds.space(phi))
+
+
+def check_prop_2_5(an, d, phi: Character):
     """Gate-dependent consequences of a nonzero point derivation.
 
     For commutative or unital algebras the rank-one map must be a non-inner
     derivation; for essential algebras it must also be non-cyclic.  For
     unital algebras the point-derivation space must coincide with the
     functionals killing both the unit and the ideal square.
-
-    ``analysis`` is an Analysis of ``a``; when its backend matches, its
-    derivation and inner spaces are used instead of being solved again.
     """
-    lane = lane_of(character_backend(phi), d)
-    commutative = a.is_commutative()
-    unital, u = is_unital(a)
-    essential = is_essential(a, EXACT, tol)
+    lane = _lane(an, phi)
+    unital, _ = an.unital
     gates = {
-        "commutative": commutative,
-        "essential": essential,
+        "commutative": an.commutative,
+        "essential": an.essential,
         "unital": unital,
     }
     if not any(gates.values()):
         return {"applicable": False, "gates": gates}
     dmap, flat = _rank_one_map(lane.vector(d), phi, lane)
-    cached = analysis.derivations if analysis is not None and analysis.backend == lane.backend else None
-    z = cached.z if cached is not None else derivation_space(a, lane.backend, tol)
     checks = {"applicable": True, "gates": gates}
-    checks["is_derivation"] = z.contains(flat)
-    if commutative or unital:
-        inn = cached.inner if cached is not None else inner_space(a, lane.backend, tol)
-        checks["non_inner"] = not inn.contains(flat)
-    if essential:
-        checks["non_cyclic"] = not is_cyclic(dmap, tol)
+    checks["is_derivation"] = an.derivations.z.contains(flat)
+    if gates["commutative"] or unital:
+        checks["non_inner"] = not an.derivations.inner.contains(flat)
+    if gates["essential"]:
+        checks["non_cyclic"] = not is_cyclic(dmap, an.tol)
     if unital and phi.exact:
-        m = maximal_ideal(a, phi, tol)
-        msq = ideal_product_span(a, m, tol)
-        constraint_rows = list(msq.rows) + [list(u)]
-        expected = nullspace(constraint_rows, a.dim, EXACT, tol)
-        pd = point_derivation_space(a, phi, EXACT, tol)
-        checks["unital_characterization"] = subspace_equal(expected, pd)
+        checks["unital_characterization"] = unital_characterization(an, phi)
     ok = all(v for k, v in checks.items() if isinstance(v, bool))
     checks["ok"] = ok
     return checks
 
 
-def tensor_point_derivation(a1, phi1, d1, a2, phi2, d2, pd1=None, pd2=None, tol=DEFAULT_TOL):
+def tensor_point_derivation(an1, phi1, d1, an2, phi2, d2, big):
     """Combine point derivations of two factors into one on their tensor product.
 
-    Coordinates follow the tensor flattening (i, p) -> i * dim2 + p.  The
-    inputs are checked against the factor point-derivation spaces; the
-    output is returned together with its membership verdict in the tensor
-    algebra's point-derivation space.
+    ``an1`` and ``an2`` are Analyses of the factors and ``big`` one of
+    their tensor product, all on one backend.  Coordinates follow the tensor
+    flattening (i, p) -> i * dim2 + p.  The inputs are checked against the
+    factor point-derivation spaces; the output is returned together with
+    its membership verdict in the tensor algebra's point-derivation space.
     """
-    from .algebra import tensor_product
-
-    lane = lane_of(character_backend(phi1), character_backend(phi2), d1, d2)
-    if pd1 is None:
-        pd1 = point_derivation_space(a1, phi1, lane.backend, tol)
-    if pd2 is None:
-        pd2 = point_derivation_space(a2, phi2, lane.backend, tol)
+    lane = _lane(big, phi1, phi2)
     d1v = lane.vector(d1)
     d2v = lane.vector(d2)
-    if not pd1.contains(d1v):
+    if not an1.pds.space(phi1).contains(d1v):
         raise ValueError("d1 is not a point derivation of the first factor")
-    if not pd2.contains(d2v):
+    if not an2.pds.space(phi2).contains(d2v):
         raise ValueError("d2 is not a point derivation of the second factor")
-    big = tensor_product(a1, a2)
-    n1, n2 = a1.dim, a2.dim
+    n1, n2 = an1.algebra.dim, an2.algebra.dim
     p1 = _phi_entries(phi1, n1, lane)
     p2 = _phi_entries(phi2, n2, lane)
     combined = lane.vector(
@@ -453,11 +434,10 @@ def tensor_point_derivation(a1, phi1, d1, a2, phi2, d2, pd1=None, pd2=None, tol=
     )
     phi_vals = [lane.coerce(p1[i] * p2[p]) for i in range(n1) for p in range(n2)]
     big_phi = None
-    if not all(lane.is_zero(x, tol) for x in phi_vals):
+    if not all(lane.is_zero(x, big.tol) for x in phi_vals):
         big_phi = Character(tuple(phi_vals), lane.exact, 0.0)
-    big_pd = point_derivation_space(big, big_phi, lane.backend, tol)
-    member = big_pd.contains(combined)
-    return big, big_phi, combined, member
+    member = big.pds.space(big_phi).contains(combined)
+    return big.algebra, big_phi, combined, member
 
 
 @dataclass(frozen=True)
@@ -477,6 +457,55 @@ class PointDerivationReport:
         return not self.certified
 
 
+class PointDerivations:
+    """The per-character spaces of one algebra, each solved once.
+
+    ``space(phi)`` is the point-derivation space at a character, or at the
+    zero functional when ``phi`` is None; ``ideal_square(phi)`` is the
+    maximal ideal ker phi together with the span of its products.  A float
+    character puts its spaces on the float lane, as in
+    :func:`point_derivation_space`.
+    """
+
+    def __init__(self, a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL):
+        self.algebra = a
+        self.backend = backend
+        self.tol = tol
+        self._spaces = {}
+        self._squares = {}
+
+    def space(self, phi) -> Subspace:
+        pd = self._spaces.get(phi)
+        if pd is None:
+            pd = self._spaces[phi] = point_derivation_space(self.algebra, phi, self.backend, self.tol)
+        return pd
+
+    def ideal_square(self, phi: Character):
+        """(ker phi, span of the products of ker phi)."""
+        pair = self._squares.get(phi)
+        if pair is None:
+            m = maximal_ideal(self.algebra, phi, self.tol)
+            pair = self._squares[phi] = (m, ideal_product_span(self.algebra, m, self.tol))
+        return pair
+
+    def report(self, search: CharacterSearch) -> PointDerivationReport:
+        """Point amenability over the characters, and over characters plus zero."""
+        chars = search.characters
+        pd_dims = tuple(self.space(ch).dim for ch in chars)
+        cot_dims = tuple(m.dim - msq.dim for m, msq in map(self.ideal_square, chars))
+        zero_dim = self.space(None).dim
+        pa = all(d == 0 for d in pd_dims)
+        return PointDerivationReport(
+            characters=chars,
+            certified=search.certified,
+            pd_dims=pd_dims,
+            cotangent_dims=cot_dims,
+            zero_space_dim=zero_dim,
+            point_amenable=pa,
+            zero_point_amenable=pa and zero_dim == 0,
+        )
+
+
 def amenability_flags(
     a: FiniteAlgebra,
     search: CharacterSearch | None = None,
@@ -487,24 +516,7 @@ def amenability_flags(
     """Point amenability over the characters, and over characters plus zero."""
     if search is None:
         search = find_characters(a, seed=seed, tol=tol, backend=backend)
-    pd_dims = []
-    cot_dims = []
-    for ch in search.characters:
-        pd = point_derivation_space(a, ch, backend, tol)
-        pd_dims.append(pd.dim)
-        cot_dims.append(cotangent_dim(a, ch, tol))
-    zero_space = point_derivation_space(a, None, backend, tol)
-    pa = all(d == 0 for d in pd_dims)
-    zpa = pa and zero_space.dim == 0
-    return PointDerivationReport(
-        characters=search.characters,
-        certified=search.certified,
-        pd_dims=tuple(pd_dims),
-        cotangent_dims=tuple(cot_dims),
-        zero_space_dim=zero_space.dim,
-        point_amenable=pa,
-        zero_point_amenable=zpa,
-    )
+    return PointDerivations(a, backend, tol).report(search)
 
 
 def extend_character_to_unitization(phi: Character) -> Character:

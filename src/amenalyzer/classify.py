@@ -10,11 +10,10 @@ from .algebra import (
     is_unital,
     product_span,
     radical,
-    validate,
 )
 from .characters import (
     CharacterSearch,
-    amenability_flags,
+    PointDerivations,
     find_characters,
     resolve_seed,
 )
@@ -39,10 +38,6 @@ class Analysis:
         self.backend = backend
         self.tol = tol
         self.seed = resolve_seed(seed)
-
-    @cached_property
-    def validation(self):
-        return validate(self.algebra)
 
     @cached_property
     def commutative(self) -> bool:
@@ -77,10 +72,13 @@ class Analysis:
         return find_characters(self.algebra, seed=self.seed, tol=self.tol, backend=self.backend)
 
     @cached_property
+    def pds(self) -> PointDerivations:
+        """The point-derivation spaces and ideal squares, one solve per character."""
+        return PointDerivations(self.algebra, self.backend, self.tol)
+
+    @cached_property
     def points(self):
-        return amenability_flags(
-            self.algebra, search=self.characters, backend=self.backend, tol=self.tol
-        )
+        return self.pds.report(self.characters)
 
     @cached_property
     def qa_space(self):

@@ -16,20 +16,19 @@ Statuses per (check, algebra):
 from __future__ import annotations
 
 from .algebra import (
+    cayley_identity,
     recover_cayley_table,
     subalgebra_on,
+    tensor_product,
     unitize,
 )
 from .characters import (
-    Character,
     augmentation_character,
     check_prop_2_4,
     check_prop_2_5,
     extend_character_to_unitization,
-    maximal_ideal,
-    ideal_product_span,
-    point_derivation_space,
     tensor_point_derivation,
+    unital_characterization,
 )
 from .classify import Analysis, AnalysisCache
 from .corpus import corpus
@@ -46,7 +45,6 @@ from .linalg import (
     EXACT,
     LANES,
     annihilator,
-    nullspace,
     rowspace,
     subspace_equal,
     subspace_leq,
@@ -56,7 +54,6 @@ from .quasiadd import (
     corollary_3_2_check,
     inner_q,
     point_derivation_from_quasi,
-    semigroup_identity,
 )
 from .scalars import ZERO, qq
 
@@ -94,7 +91,7 @@ def _nonzero_pd_basis(an: Analysis):
     for ch in an.characters.characters:
         if not ch.exact:
             continue
-        pd = point_derivation_space(an.algebra, ch, EXACT, an.tol)
+        pd = an.pds.space(ch)
         for v in pd.basis_vectors():
             out.append((ch, list(v), pd))
     return out
@@ -102,11 +99,7 @@ def _nonzero_pd_basis(an: Analysis):
 
 def is_group_table(table) -> bool:
     m = len(table)
-    e = None
-    for cand in range(m):
-        if all(table[cand][x] == x and table[x][cand] == x for x in range(m)):
-            e = cand
-            break
+    e = cayley_identity(table)
     if e is None:
         return False
     for x in range(m):
@@ -211,15 +204,13 @@ def check_p24(an: Analysis, ctx):
         return SKIP, "hypothesis not met: no characters"
     a = ean.algebra
     n = a.dim
-    z = ean.derivations.z
     for ch in chars:
-        pd = point_derivation_space(a, ch, EXACT, an.tol)
-        tests = [list(v) for v in pd.basis_vectors()]
+        tests = [list(v) for v in ean.pds.space(ch).basis_vectors()]
         for t in range(n):
             tests.append(a.basis_vector(t))
         tests.append([qq(t + 1) for t in range(n)])
         for d in tests:
-            rep = check_prop_2_4(a, d, ch, z=z, pd=pd, tol=an.tol)
+            rep = check_prop_2_4(ean, d, ch)
             if not rep["agree"]:
                 return FAIL, "bridge directions disagree"
             if rep["is_point_derivation"] and rep["annihilates_ideal_square"] is False:
@@ -241,29 +232,18 @@ def check_p25(an: Analysis, ctx):
         if unital and _exact_chars(ean):
             # characterization is still checkable with trivial spaces
             for ch in _exact_chars(ean):
-                rep = _unital_characterization(ean, ch)
-                if rep is False:
+                if not unital_characterization(ean, ch):
                     return FAIL, "unital characterization fails on trivial space"
             return PASS, "vacuous: no nonzero point derivations"
         return SKIP, "hypothesis not met: no nonzero point derivations"
     for ch, d in nonzero_pairs:
-        rep = check_prop_2_5(ean.algebra, d, ch, analysis=ean, tol=ean.tol)
+        rep = check_prop_2_5(ean, d, ch)
         if not rep.get("applicable"):
             continue
         if not rep["ok"]:
             failed = [k for k, v in rep.items() if isinstance(v, bool) and not v]
             return FAIL, f"violated: {failed}"
     return PASS, None
-
-
-def _unital_characterization(an: Analysis, ch: Character):
-    a = an.algebra
-    unital, u = an.unital
-    m = maximal_ideal(a, ch, an.tol)
-    msq = ideal_product_span(a, m, an.tol)
-    expected = nullspace(list(msq.rows) + [list(u)], a.dim, EXACT, an.tol)
-    pd = point_derivation_space(a, ch, EXACT, an.tol)
-    return subspace_equal(expected, pd)
 
 
 def check_c26(an: Analysis, ctx):
@@ -300,26 +280,23 @@ def check_t27(an: Analysis, ctx):
     ean = _exact_an(an, ctx)
     a = ean.algebra
     pairs1 = []
-    for ch in _exact_chars(ean):
-        pd = point_derivation_space(a, ch, EXACT, an.tol)
-        vecs = [list(v) for v in pd.basis_vectors()] or [[ZERO] * a.dim]
+    for ch in _exact_chars(ean) + [None]:
+        vecs = [list(v) for v in ean.pds.space(ch).basis_vectors()] or [[ZERO] * a.dim]
         for v in vecs:
             pairs1.append((ch, v))
-    zero_pd = point_derivation_space(a, None, EXACT, ean.tol)
-    for v in [list(w) for w in zero_pd.basis_vectors()] or [[ZERO] * a.dim]:
-        pairs1.append((None, v))
     pairs2 = []
     for ch in _exact_chars(partner_an):
-        pd = point_derivation_space(partner, ch, EXACT, ean.tol)
-        for v in pd.basis_vectors():
+        for v in partner_an.pds.space(ch).basis_vectors():
             pairs2.append((ch, list(v)))
     if not pairs2:
         return SKIP, "partner has no point derivations"
+    # one Analysis per call: no other check reads the tensor product
+    big = Analysis(tensor_product(a, partner), EXACT, ean.tol, ean.seed)
     checked = 0
     for phi1, d1 in pairs1:
         for phi2, d2 in pairs2:
             _, _, _, member = tensor_point_derivation(
-                a, phi1, d1, partner, phi2, d2, tol=ean.tol
+                ean, phi1, d1, partner_an, phi2, d2, big
             )
             if not member:
                 return FAIL, "combined functional is not a point derivation"
@@ -360,7 +337,7 @@ def check_t31(an: Analysis, ctx):
             (t for t in range(n) if not ch.phi[t].is_zero()), None
         )
         a0 = ean.algebra.basis_vector(a0_idx)
-        recovered, member = point_derivation_from_quasi(ean.algebra, flat, ch, a0, ean.tol)
+        recovered, member = point_derivation_from_quasi(ean, flat, ch, a0)
         if not member or recovered != dvec:
             return FAIL, "quotient construction fails to recover the point derivation"
     # empirical converse on the whole quasi-additive basis
@@ -368,7 +345,7 @@ def check_t31(an: Analysis, ctx):
         a0_idx = next((t for t in range(n) if not ch.phi[t].is_zero()), None)
         a0 = ean.algebra.basis_vector(a0_idx)
         for flat in ean.qa_space.basis_vectors():
-            _, member = point_derivation_from_quasi(ean.algebra, list(flat), ch, a0, ean.tol)
+            _, member = point_derivation_from_quasi(ean, list(flat), ch, a0)
             if not member:
                 open_notes.append("converse fails for a quasi-additive basis element")
     if open_notes:
@@ -503,7 +480,7 @@ def check_c43(an: Analysis, ctx):
         return SKIP, "hypothesis not met: no characters"
     cache = ctx["cache"]
     for ch in chars:
-        m = maximal_ideal(ean.algebra, ch, ean.tol)
+        m, _ = ean.pds.ideal_square(ch)
         if m.dim == 0:
             continue  # zero ideal: all three statements hold vacuously
         ideal_alg = subalgebra_on(an.algebra, m, name=f"{an.algebra.name}|ker")
@@ -531,8 +508,7 @@ def check_p45(an: Analysis, ctx):
         return SKIP, "hypothesis not met: no characters"
     a = ean.algebra
     for ch in chars:
-        pd = point_derivation_space(a, ch, EXACT, ean.tol)
-        if pd.dim != 0:
+        if ean.pds.space(ch).dim != 0:
             return FAIL, "weakly amenable with a nonzero point derivation"
         for t in range(a.dim):
             d = a.basis_vector(t)
@@ -612,7 +588,7 @@ def check_t55f(an: Analysis, ctx):
     }
     if len(vals) != 1:
         return FAIL, "group equivalences diverge"
-    e = semigroup_identity(an.algebra)
+    e = cayley_identity(table)
     n = an.algebra.dim
     lane = LANES[an.backend]
     half = lane.coerce(qq("1/2"))
@@ -663,15 +639,11 @@ def check_t59f(an: Analysis, ctx):
     if not d.cyclically_amenable:
         return FAIL, "singly generated but not cyclically amenable"
     ean = _exact_an(an, ctx)
+    lane = LANES[EXACT]
     all_vanish = True
     for ch in _exact_chars(ean):
-        pd = point_derivation_space(ean.algebra, ch, EXACT, ean.tol)
-        for v in pd.basis_vectors():
-            val = ZERO
-            for x, y in zip(v, gen):
-                if not (x.is_zero() or y.is_zero()):
-                    val = val + x * y
-            if not val.is_zero():
+        for v in ean.pds.space(ch).basis_vectors():
+            if not lane.is_zero(lane.dot(v, gen)):
                 all_vanish = False
     vals = {
         d.weakly_amenable,

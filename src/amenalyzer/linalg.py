@@ -283,18 +283,32 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient, self.backend, self.dim))
 
-    def contains(self, vec) -> bool:
-        """Membership test by reduction against the RREF basis."""
+    def reduce(self, vec):
+        """Reduce a vector against the RREF basis: (coefficients, remainder).
+
+        One coefficient per basis row, read at its pivot as the rows are
+        subtracted in order, so vec = sum(coef * row) + remainder and the
+        remainder vanishes on every pivot column.
+        """
         lane = LANES[self.backend]
         v = lane.vector(vec)
         if len(v) != self.ambient:
             raise AmbientMismatch(f"vector of length {len(v)} in ambient {self.ambient}")
-        bound = self.tol * lane.scale(v)
+        coeffs = []
         for row, p in zip(self.rows, self.pivots):
             coef = v[p]
+            coeffs.append(coef)
             if not lane.is_zero(coef):
                 v = lane.sub_multiple(v, coef, row)
-        return all(lane.is_zero(x, bound) for x in v)
+        return coeffs, v
+
+    def contains(self, vec) -> bool:
+        """Membership test: the remainder of the reduction is zero."""
+        lane = LANES[self.backend]
+        v = lane.vector(vec)
+        _, rest = self.reduce(v)
+        bound = self.tol * lane.scale(v)
+        return all(lane.is_zero(x, bound) for x in rest)
 
     def basis_vectors(self):
         return list(self.rows)

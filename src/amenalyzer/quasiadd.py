@@ -9,8 +9,8 @@ the independently assembled systems in :mod:`amenalyzer.derivations`.
 
 from __future__ import annotations
 
-from .algebra import FiniteAlgebra, recover_cayley_table
-from .characters import Character, character_backend, point_derivation_space
+from .algebra import FiniteAlgebra, cayley_identity, recover_cayley_table
+from .characters import Character, _lane, character_backend
 from .derivations import antisymmetric_space
 from .linalg import (
     DEFAULT_TOL,
@@ -150,25 +150,24 @@ def corollary_3_2_check(
     return out
 
 
-def point_derivation_from_quasi(
-    a: FiniteAlgebra, p_flat, phi: Character, a0, tol=DEFAULT_TOL
-):
+def point_derivation_from_quasi(an, p_flat, phi: Character, a0):
     """Candidate point derivation d(x) = p(x tensor a0) / phi(a0), with verdict.
 
+    ``an`` is an Analysis of the algebra; the verdict reads its solved
+    point-derivation space at phi.
     The construction is guaranteed to recover d when p comes from the
     rank-one map of an actual point derivation; for an arbitrary
     quasi-additive p the membership verdict is recorded, not assumed.
     """
-    lane = lane_of(character_backend(phi), p_flat)
-    n = a.dim
+    lane = _lane(an, phi)
+    n = an.algebra.dim
     phi_a0 = lane.dot(phi.phi, a0)
-    if lane.is_zero(phi_a0, tol):
+    if lane.is_zero(phi_a0, an.tol):
         raise ValueError("phi(a0) must be nonzero")
     # the functional x -> p(x tensor a0), one pairing per row of P
     col = [lane.dot(p_flat[i * n:(i + 1) * n], a0) for i in range(n)]
     d = lane.vector([x / phi_a0 for x in col])
-    pd = point_derivation_space(a, phi, lane.backend, tol)
-    return d, pd.contains(d)
+    return d, an.pds.space(phi).contains(d)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +208,6 @@ def semigroup_quasi_additive(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -
     return nullspace(rows, nn, backend, tol)
 
 
-def semigroup_identity(a: FiniteAlgebra):
-    table = _require_table(a)
-    n = a.dim
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            return e
-    return None
-
-
 def cd_space(a: FiniteAlgebra, qa: Subspace) -> Subspace:
     """Quasi-additive functions normalized against the identity element.
 
@@ -227,7 +217,7 @@ def cd_space(a: FiniteAlgebra, qa: Subspace) -> Subspace:
     on the backend under test.  For semigroups without identity use the
     antisymmetric form via :func:`cyclic_quasi_space` on the group algebra.
     """
-    e = semigroup_identity(a)
+    e = cayley_identity(_require_table(a))
     if e is None:
         raise NotASemigroupAlgebra(f"{a.name}: no identity element for normalization")
     n = a.dim

@@ -13,8 +13,7 @@ import sys
 
 import pytest
 
-from amenalyzer.algebra import unitize
-from amenalyzer.characters import point_derivation_space
+from amenalyzer.algebra import tensor_product, unitize
 from amenalyzer.classify import Analysis, AnalysisCache, build_report
 from amenalyzer.corpus import corpus
 from amenalyzer.derivations import is_cyclic, rank_one_dual_map, vanishes_on_diameter, pairing_with_unit_vanishes
@@ -183,11 +182,10 @@ def test_criterion_08_tensor_point_derivations(entries):
 
     def nonzero_pd_data(an):
         out = []
-        a = an.algebra
         for ch in list(an.characters.characters) + [None]:
             if ch is not None and not ch.exact:
                 continue
-            pd = point_derivation_space(a, ch, EXACT, TOL)
+            pd = an.pds.space(ch)
             if pd.dim > 0:
                 out.append((ch, [list(v) for v in pd.basis_vectors()]))
         return out
@@ -201,12 +199,13 @@ def test_criterion_08_tensor_point_derivations(entries):
     for n1, an1, data1 in contributors:
         for n2, an2, data2 in contributors:
             pairs += 1
+            big = Analysis(tensor_product(an1.algebra, an2.algebra), EXACT, TOL)
             for phi1, basis1 in data1:
                 for phi2, basis2 in data2:
                     for d1 in basis1:
                         for d2 in basis2:
                             _, _, _, member = tensor_point_derivation(
-                                an1.algebra, phi1, d1, an2.algebra, phi2, d2, tol=TOL
+                                an1, phi1, d1, an2, phi2, d2, big
                             )
                             assert member, (n1, n2)
                             combos += 1

@@ -415,3 +415,16 @@ def test_omitted_entries_are_zero():
     )
     assert a.sc[0][1][0].is_zero()
     assert a.sc[1][1][1].is_zero()
+
+
+def test_cached_hash_is_the_dataclass_hash_of_the_fields():
+    import pickle
+    from dataclasses import fields
+
+    for name, a in sorted(corpus().items()):
+        expected = hash(tuple(getattr(a, f.name) for f in fields(a)))
+        assert hash(a) == expected == hash(a), name
+        twin = replace(a)
+        assert twin == a and hash(twin) == hash(a), name
+        restored = pickle.loads(pickle.dumps(a))
+        assert "_hash" not in vars(restored) and restored == a, name

@@ -6,6 +6,7 @@ import pytest
 from amenalyzer.algebra import (
     matrix_algebra,
     pointwise_algebra,
+    tensor_product,
     truncated_polynomial,
     unitize,
     zero_algebra,
@@ -25,6 +26,7 @@ from amenalyzer.characters import (
     point_derivation_space,
     tensor_point_derivation,
 )
+from amenalyzer.classify import Analysis
 from amenalyzer.corpus import corpus
 from amenalyzer.linalg import EXACT, FLOAT, rowspace
 from amenalyzer.scalars import ONE, ZERO
@@ -168,14 +170,14 @@ def test_cotangent_truncpoly():
 
 def test_prop24_zero_functional_trivial():
     a = truncated_polynomial(2)
-    rep = check_prop_2_4(a, [ZERO, ZERO], tp2_char())
+    rep = check_prop_2_4(Analysis(a), [ZERO, ZERO], tp2_char())
     assert rep["rank_one_is_derivation"] and rep["is_point_derivation"]
     assert rep["agree"]
 
 
 def test_prop24_point_derivation_agrees():
     a = truncated_polynomial(2)
-    rep = check_prop_2_4(a, [ZERO, ONE], tp2_char())
+    rep = check_prop_2_4(Analysis(a), [ZERO, ONE], tp2_char())
     assert rep["agree"] and rep["is_point_derivation"]
     assert rep["annihilates_ideal_square"] is True
 
@@ -183,15 +185,28 @@ def test_prop24_point_derivation_agrees():
 def test_prop24_character_itself_fails_both_sides():
     a = truncated_polynomial(2)
     ch = tp2_char()
-    rep = check_prop_2_4(a, list(ch.phi), ch)
+    rep = check_prop_2_4(Analysis(a), list(ch.phi), ch)
     assert not rep["rank_one_is_derivation"]
     assert not rep["is_point_derivation"]
     assert rep["agree"]
 
 
+def test_helpers_refuse_a_character_of_another_lane():
+    a = truncated_polynomial(2)
+    float_ch = find_characters(a, backend=FLOAT).characters[0]
+    assert not float_ch.exact
+    an, big_an = tp2_square_analyses()
+    with pytest.raises(ValueError):
+        check_prop_2_4(an, [ZERO, ONE], float_ch)
+    with pytest.raises(ValueError):
+        check_prop_2_5(an, [ZERO, ONE], float_ch)
+    with pytest.raises(ValueError):
+        tensor_point_derivation(an, float_ch, [ZERO, ONE], an, None, [ZERO, ZERO], big_an)
+
+
 def test_prop25_truncpoly2_non_inner():
     a = truncated_polynomial(2)
-    rep = check_prop_2_5(a, [ZERO, ONE], tp2_char())
+    rep = check_prop_2_5(Analysis(a), [ZERO, ONE], tp2_char())
     assert rep["applicable"]
     assert rep["is_derivation"] and rep["non_inner"]
     assert rep["ok"]
@@ -203,7 +218,7 @@ def test_prop25_unital_characterization_truncpoly3():
     # d(x) = 1, d(x^2) = 0 satisfies d(1) = 0 and kills the ideal square
     pd = point_derivation_space(a, ch)
     assert pd.contains([ZERO, ONE, ZERO])
-    rep = check_prop_2_5(a, [ZERO, ONE, ZERO], ch)
+    rep = check_prop_2_5(Analysis(a), [ZERO, ONE, ZERO], ch)
     assert rep["unital_characterization"]
     assert rep["ok"]
 
@@ -236,7 +251,7 @@ def test_prop25_gates_not_applicable_is_flagged():
     ok, _ = is_unital(a2)
     assert not ok
     fake = Character((ONE, ZERO, ZERO), True, 0.0)  # not verified, gates only
-    rep = check_prop_2_5(a2, [ZERO, ONE, ZERO], fake)
+    rep = check_prop_2_5(Analysis(a2), [ZERO, ONE, ZERO], fake)
     assert rep == {"applicable": False, "gates": rep["gates"]}
 
 
@@ -244,42 +259,48 @@ def test_prop25_gates_not_applicable_is_flagged():
 # tensor combination
 
 
-def test_tensor_point_derivation_zero_inputs():
+def tp2_square_analyses():
+    """Analyses of TruncPoly2 and of its tensor square."""
     a = truncated_polynomial(2)
+    return Analysis(a), Analysis(tensor_product(a, a))
+
+
+def test_tensor_point_derivation_zero_inputs():
+    an, big_an = tp2_square_analyses()
     ch = tp2_char()
     big, big_phi, vec, member = tensor_point_derivation(
-        a, ch, [ZERO, ZERO], a, ch, [ZERO, ZERO]
+        an, ch, [ZERO, ZERO], an, ch, [ZERO, ZERO], big_an
     )
     assert member
     assert all(x.is_zero() for x in vec)
 
 
 def test_tensor_point_derivation_one_sided():
-    a = truncated_polynomial(2)
+    an, big_an = tp2_square_analyses()
     ch = tp2_char()
     big, big_phi, vec, member = tensor_point_derivation(
-        a, ch, [ZERO, ONE], a, ch, [ZERO, ZERO]
+        an, ch, [ZERO, ONE], an, ch, [ZERO, ZERO], big_an
     )
     assert member
     assert any(not x.is_zero() for x in vec)
 
 
 def test_tensor_point_derivation_span_dim():
-    a = truncated_polynomial(2)
+    an, big_an = tp2_square_analyses()
     ch = tp2_char()
     vecs = []
     for d1, d2 in ([ZERO, ONE], [ZERO, ZERO]), ([ZERO, ZERO], [ZERO, ONE]):
-        _, _, vec, member = tensor_point_derivation(a, ch, d1, a, ch, d2)
+        _, _, vec, member = tensor_point_derivation(an, ch, d1, an, ch, d2, big_an)
         assert member
         vecs.append(list(vec))
     assert rowspace(vecs, 4, EXACT).dim >= 2
 
 
 def test_tensor_point_derivation_rejects_non_members():
-    a = truncated_polynomial(2)
+    an, big_an = tp2_square_analyses()
     ch = tp2_char()
     with pytest.raises(ValueError):
-        tensor_point_derivation(a, ch, [ONE, ZERO], a, ch, [ZERO, ZERO])
+        tensor_point_derivation(an, ch, [ONE, ZERO], an, ch, [ZERO, ZERO], big_an)
 
 
 # ---------------------------------------------------------------------------

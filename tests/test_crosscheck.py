@@ -1,7 +1,11 @@
 """Shape and stability of the cross-check suite itself."""
 
+import inspect
+import sys
+
 import pytest
 
+from amenalyzer import characters
 from amenalyzer.corpus import corpus
 from amenalyzer.crosscheck import CHECK_IDS, run_crosscheck
 
@@ -86,3 +90,39 @@ def test_float_backend_suite_matches_exact_statuses(result):
     exact_statuses = {(r["theorem"], r["algebra"]): r["status"] for r in result["results"]}
     for r in fl["results"]:
         assert r["status"] == exact_statuses[(r["theorem"], r["algebra"])], r
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_each_per_character_space_is_solved_once(backend, monkeypatch):
+    """Every point-derivation space and maximal ideal of a run is solved
+    once, however many checks read it.  The wrappers replace every module
+    binding of the two solvers, so a call through any import is counted."""
+    solved = {}
+
+    def counting(fn, key_args):
+        sig = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            key = (fn.__name__,) + tuple(bound.arguments[k] for k in key_args)
+            solved[key] = solved.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {
+        characters.point_derivation_space: counting(
+            characters.point_derivation_space, ("a", "phi", "backend")
+        ),
+        characters.maximal_ideal: counting(characters.maximal_ideal, ("a", "phi")),
+    }
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "amenalyzer" or mod_name.startswith("amenalyzer."):
+            for attr, value in list(vars(module).items()):
+                if inspect.isfunction(value) and value in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[value])
+    run_crosscheck(backend=backend)
+    assert {k[0] for k in solved} == {"point_derivation_space", "maximal_ideal"}
+    repeated = sorted((k[0], k[1].name, n) for k, n in solved.items() if n > 1)
+    assert repeated == []

@@ -7,8 +7,14 @@ Regenerate after an intentional schema change with:
             > tests/goldens/classify_$n.json
     done
 
+and, for the cross-check suite:
+
+    python3 -m amenalyzer.cli crosscheck --json > tests/goldens/crosscheck.json
+
 Only algebras whose full report content is exact-rational are pinned, so
-the files are stable across BLAS/LAPACK builds.
+the files are stable across BLAS/LAPACK builds.  The cross-check output
+holds verdicts and reasons, no computed values, so the float backend must
+print the same file apart from its ``"backend"`` line.
 """
 
 import os
@@ -35,3 +41,21 @@ def test_classify_matches_golden(name):
     assert proc.returncode == 0, proc.stderr
     golden = (GOLDEN_DIR / f"classify_{name}.json").read_text()
     assert proc.stdout == golden
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_crosscheck_matches_golden(backend):
+    env = os.environ.copy()
+    env.pop("AMENALYZER_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "amenalyzer.cli", "crosscheck", "--json", "--backend", backend],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    golden = (GOLDEN_DIR / "crosscheck.json").read_text()
+    backend_line = '  "backend": "exact",\n'
+    assert golden.count(backend_line) == 1
+    expected = golden.replace(backend_line, f'  "backend": "{backend}",\n')
+    assert proc.stdout == expected

@@ -122,7 +122,7 @@ def test_point_derivation_recovery_from_rank_one():
     d = [ZERO, ONE]
     # flatten of the rank-one functional P[i][j] = d_i * phi_j
     flat = [d[i] * ch.phi[j] for i in range(2) for j in range(2)]
-    recovered, member = point_derivation_from_quasi(a, flat, ch, [ONE, ZERO])
+    recovered, member = point_derivation_from_quasi(Analysis(a), flat, ch, [ONE, ZERO])
     assert member
     assert recovered == d
 
@@ -131,7 +131,7 @@ def test_point_derivation_from_zero_functional():
     a = truncated_polynomial(2)
     ch = find_characters(a).characters[0]
     flat = [ZERO] * 4
-    d, member = point_derivation_from_quasi(a, flat, ch, [ONE, ZERO])
+    d, member = point_derivation_from_quasi(Analysis(a), flat, ch, [ONE, ZERO])
     assert member and all(x.is_zero() for x in d)
 
 
@@ -139,7 +139,7 @@ def test_point_derivation_from_quasi_rejects_kernel_vector():
     a = truncated_polynomial(2)
     ch = find_characters(a).characters[0]
     with pytest.raises(ValueError):
-        point_derivation_from_quasi(a, [ZERO] * 4, ch, [ZERO, ONE])
+        point_derivation_from_quasi(Analysis(a), [ZERO] * 4, ch, [ZERO, ONE])
 
 
 def test_quasi_verdict_recorded_on_upper_triangular():
@@ -151,7 +151,7 @@ def test_quasi_verdict_recorded_on_upper_triangular():
     ch = chars[0]
     a0_idx = next(i for i in range(3) if not ch.phi[i].is_zero())
     a0 = a.basis_vector(a0_idx)
-    d, member = point_derivation_from_quasi(a, flat, ch, a0)
+    d, member = point_derivation_from_quasi(Analysis(a), flat, ch, a0)
     assert isinstance(member, bool)  # verdict recorded, not assumed
 
 
