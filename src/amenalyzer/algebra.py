@@ -2,8 +2,11 @@
 
 An algebra of dimension n is a tensor ``sc`` with ``sc[i][j][k]`` the
 coefficient of basis vector k in the product of basis vectors i and j.
-All structure constants are exact scalars; the float backend converts on
-demand.  Values are immutable and hashable, so analyses can be cached.
+All structure constants are exact scalars.  Constructors give the nonzero
+terms as a {(i, j, k): c} dict; readers go through the cached view of the
+nonzeros, ``FiniteAlgebra.nz``, or its complex128 array ``complex_sc``, so
+the dense tensor is scanned once per algebra.  Values are immutable and
+hashable, so analyses can be cached.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .linalg import (
     EXACT,
     DEFAULT_TOL,
     Subspace,
-    matvec_exact,
     nullspace,
     rowspace,
     solve_exact,
@@ -48,19 +52,15 @@ class FiniteAlgebra:
                 f"{self.name}: vectors of length {len(x)},{len(y)} in dimension {n}"
             )
         out = [ZERO] * n
-        for i in range(n):
-            xi = x[i]
+        for xi, plane in zip(x, self.nz):
             if xi.is_zero():
                 continue
-            row = self.sc[i]
-            for j in range(n):
-                yj = y[j]
-                if yj.is_zero():
+            for yj, terms in zip(y, plane):
+                if not terms or yj.is_zero():
                     continue
                 coef = xi * yj
-                for k, c in enumerate(row[j]):
-                    if not c.is_zero():
-                        out[k] = out[k] + coef * c
+                for k, c in terms:
+                    out[k] = out[k] + coef * c
         return out
 
     def basis_vector(self, i):
@@ -71,12 +71,31 @@ class FiniteAlgebra:
 
     def is_commutative(self) -> bool:
         n = self.dim
-        return all(
-            self.sc[i][j] == self.sc[j][i] for i in range(n) for j in range(i + 1, n)
-        )
+        nz = self.nz
+        return all(nz[i][j] == nz[j][i] for i in range(n) for j in range(i + 1, n))
 
     def __str__(self):
         return f"{self.name} (dim {self.dim})"
+
+    @cached_property
+    def nz(self):
+        """The nonzero structure constants: ``nz[i][j]`` is the tuple of
+        (k, c) with c = sc[i][j][k] nonzero, k ascending, so that
+        e_i e_j = sum of c e_k."""
+        return tuple(
+            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
+            for plane in self.sc
+        )
+
+    @cached_property
+    def complex_sc(self):
+        """The structure tensor as a read-only (n, n, n) complex128 array."""
+        n = self.dim
+        out = np.zeros((n, n, n), dtype=np.complex128)
+        for i, j, k, c in _terms(self):
+            out[i, j, k] = complex(c)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def _hash(self):
@@ -88,8 +107,17 @@ class FiniteAlgebra:
         return self._hash
 
     def __getstate__(self):
-        # string hashes are salted per process, so a pickle drops the cache
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        # a pickle carries the fields only: string hashes are salted per
+        # process, and the views are rebuilt on demand
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _terms(a: FiniteAlgebra):
+    """(i, j, k, c) for every nonzero structure constant, in index order."""
+    for i, plane in enumerate(a.nz):
+        for j, terms in enumerate(plane):
+            for k, c in terms:
+                yield i, j, k, c
 
 
 @dataclass(frozen=True)
@@ -132,11 +160,7 @@ def validate(a: FiniteAlgebra) -> ValidationReport:
     """
     issues = []
     n = a.dim
-    # nz[i][j]: the (k, c_ijk) with c_ijk != 0, so e_i e_j = sum of c e_k
-    nz = [
-        [[(k, c) for k, c in enumerate(a.sc[i][j]) if not c.is_zero()] for j in range(n)]
-        for i in range(n)
-    ]
+    nz = a.nz
     for i in range(n):
         for j in range(n):
             for l in range(n):
@@ -258,19 +282,19 @@ def with_unit_filled(a: FiniteAlgebra) -> FiniteAlgebra:
 # constructors
 
 
-def _zero_tensor(n):
-    return [[[ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
-
-
-def _freeze_tensor(c):
+def _dense(n, terms):
+    """The sc tuple of a {(i, j, k): c} dict of terms; every other entry is ZERO."""
+    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), x in terms.items():
+        c[i][j][k] = x
     return tuple(tuple(tuple(row) for row in plane) for plane in c)
 
 
-def _make(name, n, c, labels, unit=None, **kw):
+def _make(name, n, terms, labels, unit=None, **kw):
     return FiniteAlgebra(
         name=name,
         dim=n,
-        sc=_freeze_tensor(c),
+        sc=_dense(n, terms),
         labels=tuple(labels),
         unit=tuple(unit) if unit is not None else None,
         **kw,
@@ -280,21 +304,18 @@ def _make(name, n, c, labels, unit=None, **kw):
 def zero_algebra(k: int, name=None) -> FiniteAlgebra:
     if k < 1:
         raise AlgebraFormatError("dimension must be >= 1")
-    return _make(name or f"Zero{k}", k, _zero_tensor(k), [f"z{i}" for i in range(k)])
+    return _make(name or f"Zero{k}", k, {}, [f"z{i}" for i in range(k)])
 
 
 def pointwise_algebra(k: int, name=None) -> FiniteAlgebra:
     """Coordinatewise multiplication on k points: e_i * e_j = delta_ij e_i."""
     if k < 1:
         raise AlgebraFormatError("dimension must be >= 1")
-    c = _zero_tensor(k)
-    for i in range(k):
-        c[i][i][i] = ONE
     unit = [ONE] * k
     return _make(
         name or f"Pointwise{k}",
         k,
-        c,
+        {(i, i, i): ONE for i in range(k)},
         [f"e{i}" for i in range(k)],
         unit=unit,
         idempotent_span=tuple(
@@ -307,14 +328,10 @@ def truncated_polynomial(k: int, name=None) -> FiniteAlgebra:
     """Polynomials in one variable truncated at degree k (x^k = 0)."""
     if k < 1:
         raise AlgebraFormatError("dimension must be >= 1")
-    c = _zero_tensor(k)
-    for i in range(k):
-        for j in range(k):
-            if i + j < k:
-                c[i][j][i + j] = ONE
+    terms = {(i, j, i + j): ONE for i in range(k) for j in range(k - i)}
     labels = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, k)]
     unit = [ONE] + [ZERO] * (k - 1)
-    return _make(name or f"TruncPoly{k}", k, c, labels, unit=unit)
+    return _make(name or f"TruncPoly{k}", k, terms, labels, unit=unit)
 
 
 def matrix_algebra(k: int, name=None) -> FiniteAlgebra:
@@ -322,16 +339,15 @@ def matrix_algebra(k: int, name=None) -> FiniteAlgebra:
     if k < 1:
         raise AlgebraFormatError("dimension must be >= 1")
     n = k * k
-    c = _zero_tensor(n)
-    for p in range(k):
-        for q in range(k):
-            for r in range(k):
-                for s in range(k):
-                    if q == r:
-                        c[p * k + q][r * k + s][p * k + s] = ONE
+    terms = {
+        (p * k + q, q * k + s, p * k + s): ONE
+        for p in range(k)
+        for q in range(k)
+        for s in range(k)
+    }
     labels = [f"E{p}{q}" for p in range(k) for q in range(k)]
     unit = [ONE if p == q else ZERO for p in range(k) for q in range(k)]
-    return _make(name or f"M{k}", n, c, labels, unit=unit)
+    return _make(name or f"M{k}", n, terms, labels, unit=unit)
 
 
 def upper_triangular(k: int, name=None) -> FiniteAlgebra:
@@ -341,14 +357,15 @@ def upper_triangular(k: int, name=None) -> FiniteAlgebra:
     pairs = [(p, q) for p in range(k) for q in range(p, k)]
     index = {pq: i for i, pq in enumerate(pairs)}
     n = len(pairs)
-    c = _zero_tensor(n)
-    for (p, q), i in index.items():
-        for (r, s), j in index.items():
-            if q == r:
-                c[i][j][index[(p, s)]] = ONE
+    terms = {
+        (i, j, index[(p, s)]): ONE
+        for (p, q), i in index.items()
+        for (r, s), j in index.items()
+        if q == r
+    }
     labels = [f"E{p}{q}" for p, q in pairs]
     unit = [ONE if p == q else ZERO for p, q in pairs]
-    return _make(name or f"UpperTri{k}", n, c, labels, unit=unit)
+    return _make(name or f"UpperTri{k}", n, terms, labels, unit=unit)
 
 
 def cayley_identity(table):
@@ -390,10 +407,6 @@ def semigroup_algebra(table, weight=None, identity=None, name=None) -> FiniteAlg
             f"element {identity} is not a two-sided identity (found {detected})"
         )
     ident = identity if identity is not None else detected
-    c = _zero_tensor(m)
-    for x in range(m):
-        for y in range(m):
-            c[x][y][table[x][y]] = ONE
     unit = None
     if ident is not None:
         unit = [ONE if i == ident else ZERO for i in range(m)]
@@ -415,7 +428,7 @@ def semigroup_algebra(table, weight=None, identity=None, name=None) -> FiniteAlg
     return _make(
         name or f"Semigroup{m}",
         m,
-        c,
+        {(x, y, table[x][y]): ONE for x in range(m) for y in range(m)},
         [f"s{i}" for i in range(m)],
         unit=unit,
         weight=w,
@@ -428,15 +441,13 @@ def recover_cayley_table(a: FiniteAlgebra):
     Returns the table, or None when the structure constants are not of
     0/1 permutation type.
     """
-    n = a.dim
     table = []
-    for i in range(n):
+    for plane in a.nz:
         row = []
-        for j in range(n):
-            hits = [k for k in range(n) if not a.sc[i][j][k].is_zero()]
-            if len(hits) != 1 or a.sc[i][j][hits[0]] != ONE:
+        for terms in plane:
+            if len(terms) != 1 or terms[0][1] != ONE:
                 return None
-            row.append(hits[0])
+            row.append(terms[0][0])
         table.append(row)
     return table
 
@@ -445,65 +456,46 @@ def unitize(a: FiniteAlgebra, name=None) -> FiniteAlgebra:
     """Adjoin a two-sided unit as a new last basis vector."""
     n = a.dim
     m = n + 1
-    c = _zero_tensor(m)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c[i][j][k] = a.sc[i][j][k]
+    terms = {(i, j, k): c for i, j, k, c in _terms(a)}
     for i in range(m):
-        c[i][n][i] = ONE
-        c[n][i][i] = ONE
-    c[n][n][n] = ONE
+        terms[i, n, i] = ONE
+        terms[n, i, i] = ONE
     labels = list(a.labels) + ["1#"]
     unit = [ZERO] * n + [ONE]
-    return _make(name or f"{a.name}Sharp", m, c, labels, unit=unit)
+    return _make(name or f"{a.name}Sharp", m, terms, labels, unit=unit)
 
 
 def tensor_product(a1: FiniteAlgebra, a2: FiniteAlgebra, name=None) -> FiniteAlgebra:
     """Algebra tensor product; index (i, p) flattens to i * dim2 + p."""
     n1, n2 = a1.dim, a2.dim
     n = n1 * n2
-    c = _zero_tensor(n)
-    for i in range(n1):
-        for j in range(n1):
-            for k in range(n1):
-                c1 = a1.sc[i][j][k]
-                if c1.is_zero():
-                    continue
-                for p in range(n2):
-                    for q in range(n2):
-                        for r in range(n2):
-                            c2 = a2.sc[p][q][r]
-                            if not c2.is_zero():
-                                c[i * n2 + p][j * n2 + q][k * n2 + r] = c1 * c2
+    terms2 = list(_terms(a2))
+    terms = {
+        (i * n2 + p, j * n2 + q, k * n2 + r): c1 * c2
+        for i, j, k, c1 in _terms(a1)
+        for p, q, r, c2 in terms2
+    }
     labels = [f"{l1}(x){l2}" for l1 in a1.labels for l2 in a2.labels]
     unit = None
     ok1, u1 = is_unital(a1)
     ok2, u2 = is_unital(a2)
     if ok1 and ok2:
         unit = [u1[i] * u2[p] for i in range(n1) for p in range(n2)]
-    return _make(name or f"Tensor({a1.name},{a2.name})", n, c, labels, unit=unit)
+    return _make(name or f"Tensor({a1.name},{a2.name})", n, terms, labels, unit=unit)
 
 
 def direct_sum(a1: FiniteAlgebra, a2: FiniteAlgebra, name=None) -> FiniteAlgebra:
     n1, n2 = a1.dim, a2.dim
     n = n1 + n2
-    c = _zero_tensor(n)
-    for i in range(n1):
-        for j in range(n1):
-            for k in range(n1):
-                c[i][j][k] = a1.sc[i][j][k]
-    for i in range(n2):
-        for j in range(n2):
-            for k in range(n2):
-                c[n1 + i][n1 + j][n1 + k] = a2.sc[i][j][k]
+    terms = {(i, j, k): c for i, j, k, c in _terms(a1)}
+    terms.update(((n1 + i, n1 + j, n1 + k), c) for i, j, k, c in _terms(a2))
     labels = [f"L.{x}" for x in a1.labels] + [f"R.{x}" for x in a2.labels]
     unit = None
     ok1, u1 = is_unital(a1)
     ok2, u2 = is_unital(a2)
     if ok1 and ok2:
         unit = list(u1) + list(u2)
-    return _make(name or f"DirectSum({a1.name},{a2.name})", n, c, labels, unit=unit)
+    return _make(name or f"DirectSum({a1.name},{a2.name})", n, terms, labels, unit=unit)
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +511,15 @@ def radical(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     tau_s = sum_t sc#[s][t][t], so the entry for e_k and b_j is
     sum_s sc#[k][j][s] tau_s.
     """
-    sharp = unitize(a)
-    m = sharp.dim
-    tau = [sum((sharp.sc[s][t][t] for t in range(m)), ZERO) for s in range(m)]
-    rows = [matvec_exact([sharp.sc[k][j] for k in range(a.dim)], tau) for j in range(m)]
+    nz = unitize(a).nz
+    tau = [
+        sum((c for t, terms in enumerate(plane) for k, c in terms if k == t), ZERO)
+        for plane in nz
+    ]
+    rows = [
+        [sum((c * tau[s] for s, c in nz[k][j]), ZERO) for k in range(a.dim)]
+        for j in range(len(nz))
+    ]
     return nullspace(rows, a.dim, backend, tol)
 
 
@@ -579,16 +576,12 @@ def quotient_map(a: FiniteAlgebra, ideal: Subspace):
     proj = [[proj_rows[i][t] for i in range(n)] for t in range(m)]
     if m == 0:
         return None, proj
-    c = _zero_tensor(m)
+    terms = {}
     for p in range(m):
         for q in range(m):
-            prod = a.basis_product(free[p], free[q])
-            cls = project(prod)
-            for t in range(m):
-                c[p][q][t] = cls[t]
-    quotient = _make(
-        f"{a.name}/I", m, c, [f"q{t}" for t in range(m)]
-    )
+            cls = project(a.basis_product(free[p], free[q]))
+            terms.update(((p, q, t), x) for t, x in enumerate(cls) if x)
+    quotient = _make(f"{a.name}/I", m, terms, [f"q{t}" for t in range(m)])
     return quotient, proj
 
 
@@ -601,18 +594,14 @@ def subalgebra_on(a: FiniteAlgebra, s: Subspace, name=None):
     m = len(basis)
     if m == 0:
         return None
-    coords = []
-    for u in basis:
-        row_coords = []
-        for v in basis:
-            prod = a.multiply(u, v)
-            expanded, rest = s.reduce(prod)
-            if any(not x.is_zero() for x in rest):
+    terms = {}
+    for p, u in enumerate(basis):
+        for q, v in enumerate(basis):
+            expanded, rest = s.reduce(a.multiply(u, v))
+            if any(rest):
                 return None
-            row_coords.append(expanded)
-        coords.append(row_coords)
-    c = [[[coords[p][q][t] for t in range(m)] for q in range(m)] for p in range(m)]
-    return _make(name or f"{a.name}|sub", m, c, [f"b{t}" for t in range(m)])
+            terms.update(((p, q, t), x) for t, x in enumerate(expanded) if x)
+    return _make(name or f"{a.name}|sub", m, terms, [f"b{t}" for t in range(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -620,19 +609,11 @@ def subalgebra_on(a: FiniteAlgebra, s: Subspace, name=None):
 
 
 def to_json_dict(a: FiniteAlgebra) -> dict:
-    sc_entries = []
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c = a.sc[i][j][k]
-                if not c.is_zero():
-                    sc_entries.append([i, j, k, str(c.re), str(c.im)])
     out = {
         "name": a.name,
         "dim": a.dim,
         "labels": list(a.labels),
-        "sc": sc_entries,
+        "sc": [[i, j, k, str(c.re), str(c.im)] for i, j, k, c in _terms(a)],
     }
     if a.unit is not None:
         out["unit"] = [pair_str(x) for x in a.unit]
@@ -645,14 +626,24 @@ def to_json_dict(a: FiniteAlgebra) -> dict:
     return out
 
 
+def _is_index(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _list(raw, where):
+    if not isinstance(raw, list):
+        raise AlgebraFormatError(f"{where}: expected a list, got {raw!r}")
+    return raw
+
+
 def _parse_vector(raw, n, where):
-    if len(raw) != n:
+    if len(_list(raw, where)) != n:
         raise AlgebraFormatError(f"{where}: expected {n} coordinates, got {len(raw)}")
     out = []
     for idx, entry in enumerate(raw):
         try:
             out.append(parse_pair(entry) if isinstance(entry, (list, tuple)) else qq(entry))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise AlgebraFormatError(f"{where}[{idx}]: {exc}") from exc
     return tuple(out)
 
@@ -664,27 +655,27 @@ def from_json_dict(data: dict) -> FiniteAlgebra:
         if key not in data:
             raise AlgebraFormatError(f"missing required key {key!r}")
     name = data["name"]
+    if not isinstance(name, str):
+        raise AlgebraFormatError(f"name must be a string, got {name!r}")
     n = data["dim"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_index(n) or n < 1:
         raise AlgebraFormatError(f"dim must be a positive integer, got {n!r}")
-    labels = data["labels"]
+    labels = _list(data["labels"], "labels")
     if len(labels) != n:
         raise AlgebraFormatError(f"expected {n} labels, got {len(labels)}")
-    c = _zero_tensor(n)
-    seen = set()
-    for pos, entry in enumerate(data["sc"]):
-        if len(entry) != 5:
+    terms = {}
+    for pos, entry in enumerate(_list(data["sc"], "sc")):
+        if len(_list(entry, f"sc[{pos}]")) != 5:
             raise AlgebraFormatError(f"sc[{pos}]: expected [i, j, k, re, im]")
         i, j, k, re, im = entry
         for idx in (i, j, k):
-            if not isinstance(idx, int) or not (0 <= idx < n):
+            if not _is_index(idx) or not (0 <= idx < n):
                 raise AlgebraFormatError(f"sc[{pos}]: index {idx!r} out of range 0..{n - 1}")
-        if (i, j, k) in seen:
+        if (i, j, k) in terms:
             raise AlgebraFormatError(f"sc[{pos}]: duplicate key ({i},{j},{k})")
-        seen.add((i, j, k))
         try:
-            c[i][j][k] = parse_pair([re, im])
-        except (ValueError, TypeError) as exc:
+            terms[i, j, k] = parse_pair([re, im])
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise AlgebraFormatError(f"sc[{pos}]: {exc}") from exc
     unit = None
     if "unit" in data and data["unit"] is not None:
@@ -693,16 +684,16 @@ def from_json_dict(data: dict) -> FiniteAlgebra:
     if "idempotent_span" in data and data["idempotent_span"] is not None:
         idem = tuple(
             _parse_vector(v, n, f"idempotent_span[{t}]")
-            for t, v in enumerate(data["idempotent_span"])
+            for t, v in enumerate(_list(data["idempotent_span"], "idempotent_span"))
         )
     weight = None
     if "weight" in data and data["weight"] is not None:
-        raw = data["weight"]
+        raw = _list(data["weight"], "weight")
         if len(raw) != n:
             raise AlgebraFormatError(f"weight: expected {n} entries, got {len(raw)}")
         try:
             weight = tuple(Fraction(str(w)) for w in raw)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise AlgebraFormatError(f"weight: {exc}") from exc
         if any(w <= 0 for w in weight):
             raise AlgebraFormatError("weight entries must be positive")
@@ -710,13 +701,13 @@ def from_json_dict(data: dict) -> FiniteAlgebra:
     if "characters" in data and data["characters"] is not None:
         chars = tuple(
             _parse_vector(v, n, f"characters[{t}]")
-            for t, v in enumerate(data["characters"])
+            for t, v in enumerate(_list(data["characters"], "characters"))
         )
-    return FiniteAlgebra(
-        name=name,
-        dim=n,
-        sc=_freeze_tensor(c),
-        labels=tuple(labels),
+    return _make(
+        name,
+        n,
+        terms,
+        labels,
         unit=unit,
         idempotent_span=idem,
         weight=weight,

@@ -26,7 +26,6 @@ from .algebra import (
     radical,
 )
 from .derivations import (
-    _complex_tensor,
     flatten_map,
     is_cyclic,
     rank_one_dual_map,
@@ -84,32 +83,15 @@ class CharacterSearch:
     notes: tuple = ()
 
 
-def _mult_residual_float(a: FiniteAlgebra, values: np.ndarray) -> float:
-    n = a.dim
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0 + 0.0j
-            for k in range(n):
-                c = a.sc[i][j][k]
-                if not c.is_zero():
-                    acc += complex(c) * values[k]
-            worst = max(worst, abs(values[i] * values[j] - acc))
-    return worst
-
-
-def _mult_holds_exact(a: FiniteAlgebra, values) -> bool:
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            acc = ZERO
-            for k in range(n):
-                c = a.sc[i][j][k]
-                if not c.is_zero():
-                    acc = acc + c * values[k]
-            if values[i] * values[j] != acc:
-                return False
-    return True
+def _mult_defects(a: FiniteAlgebra, values, lane):
+    """phi(e_i) phi(e_j) - phi(e_i e_j) for every basis pair (i, j), in
+    order, on the lane of the values."""
+    for i, plane in enumerate(a.nz):
+        for j, terms in enumerate(plane):
+            acc = lane.zero
+            for k, c in terms:
+                acc = acc + lane.coerce(c) * values[k]
+            yield values[i] * values[j] - acc
 
 
 def _rationalize(values: np.ndarray):
@@ -128,19 +110,19 @@ def _verify_vector(a: FiniteAlgebra, values, tol, want_exact=True) -> Character 
     if want_exact and all(isinstance(v, QQi) for v in values):
         if all(v.is_zero() for v in values):
             return None
-        if _mult_holds_exact(a, values):
+        if not any(_mult_defects(a, values, LANES[EXACT])):
             return Character(tuple(values), True, 0.0)
         return None
     arr = np.array([complex(v) for v in values], dtype=np.complex128)
     if np.abs(arr).max() == 0.0:
         return None
-    res = _mult_residual_float(a, arr)
+    res = max(map(abs, _mult_defects(a, arr, LANES[FLOAT])))
     scale = max(1.0, float(np.abs(arr).max()) ** 2)
     if res > tol * scale * 100:
         return None
     if want_exact:
         rat = _rationalize(arr)
-        if rat is not None and _mult_holds_exact(a, rat):
+        if rat is not None and not any(_mult_defects(a, rat, LANES[EXACT])):
             return Character(rat, True, 0.0)
     return Character(tuple(complex(v) for v in arr), False, res)
 
@@ -152,15 +134,14 @@ def _semisimple_commutative_characters(c_alg: FiniteAlgebra, rng, tol):
     """
     k = c_alg.dim
     if k == 1:
-        gamma = c_alg.sc[0][0][0]
-        return [np.array([complex(gamma)])], True, 0
+        return [c_alg.complex_sc[0, 0]], True, 0
     unit = find_unit(c_alg)
     if unit is None:
         # commutative semisimple algebras always have a unit; defensive only
         return [], False, 0
     u = np.array([complex(x) for x in unit], dtype=np.complex128)
     # lt[i] is L_{e_i} transposed: rows indexed by j, cols by k
-    lt = _complex_tensor(c_alg)
+    lt = c_alg.complex_sc
     attempts = 0
     for attempt in range(3):
         attempts = attempt + 1
@@ -288,12 +269,11 @@ def point_derivation_space(
     n = a.dim
     pv = _phi_entries(phi, n, lane)
     rows = []
-    for i in range(n):
-        for j in range(n):
+    for i, plane in enumerate(a.nz):
+        for j, terms in enumerate(plane):
             row = [lane.zero] * n
-            for k, c in enumerate(a.sc[i][j]):
-                if not c.is_zero():
-                    row[k] = row[k] + lane.coerce(c)
+            for k, c in terms:
+                row[k] = row[k] + lane.coerce(c)
             row[i] = row[i] - pv[j]
             row[j] = row[j] - pv[i]
             rows.append(row)
@@ -311,8 +291,7 @@ def ideal_product_span(a: FiniteAlgebra, s: Subspace, tol=DEFAULT_TOL) -> Subspa
     if s.backend == EXACT:
         rows = [a.multiply(u, v) for u in vecs for v in vecs]
     else:
-        sc = _complex_tensor(a)
-        rows = [np.einsum("i,j,ijk->k", u, v, sc) for u in vecs for v in vecs]
+        rows = [np.einsum("i,j,ijk->k", u, v, a.complex_sc) for u in vecs for v in vecs]
     return rowspace(rows, a.dim, s.backend, tol)
 
 

@@ -47,33 +47,20 @@ def _assemble_derivation_rows(a: FiniteAlgebra):
     """
     n = a.dim
     nn = n * n
+    nz = a.nz
     rows = []
     for i in range(n):
         for j in range(n):
-            cij = a.sc[i][j]
             for l in range(n):
                 row = [ZERO] * nn
-                for k in range(n):
-                    c = cij[k]
-                    if not c.is_zero():
-                        row[k * n + l] = row[k * n + l] + c
-                cjl = a.sc[j][l]
-                for m in range(n):
-                    c = cjl[m]
-                    if not c.is_zero():
-                        row[i * n + m] = row[i * n + m] - c
-                cli = a.sc[l][i]
-                for m in range(n):
-                    c = cli[m]
-                    if not c.is_zero():
-                        row[j * n + m] = row[j * n + m] - c
+                for k, c in nz[i][j]:
+                    row[k * n + l] = row[k * n + l] + c
+                for m, c in nz[j][l]:
+                    row[i * n + m] = row[i * n + m] - c
+                for m, c in nz[l][i]:
+                    row[j * n + m] = row[j * n + m] - c
                 rows.append(row)
     return rows
-
-
-def _complex_tensor(a: FiniteAlgebra) -> np.ndarray:
-    """The structure tensor as an (n, n, n) complex128 array, n^3 conversions."""
-    return np.array(a.sc, dtype=np.complex128)
 
 
 def _broadcast_derivation_rows(sc: np.ndarray) -> np.ndarray:
@@ -96,7 +83,7 @@ def _broadcast_derivation_rows(sc: np.ndarray) -> np.ndarray:
 def _derivation_rows(a: FiniteAlgebra, backend=EXACT):
     """The n^3-by-n^2 derivation system: QQi rows, or one complex128 array."""
     if backend == FLOAT:
-        return _broadcast_derivation_rows(_complex_tensor(a))
+        return _broadcast_derivation_rows(a.complex_sc)
     return _assemble_derivation_rows(a)
 
 
@@ -108,13 +95,12 @@ def derivation_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspa
 def inner_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     """Image of F -> (i,j) |-> F(e_i e_j - e_j e_i), one row per dual basis F."""
     n = a.dim
-    rows = []
-    for k in range(n):
-        row = []
-        for i in range(n):
-            for j in range(n):
-                row.append(a.sc[i][j][k] - a.sc[j][i][k])
-        rows.append(row)
+    rows = [[ZERO] * (n * n) for _ in range(n)]
+    for i, plane in enumerate(a.nz):
+        for j, terms in enumerate(plane):
+            for k, c in terms:
+                rows[k][i * n + j] = rows[k][i * n + j] + c
+                rows[k][j * n + i] = rows[k][j * n + i] - c
     return rowspace(rows, n * n, backend, tol)
 
 

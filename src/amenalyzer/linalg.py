@@ -15,10 +15,10 @@ place that knows the two backends, or lanes:
 Each lane is an ops object in :data:`LANES` holding its zero and one, scalar
 coercion, a zero test (``QQi.is_zero()`` exact, ``abs(x) <= bound`` float),
 its vector and matrix containers and its elimination.  :func:`nullspace`,
-:func:`rowspace`, :func:`subspace_from_rows` and :meth:`Subspace.contains`
-take ``QQi`` input on either backend, or complex input on the float one, and
-convert it once, at this door, to the lane of their backend; every
-algorithm above them is written once.
+:func:`rowspace` and :meth:`Subspace.contains` take ``QQi`` input on either
+backend, or complex input on the float one, and convert it once, at this
+door, to the lane of their backend; every algorithm above them is written
+once.
 
 Subspaces are always stored by their RREF basis, one row per basis vector.
 """
@@ -314,14 +314,14 @@ class Subspace:
         return list(self.rows)
 
 
-def subspace_from_rows(rows, ambient, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
+def rowspace(rows, ncols, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     """Canonicalize a spanning set of row vectors into a Subspace."""
-    basis, pivots = LANES[backend].rref(rows, ambient, tol)
-    return Subspace(ambient, basis, pivots, backend, tol)
+    basis, pivots = LANES[backend].rref(rows, ncols, tol)
+    return Subspace(ncols, basis, pivots, backend, tol)
 
 
 def trivial_space(ambient, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
-    return subspace_from_rows([], ambient, backend, tol)
+    return rowspace([], ambient, backend, tol)
 
 
 def full_space(ambient, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
@@ -344,11 +344,7 @@ def nullspace(rows, ncols, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
             if not lane.is_zero(coef):
                 v[p] = -coef
         basis.append(v)
-    return subspace_from_rows(basis, ncols, backend, tol)
-
-
-def rowspace(rows, ncols, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
-    return subspace_from_rows(rows, ncols, backend, tol)
+    return rowspace(basis, ncols, backend, tol)
 
 
 def _check_compatible(a: Subspace, b: Subspace):
@@ -360,7 +356,7 @@ def _check_compatible(a: Subspace, b: Subspace):
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_compatible(a, b)
-    return subspace_from_rows(list(a.rows) + list(b.rows), a.ambient, a.backend, a.tol)
+    return rowspace(list(a.rows) + list(b.rows), a.ambient, a.backend, a.tol)
 
 
 def annihilator(s: Subspace) -> Subspace:

@@ -386,13 +386,40 @@ def test_parser_rejects_out_of_range_indices():
         )
 
 
-def test_parser_rejects_bad_shape_and_missing_keys():
-    with pytest.raises(AlgebraFormatError, match="missing required key"):
-        from_json_dict({"name": "x", "dim": 1, "labels": ["e"]})
-    with pytest.raises(AlgebraFormatError, match="labels"):
-        from_json_dict({"name": "x", "dim": 2, "labels": ["e"], "sc": []})
-    with pytest.raises(AlgebraFormatError, match="dim"):
-        from_json_dict({"name": "x", "dim": 0, "labels": [], "sc": []})
+_ONE_DIM = {"name": "x", "dim": 1, "labels": ["e"], "sc": [[0, 0, 0, "1", "0"]]}
+
+# (override of the valid document above, or a key to delete; expected message)
+BAD_DOCUMENTS = {
+    "missing-key": ("sc", "missing required key"),
+    "short-labels": ({"dim": 2, "sc": []}, "labels"),
+    "dim-zero": ({"dim": 0, "labels": []}, "dim"),
+    "dim-bool": ({"dim": True}, "dim"),
+    "name-not-string": ({"name": 5}, "name"),
+    "labels-not-list": ({"labels": 5}, "labels"),
+    "labels-string": ({"labels": "e"}, "labels"),
+    "sc-not-list": ({"sc": 3}, "sc"),
+    "sc-entry-not-list": ({"sc": [5]}, r"sc\[0\]"),
+    "index-bool": ({"sc": [[True, 0, 0, "1", "0"]]}, r"index True"),
+    "zero-denominator": ({"sc": [[0, 0, 0, "1/0", "0"]]}, r"sc\[0\]"),
+    "unit-not-list": ({"unit": 1}, "unit"),
+    "unit-zero-denominator": ({"unit": ["1/0"]}, r"unit\[0\]"),
+    "characters-not-list": ({"characters": 5}, "characters"),
+    "character-not-list": ({"characters": [5]}, r"characters\[0\]"),
+    "idempotent-not-list": ({"idempotent_span": [5]}, r"idempotent_span\[0\]"),
+    "weight-not-list": ({"weight": 1}, "weight"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
+def test_parser_rejects_bad_shape_and_missing_keys(case):
+    change, message = BAD_DOCUMENTS[case]
+    doc = dict(_ONE_DIM)
+    if isinstance(change, dict):
+        doc.update(change)
+    else:
+        del doc[change]
+    with pytest.raises(AlgebraFormatError, match=message):
+        from_json_dict(doc)
 
 
 def test_load_reports_json_position(tmp_path):
@@ -426,5 +453,52 @@ def test_cached_hash_is_the_dataclass_hash_of_the_fields():
         assert hash(a) == expected == hash(a), name
         twin = replace(a)
         assert twin == a and hash(twin) == hash(a), name
+        assert a.nz is not None and a.complex_sc is not None  # fill the views
+        for cached in ("_hash", "nz", "complex_sc"):
+            assert cached in vars(a), (name, cached)
         restored = pickle.loads(pickle.dumps(a))
-        assert "_hash" not in vars(restored) and restored == a, name
+        assert restored == a, name
+        for cached in ("_hash", "nz", "complex_sc"):
+            assert cached not in vars(restored), (name, cached)
+        assert restored.nz == a.nz, name
+
+
+# ZERO is drawn twice as often as each other kind, so most tensors are sparse
+_SCALARS = st.one_of(
+    st.just(ZERO),
+    st.just(ZERO),
+    st.builds(QQi),  # a zero that is not the ZERO object
+    st.builds(
+        QQi,
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    ),
+)
+
+
+@st.composite
+def _sparse_tensors(draw):
+    n = draw(st.integers(1, 4))
+    flat = draw(st.lists(_SCALARS, min_size=n**3, max_size=n**3))
+    it = iter(flat)
+    return n, tuple(tuple(tuple(next(it) for _ in range(n)) for _ in range(n)) for _ in range(n))
+
+
+@given(_sparse_tensors())
+@settings(max_examples=60, deadline=None)
+def test_nonzero_view_matches_a_dense_scan(tensor):
+    import numpy as np
+
+    n, sc = tensor
+    a = FiniteAlgebra(name="t", dim=n, sc=sc, labels=tuple(f"e{i}" for i in range(n)))
+    scan = tuple(
+        tuple(tuple((k, c) for k, c in enumerate(row) if not c.is_zero()) for row in plane)
+        for plane in sc
+    )
+    assert a.nz == scan
+    expected = np.array(sc, dtype=np.complex128)
+    assert a.complex_sc.shape == (n, n, n)
+    assert np.array_equal(a.complex_sc, expected)
+    assert not a.complex_sc.flags.writeable
+    with pytest.raises(ValueError):
+        a.complex_sc[0, 0, 0] = 1

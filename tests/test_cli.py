@@ -232,3 +232,14 @@ def test_crosscheck_failure_maps_to_exit_3(monkeypatch, capsys):
     rc = cli.main(["crosscheck"])
     assert rc == 3
     assert "fail" in capsys.readouterr().out
+
+
+def test_malformed_algebra_files_exit_2_without_traceback(tmp_path):
+    base = {"name": "x", "dim": 1, "labels": ["e"], "sc": [[0, 0, 0, "1", "0"]]}
+    for key, value in (("labels", 5), ("sc", [5]), ("unit", 1), ("dim", True)):
+        path = tmp_path / f"bad-{key}.json"
+        path.write_text(json.dumps({**base, key: value}))
+        proc = run_cli(["classify", str(path), "--json"])
+        assert proc.returncode == 2, (key, proc.stderr)
+        assert "Traceback" not in proc.stderr, key
+        assert proc.stderr.startswith("error:"), key

@@ -17,7 +17,6 @@ from amenalyzer.linalg import (
     rowspace,
     rref_exact,
     rref_float,
-    subspace_from_rows,
     subspace_intersect,
     subspace_leq,
     subspace_sum,
