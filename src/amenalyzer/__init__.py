@@ -5,8 +5,6 @@ from .algebra import (
     FiniteAlgebra,
     direct_sum,
     from_json_dict,
-    is_essential,
-    is_semisimple,
     is_unital,
     load_algebra,
     matrix_algebra,
@@ -24,7 +22,6 @@ from .algebra import (
 )
 from .characters import (
     Character,
-    amenability_flags,
     find_characters,
     point_derivation_space,
 )

@@ -12,8 +12,7 @@ hashable, so analyses can be cached.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
-from fractions import Fraction
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -21,12 +20,13 @@ import numpy as np
 from .linalg import (
     EXACT,
     DEFAULT_TOL,
+    LANES,
     Subspace,
     nullspace,
     rowspace,
     solve_exact,
 )
-from .scalars import ONE, ZERO, QQi, pair_str, parse_pair, qq
+from .scalars import ONE, ZERO, QQi, parse_part, pair_str, parse_pair
 
 
 class AlgebraFormatError(ValueError):
@@ -240,13 +240,16 @@ def validate(a: FiniteAlgebra) -> ValidationReport:
 
 
 def product_span(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
-    """Span of all products of basis vectors."""
-    rows = [a.basis_product(i, j) for i in range(a.dim) for j in range(a.dim)]
+    """Span of all products of basis vectors, one row per pair (i, j)."""
+    lane = LANES[backend]
+    rows = []
+    for plane in a.nz:
+        for terms in plane:
+            row = [lane.zero] * a.dim
+            for k, c in terms:
+                row[k] = lane.coerce(c)
+            rows.append(row)
     return rowspace(rows, a.dim, backend, tol)
-
-
-def is_essential(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> bool:
-    return product_span(a, backend, tol).dim == a.dim
 
 
 def find_unit(a: FiniteAlgebra):
@@ -269,13 +272,6 @@ def is_unital(a: FiniteAlgebra):
         return True, tuple(a.unit)
     u = find_unit(a)
     return (u is not None), u
-
-
-def with_unit_filled(a: FiniteAlgebra) -> FiniteAlgebra:
-    if a.unit is not None:
-        return a
-    u = find_unit(a)
-    return replace(a, unit=u) if u is not None else a
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +381,10 @@ def semigroup_algebra(table, weight=None, identity=None, name=None) -> FiniteAlg
     element (norm metadata only).  ``identity`` asserts which element is the
     two-sided identity; when omitted it is auto-detected.
     """
+    if not isinstance(table, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in table
+    ):
+        raise AlgebraFormatError(f"Cayley table must be a list of rows, got {table!r}")
     m = len(table)
     if m < 1:
         raise AlgebraFormatError("semigroup must have at least one element")
@@ -392,6 +392,8 @@ def semigroup_algebra(table, weight=None, identity=None, name=None) -> FiniteAlg
         if len(row) != m:
             raise AlgebraFormatError(f"Cayley table row {x} has length {len(row)}")
         for y, v in enumerate(row):
+            if not _is_index(v):
+                raise AlgebraFormatError(f"Cayley table entry ({x},{y}) = {v!r} is not an integer")
             if not (0 <= v < m):
                 raise AlgebraFormatError(f"Cayley table entry ({x},{y}) = {v} out of range")
     for x in range(m):
@@ -412,9 +414,12 @@ def semigroup_algebra(table, weight=None, identity=None, name=None) -> FiniteAlg
         unit = [ONE if i == ident else ZERO for i in range(m)]
     w = None
     if weight is not None:
-        if len(weight) != m:
-            raise AlgebraFormatError("weight length must match semigroup size")
-        w = tuple(Fraction(x) for x in weight)
+        if not isinstance(weight, (list, tuple)) or len(weight) != m:
+            raise AlgebraFormatError(f"weight must be a list of {m} entries, got {weight!r}")
+        try:
+            w = tuple(map(_parse_weight, weight))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise AlgebraFormatError(f"weight: {exc}") from exc
         if any(x < 1 for x in w):
             raise AlgebraFormatError("weights must be >= 1")
         if ident is not None and w[ident] != 1:
@@ -523,10 +528,6 @@ def radical(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     return nullspace(rows, a.dim, backend, tol)
 
 
-def is_semisimple(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> bool:
-    return radical(a, backend, tol).dim == 0
-
-
 def commutator_span(a: FiniteAlgebra) -> Subspace:
     rows = []
     n = a.dim
@@ -630,6 +631,11 @@ def _is_index(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _parse_weight(w):
+    """A weight; a float is read at its decimal string, so 1.1 is 11/10."""
+    return parse_part(str(w) if isinstance(w, float) else w)
+
+
 def _list(raw, where):
     if not isinstance(raw, list):
         raise AlgebraFormatError(f"{where}: expected a list, got {raw!r}")
@@ -642,7 +648,7 @@ def _parse_vector(raw, n, where):
     out = []
     for idx, entry in enumerate(raw):
         try:
-            out.append(parse_pair(entry) if isinstance(entry, (list, tuple)) else qq(entry))
+            out.append(parse_pair(entry if isinstance(entry, (list, tuple)) else (entry, 0)))
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise AlgebraFormatError(f"{where}[{idx}]: {exc}") from exc
     return tuple(out)
@@ -692,7 +698,7 @@ def from_json_dict(data: dict) -> FiniteAlgebra:
         if len(raw) != n:
             raise AlgebraFormatError(f"weight: expected {n} entries, got {len(raw)}")
         try:
-            weight = tuple(Fraction(str(w)) for w in raw)
+            weight = tuple(map(_parse_weight, raw))
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise AlgebraFormatError(f"weight: {exc}") from exc
         if any(w <= 0 for w in weight):
@@ -725,6 +731,9 @@ def load_algebra(path) -> FiniteAlgebra:
         raise AlgebraFormatError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal over Python's digit limit, or nesting too deep
+        raise AlgebraFormatError(f"{path}: unreadable JSON: {exc}") from exc
     try:
         return from_json_dict(data)
     except AlgebraFormatError as exc:

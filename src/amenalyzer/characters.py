@@ -295,12 +295,6 @@ def ideal_product_span(a: FiniteAlgebra, s: Subspace, tol=DEFAULT_TOL) -> Subspa
     return rowspace(rows, a.dim, s.backend, tol)
 
 
-def cotangent_dim(a: FiniteAlgebra, phi: Character, tol=DEFAULT_TOL) -> int:
-    m = maximal_ideal(a, phi, tol)
-    msq = ideal_product_span(a, m, tol)
-    return m.dim - msq.dim
-
-
 def _rank_one_map(d, phi: Character, lane):
     """The dual map a, b -> d(a) phi(b) on the lane, and its flattening."""
     dmap = rank_one_dual_map(d, phi.phi, lane.backend)
@@ -483,19 +477,6 @@ class PointDerivations:
             point_amenable=pa,
             zero_point_amenable=pa and zero_dim == 0,
         )
-
-
-def amenability_flags(
-    a: FiniteAlgebra,
-    search: CharacterSearch | None = None,
-    backend=EXACT,
-    tol=DEFAULT_TOL,
-    seed=None,
-) -> PointDerivationReport:
-    """Point amenability over the characters, and over characters plus zero."""
-    if search is None:
-        search = find_characters(a, seed=seed, tol=tol, backend=backend)
-    return PointDerivations(a, backend, tol).report(search)
 
 
 def extend_character_to_unitization(phi: Character) -> Character:

@@ -4,13 +4,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import (
-    FiniteAlgebra,
-    is_essential,
-    is_unital,
-    product_span,
-    radical,
-)
+from .algebra import FiniteAlgebra, is_unital, product_span, radical
 from .characters import (
     CharacterSearch,
     PointDerivations,
@@ -21,6 +15,7 @@ from .derivations import DerivationAnalysis, classify_derivations
 from .linalg import DEFAULT_TOL, EXACT
 from .quasiadd import (
     cyclic_quasi_space,
+    inner_q,
     inner_quasi_space,
     quasi_additive_space,
     semigroup_quasi_additive,
@@ -49,7 +44,7 @@ class Analysis:
 
     @cached_property
     def essential(self) -> bool:
-        return is_essential(self.algebra, self.backend, self.tol)
+        return self.product_span.dim == self.algebra.dim
 
     @cached_property
     def product_span(self):
@@ -90,12 +85,17 @@ class Analysis:
 
     @cached_property
     def cyclic_qa(self):
-        return cyclic_quasi_space(self.algebra, self.qa_space, self.backend, self.tol)
+        return cyclic_quasi_space(self.algebra, self.qa_space)
 
     @cached_property
     def table_qa(self):
         """The table-indexed quasi-additive space; semigroup algebras only."""
         return semigroup_quasi_additive(self.algebra, self.backend, self.tol)
+
+    @cached_property
+    def table_inner(self):
+        """The table-indexed inner functions; semigroup algebras only."""
+        return inner_q(self.algebra, self.backend, self.tol)
 
     @property
     def flags(self) -> dict:

@@ -47,12 +47,27 @@ def _emit_json(data):
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _add_common(parser):
-    parser.add_argument("target", help="algebra file path or builtin:NAME")
+def _tolerance(text):
+    """--tol: a finite float with 0 < tol < 1 (nan and inf fail the test)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = None
+    if tol is None or not 0 < tol < 1:
+        raise argparse.ArgumentTypeError(f"must be a number with 0 < tol < 1, got {text!r}")
+    return tol
+
+
+def _add_options(parser):
     parser.add_argument("--backend", choices=["exact", "float"], default=EXACT)
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--json", action="store_true", dest="as_json")
+
+
+def _add_common(parser):
+    parser.add_argument("target", help="algebra file path or builtin:NAME")
+    _add_options(parser)
 
 
 def cmd_validate(args):
@@ -148,12 +163,7 @@ def cmd_quasiadd(args):
         },
     }
     from .algebra import recover_cayley_table
-    from .quasiadd import (
-        NotASemigroupAlgebra,
-        cd_space,
-        inner_q,
-        weighted_norm,
-    )
+    from .quasiadd import NotASemigroupAlgebra, cd_space, weighted_norm
 
     table = recover_cayley_table(an.algebra)
     if table is not None:
@@ -162,7 +172,7 @@ def cmd_quasiadd(args):
             sg["cd"] = cd_space(an.algebra, an.table_qa).dim
         except NotASemigroupAlgebra:
             sg["cd"] = None
-        sg["inner"] = inner_q(an.algebra, args.backend, args.tol).dim
+        sg["inner"] = an.table_inner.dim
         if an.algebra.weight is not None:
             sg["weighted_norms"] = [
                 weighted_norm(flat, an.algebra.weight, an.algebra.dim)
@@ -315,10 +325,7 @@ def build_parser():
 
     sp = sub.add_parser("crosscheck", help="run the invariant suite on the corpus")
     sp.add_argument("--only", help="comma-separated theorem ids")
-    sp.add_argument("--backend", choices=["exact", "float"], default=EXACT)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--json", action="store_true", dest="as_json")
+    _add_options(sp)
     sp.set_defaults(fn=cmd_crosscheck)
 
     return p

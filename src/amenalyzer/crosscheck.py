@@ -52,7 +52,6 @@ from .linalg import (
 from .quasiadd import (
     cd_space,
     corollary_3_2_check,
-    inner_q,
     point_derivation_from_quasi,
 )
 from .scalars import ZERO, qq
@@ -356,14 +355,7 @@ def check_t31(an: Analysis, ctx):
 def check_c32(an: Analysis, ctx):
     """Flag recomputation from the tensor-square side, plus the character
     column test (sound direction asserted, forward direction recorded)."""
-    rep = corollary_3_2_check(
-        an.algebra,
-        an.flags,
-        an.points.point_amenable if an.characters.characters else None,
-        an.characters.characters,
-        (an.qa_space, an.inner_qa, an.cyclic_qa),
-        an.tol,
-    )
+    rep = corollary_3_2_check(an)
     for key in ("wa_agree", "ca_agree", "cwa_agree"):
         if not rep[key]:
             return FAIL, f"{key} is false"
@@ -575,7 +567,7 @@ def check_t55f(an: Analysis, ctx):
     qa_table = an.table_qa
     if not _rows_match(qa_table, an.qa_space):
         return FAIL, "table-indexed system disagrees with the general system"
-    iq = inner_q(an.algebra, an.backend, an.tol)
+    iq = an.table_inner
     if not _rows_match(iq, an.inner_qa):
         return FAIL, "table-indexed inner functions disagree"
     all_inner = subspace_equal(qa_table, iq)
@@ -609,7 +601,7 @@ def check_t56f(an: Analysis, ctx):
     if table is None or not is_group_table(table):
         return SKIP, "hypothesis not met: not a group algebra"
     cds = cd_space(an.algebra, an.table_qa)
-    iq = inner_q(an.algebra, an.backend, an.tol)
+    iq = an.table_inner
     if not _rows_match(cds, an.cyclic_qa):
         return FAIL, "identity normalization differs from antisymmetry"
     n = an.algebra.dim

@@ -95,10 +95,12 @@ def derivation_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspa
 def inner_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     """Image of F -> (i,j) |-> F(e_i e_j - e_j e_i), one row per dual basis F."""
     n = a.dim
-    rows = [[ZERO] * (n * n) for _ in range(n)]
+    lane = LANES[backend]
+    rows = [[lane.zero] * (n * n) for _ in range(n)]
     for i, plane in enumerate(a.nz):
         for j, terms in enumerate(plane):
             for k, c in terms:
+                c = lane.coerce(c)
                 rows[k][i * n + j] = rows[k][i * n + j] + c
                 rows[k][j * n + i] = rows[k][j * n + i] - c
     return rowspace(rows, n * n, backend, tol)
@@ -196,18 +198,6 @@ def pairing_with_unit_vanishes(a: FiniteAlgebra, m, tol=DEFAULT_TOL) -> bool:
     bound = tol * lane.scale(m)
     u = lane.vector(u)
     return all(lane.is_zero(lane.dot(row, u), bound) for row in m)
-
-
-def is_derivation(a: FiniteAlgebra, m, z: Subspace | None = None) -> bool:
-    if z is None:
-        z = derivation_space(a, lane_of(m).backend)
-    return z.contains(flatten_map(m, a.dim))
-
-
-def is_inner(a: FiniteAlgebra, m, inn: Subspace | None = None) -> bool:
-    if inn is None:
-        inn = inner_space(a, lane_of(m).backend)
-    return inn.contains(flatten_map(m, a.dim))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .linalg import (
     lane_of,
     nullspace,
     rowspace,
+    subspace_equal,
     subspace_intersect,
 )
 from .scalars import ONE, ZERO
@@ -78,22 +79,17 @@ def inner_quasi_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subsp
     return rowspace(rows, n * n, backend, tol)
 
 
-def cyclic_quasi_space(a: FiniteAlgebra, qa: Subspace | None = None, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
-    """Quasi-additive functionals vanishing on the diagonal (antisymmetric P)."""
-    if qa is None:
-        qa = quasi_additive_space(a, backend, tol)
+def cyclic_quasi_space(a: FiniteAlgebra, qa: Subspace) -> Subspace:
+    """Quasi-additive functionals vanishing on the diagonal (antisymmetric P).
+
+    ``qa`` is the solved :func:`quasi_additive_space` of ``a``; the result
+    is on its backend and tolerance.
+    """
     anti = antisymmetric_space(a.dim, qa.backend, qa.tol)
     return subspace_intersect(qa, anti)
 
 
-def corollary_3_2_check(
-    a: FiniteAlgebra,
-    derivation_flags: dict,
-    point_amenable: bool | None,
-    characters,
-    spaces,
-    tol=DEFAULT_TOL,
-):
+def corollary_3_2_check(an):
     """Recompute the three amenability flags from the tensor-square side.
 
     Parts (i)-(iii) are hard biconditionals: the flags derived here must
@@ -103,28 +99,27 @@ def corollary_3_2_check(
     on an unproven converse, so it is recorded as an open-question verdict
     with a witness instead of a failure.
 
-    ``spaces`` is the (quasi-additive, inner, cyclic) triple of tensor-square
-    spaces of ``a``, solved on the backend under test.
+    ``an`` is an Analysis of the algebra; the check reads its tensor-square
+    spaces, derivation flags, characters and point flags.
     """
-    from .linalg import subspace_equal
-
-    qa, inner, cyclic = spaces
-    wa_q = subspace_equal(qa, inner)
-    cwa_q = subspace_equal(qa, cyclic)
-    ca_q = subspace_equal(cyclic, inner)
+    qa, inner, cyclic = an.qa_space, an.inner_qa, an.cyclic_qa
+    d = an.derivations
     out = {
-        "wa_agree": wa_q == derivation_flags["weakly_amenable"],
-        "ca_agree": ca_q == derivation_flags["cyclically_amenable"],
-        "cwa_agree": cwa_q == derivation_flags["cyclically_weakly_amenable"],
+        "wa_agree": subspace_equal(qa, inner) == d.weakly_amenable,
+        "ca_agree": subspace_equal(cyclic, inner) == d.cyclically_amenable,
+        "cwa_agree": subspace_equal(qa, cyclic) == d.cyclically_weakly_amenable,
         "qa_dim": qa.dim,
         "inner_dim": inner.dim,
         "cyclic_dim": cyclic.dim,
     }
-    if point_amenable is None or not characters:
+    characters = an.characters.characters
+    if not characters:
         out["iv_status"] = "skipped: no characters"
         return out
+    point_amenable = an.points.point_amenable
+    tol = an.tol
     lane = LANES[qa.backend]
-    n = a.dim
+    n = an.algebra.dim
     columns_vanish = True
     witness = None
     for p_flat in qa.basis_vectors():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -89,19 +90,40 @@ def qq(re, im=0):
 def parse_pair(pair):
     """Parse a [re, im] pair of decimal/rational strings or numbers exactly."""
     re, im = pair
-    return QQi(_parse_part(re), _parse_part(im))
+    return QQi(parse_part(re), parse_part(im))
 
 
-def _parse_part(x):
+# Fraction expands a decimal exponent into an integer, so "1e999999999"
+# would build a billion-digit number; 4300 is Python's default limit on the
+# digits of an integer string.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*$", re.IGNORECASE)
+
+
+def parse_part(x):
+    """One real part, exactly: an int, a Fraction, or a decimal/rational string.
+
+    bool and float are refused, as are decimal exponents beyond
+    ``MAX_EXPONENT`` and values beyond the float range, which the float
+    lane and the character search could not convert.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ValueError(
-            f"refusing to parse float {x!r} exactly; pass a decimal string instead"
+            f"refusing to parse {type(x).__name__} {x!r} exactly; "
+            "pass a decimal string instead"
         )
-    return Fraction(str(x))
+    if isinstance(x, str):
+        exp = _EXPONENT.search(x)
+        if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
+            raise ValueError(f"exponent of {x!r} is beyond +-{MAX_EXPONENT}")
+    value = Fraction(x)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{x!r} is beyond the float range") from None
+    return value
 
 
 def pair_str(q: QQi):

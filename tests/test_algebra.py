@@ -14,8 +14,6 @@ from amenalyzer.algebra import (
     direct_sum,
     dump_algebra,
     from_json_dict,
-    is_essential,
-    is_semisimple,
     is_unital,
     load_algebra,
     matrix_algebra,
@@ -32,6 +30,7 @@ from amenalyzer.algebra import (
     validate,
     zero_algebra,
 )
+from amenalyzer.classify import Analysis
 from amenalyzer.corpus import corpus
 from amenalyzer.linalg import nullspace
 from amenalyzer.scalars import ONE, ZERO, QQi, qq
@@ -178,12 +177,12 @@ def test_multiply_length_mismatch():
 
 def test_product_span_unital_is_full():
     a = matrix_algebra(2)
-    assert is_essential(a)
+    assert Analysis(a).essential
 
 
 def test_product_span_zero_algebra_is_trivial():
     assert product_span(zero_algebra(3)).dim == 0
-    assert not is_essential(zero_algebra(3))
+    assert not Analysis(zero_algebra(3)).essential
 
 
 def test_product_span_ef():
@@ -191,7 +190,7 @@ def test_product_span_ef():
     span = product_span(ef)
     assert span.dim == 1
     assert span.contains([ONE, ZERO])
-    assert not is_essential(ef)
+    assert not Analysis(ef).essential
 
 
 def test_unitize_zero1_is_truncpoly2_after_relabel():
@@ -211,7 +210,7 @@ def test_unitize_is_unital_essential_valid(a):
     assert validate(sharp).ok
     ok, u = is_unital(sharp)
     assert ok and u == sharp.unit
-    assert is_essential(sharp)
+    assert Analysis(sharp).essential
 
 
 def test_tensor_with_scalars_is_identity():
@@ -272,7 +271,7 @@ def test_semigroup_weight_constraints():
 
 def test_radical_pointwise_trivial():
     assert radical(pointwise_algebra(3)).dim == 0
-    assert is_semisimple(pointwise_algebra(3))
+    assert Analysis(pointwise_algebra(3)).semisimple
 
 
 def test_radical_truncpoly2_is_nilpotent_line():
@@ -316,7 +315,7 @@ def test_radical_equals_left_multiplication_reference(name):
 
 def test_group_algebras_semisimple_char_zero():
     for name in ("Z2", "Z3", "S3", "Z2w"):
-        assert is_semisimple(corpus()[name]), name
+        assert Analysis(corpus()[name]).semisimple, name
 
 
 def test_commutativity_and_units():
@@ -407,6 +406,22 @@ BAD_DOCUMENTS = {
     "character-not-list": ({"characters": [5]}, r"characters\[0\]"),
     "idempotent-not-list": ({"idempotent_span": [5]}, r"idempotent_span\[0\]"),
     "weight-not-list": ({"weight": 1}, "weight"),
+    # every scalar goes through one bounded part parser
+    "sc-bool": ({"sc": [[0, 0, 0, True, "0"]]}, "refusing to parse bool"),
+    "sc-huge-exponent": ({"sc": [[0, 0, 0, "1e999999999", "0"]]}, "exponent"),
+    "sc-huge-negative-exponent": ({"sc": [[0, 0, 0, "1", "-1E-999999999"]]}, "exponent"),
+    "sc-beyond-float-exponent": ({"sc": [[0, 0, 0, "1e5000", "0"]]}, "exponent"),
+    "sc-beyond-float": ({"sc": [[0, 0, 0, "1e400", "0"]]}, "float range"),
+    "sc-int-beyond-float": ({"sc": [[0, 0, 0, 10**400, "0"]]}, "float range"),
+    "unit-float": ({"unit": [0.1]}, "decimal string"),
+    "unit-bool": ({"unit": [True]}, "refusing to parse bool"),
+    "unit-huge-exponent": ({"unit": ["1e999999999"]}, r"unit\[0\]: exponent"),
+    "unit-pair-beyond-float": ({"unit": [["1", "-1e400"]]}, "float range"),
+    "character-bool": ({"characters": [[True]]}, "refusing to parse bool"),
+    "idempotent-float": ({"idempotent_span": [[0.5]]}, "decimal string"),
+    "weight-bool": ({"weight": [True]}, "refusing to parse bool"),
+    "weight-huge-exponent": ({"weight": ["1e999999999"]}, "exponent"),
+    "weight-beyond-float": ({"weight": ["1e400"]}, "float range"),
 }
 
 
@@ -427,6 +442,13 @@ def test_load_reports_json_position(tmp_path):
     path.write_text('{"name": "x", "dim": }')
     with pytest.raises(AlgebraFormatError, match="line 1"):
         load_algebra(path)
+
+
+def test_weights_keep_their_decimal_reading():
+    doc = dict(_ONE_DIM, weight=[1.1])
+    assert from_json_dict(doc).weight == (Fraction(11, 10),)
+    a = semigroup_algebra([[0, 1], [1, 0]], weight=[1, 1.1])
+    assert a.weight == (1, Fraction(11, 10))
 
 
 def test_parser_rejects_float_scalars():

@@ -14,11 +14,9 @@ from amenalyzer.algebra import (
 from amenalyzer.characters import (
     Character,
     CharacterVerificationError,
-    amenability_flags,
     augmentation_character,
     check_prop_2_4,
     check_prop_2_5,
-    cotangent_dim,
     extend_character_to_unitization,
     find_characters,
     maximal_ideal,
@@ -142,6 +140,11 @@ def test_point_derivation_space_rejects_raw_vectors():
         point_derivation_space(truncated_polynomial(2), (ONE, ZERO))
 
 
+def _cotangent(a, phi):
+    m, msq = Analysis(a).pds.ideal_square(phi)
+    return m.dim - msq.dim
+
+
 def test_maximal_ideal_and_cotangent_pointwise():
     a = pointwise_algebra(2)
     chars = find_characters(a).characters
@@ -151,17 +154,17 @@ def test_maximal_ideal_and_cotangent_pointwise():
     assert m.contains([ZERO, ONE])
     msq = ideal_product_span(a, m)
     assert msq.dim == 1  # e1 * e1 = e1
-    assert cotangent_dim(a, delta0) == 0
+    assert _cotangent(a, delta0) == 0
 
 
 def test_cotangent_truncpoly():
-    assert cotangent_dim(truncated_polynomial(2), tp2_char()) == 1
+    assert _cotangent(truncated_polynomial(2), tp2_char()) == 1
     tp3 = truncated_polynomial(3)
     ch3 = find_characters(tp3).characters[0]
     m = maximal_ideal(tp3, ch3)
     assert m.dim == 2
     assert ideal_product_span(tp3, m).dim == 1  # span of x^2
-    assert cotangent_dim(tp3, ch3) == 1
+    assert _cotangent(tp3, ch3) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +248,9 @@ def test_prop25_gates_not_applicable_is_flagged():
         }
     )
     assert not a2.is_commutative()
-    from amenalyzer.algebra import is_essential, is_unital
+    from amenalyzer.algebra import is_unital
 
-    assert not is_essential(a2)
+    assert not Analysis(a2).essential
     ok, _ = is_unital(a2)
     assert not ok
     fake = Character((ONE, ZERO, ZERO), True, 0.0)  # not verified, gates only
@@ -308,30 +311,29 @@ def test_tensor_point_derivation_rejects_non_members():
 
 
 def test_flags_pointwise():
-    rep = amenability_flags(pointwise_algebra(3))
+    rep = Analysis(pointwise_algebra(3)).points
     assert rep.point_amenable and rep.zero_point_amenable
 
 
 def test_flags_truncpoly2():
-    rep = amenability_flags(truncated_polynomial(2))
+    rep = Analysis(truncated_polynomial(2)).points
     assert not rep.point_amenable and not rep.zero_point_amenable
     assert rep.pd_dims == (1,)
     assert rep.cotangent_dims == (1,)
 
 
 def test_flags_ef_split():
-    rep = amenability_flags(corpus()["EF"])
+    rep = Analysis(corpus()["EF"]).points
     assert rep.point_amenable
     assert not rep.zero_point_amenable
     assert rep.zero_space_dim == 1
 
 
 def test_zero_space_trivial_iff_essential():
-    from amenalyzer.algebra import is_essential
-
     for name, a in sorted(corpus().items()):
-        rep = amenability_flags(a)
-        assert (rep.zero_space_dim == 0) == is_essential(a), name
+        an = Analysis(a)
+        rep = an.points
+        assert (rep.zero_space_dim == 0) == an.essential, name
 
 
 def test_unitization_characters_structure():

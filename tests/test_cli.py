@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from amenalyzer import cli
 
 CLI = [sys.executable, "-m", "amenalyzer.cli"]
@@ -236,10 +238,69 @@ def test_crosscheck_failure_maps_to_exit_3(monkeypatch, capsys):
 
 def test_malformed_algebra_files_exit_2_without_traceback(tmp_path):
     base = {"name": "x", "dim": 1, "labels": ["e"], "sc": [[0, 0, 0, "1", "0"]]}
-    for key, value in (("labels", 5), ("sc", [5]), ("unit", 1), ("dim", True)):
-        path = tmp_path / f"bad-{key}.json"
-        path.write_text(json.dumps({**base, key: value}))
+    texts = [
+        json.dumps({**base, key: value})
+        for key, value in (
+            ("labels", 5),
+            ("sc", [5]),
+            ("unit", 1),
+            ("dim", True),
+            ("sc", [[0, 0, 0, "1e999999999", "0"]]),  # hung inside Fraction
+            ("sc", [[0, 0, 0, "1e5000", "0"]]),
+            ("sc", [[0, 0, 0, "1e400", "0"]]),  # beyond the float range
+            ("sc", [[0, 0, 0, True, "0"]]),
+            ("unit", ["1e999999999"]),
+            ("unit", [0.1]),
+            ("characters", [[True]]),
+            ("weight", ["1e999999999"]),
+            ("weight", [True]),
+        )
+    ]
+    # JSON the decoder itself refuses with a ValueError or a RecursionError
+    head = '{"name": "x", "dim": 1, "labels": ["e"], "sc": '
+    texts.append(head + '[[0, 0, 0, 1%s, "0"]]}' % ("0" * 5000))
+    texts.append(head + "[" * 100000 + "]" * 100000 + "}")
+    for t, text in enumerate(texts):
+        path = tmp_path / f"bad-{t}.json"
+        path.write_text(text)
         proc = run_cli(["classify", str(path), "--json"])
-        assert proc.returncode == 2, (key, proc.stderr)
-        assert "Traceback" not in proc.stderr, key
-        assert proc.stderr.startswith("error:"), key
+        assert proc.returncode == 2, (text[:80], proc.stderr)
+        assert "Traceback" not in proc.stderr, text[:80]
+        assert proc.stderr.startswith("error:"), text[:80]
+
+
+BAD_INVOCATIONS = {
+    # --tol outside 0 < tol < 1 gave wrong flags with exit 0
+    "tol-negative": ["classify", "builtin:TruncPoly3", "--backend", "float", "--tol=-1"],
+    "tol-nan": ["classify", "builtin:TruncPoly3", "--backend", "float", "--tol", "nan"],
+    "tol-inf": ["classify", "builtin:TruncPoly3", "--backend", "float", "--tol", "inf"],
+    "tol-zero": ["derivations", "builtin:TruncPoly3", "--tol", "0"],
+    "tol-one": ["quasiadd", "builtin:TruncPoly3", "--tol", "1"],
+    "tol-text": ["characters", "builtin:TruncPoly3", "--tol", "small"],
+    "crosscheck-tol-nan": ["crosscheck", "--only", "T4.1", "--tol", "nan"],
+    # semigroup tables that gave a TypeError traceback or were read as ints
+    "table-string-entry": ["construct", "semigroup", '[[0,"a"],[1,0]]'],
+    "table-float-entry": ["construct", "semigroup", "[[0,1],[1,1.0]]"],
+    "table-not-a-list": ["construct", "semigroup", '{"a":1}'],
+    "table-bool-entry": ["construct", "semigroup", "[[0,1],[1,true]]"],
+    "weight-bool": ["construct", "semigroup", "[[0,1],[1,0]]", "[1,true]"],
+    "weight-not-a-list": ["construct", "semigroup", "[[0,1],[1,0]]", '{"a":1}'],
+    "weight-huge-exponent": ["construct", "semigroup", "[[0,1],[1,0]]", '[1,"1e999999999"]'],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INVOCATIONS))
+def test_bad_invocations_exit_1_without_traceback(case, tmp_path):
+    out = tmp_path / "out.json"
+    args = BAD_INVOCATIONS[case]
+    if args[0] == "construct":
+        args = args + ["-o", str(out)]
+    proc = run_cli(args)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+    if args[0] == "construct":
+        assert proc.stderr.startswith("bad parameters for construct semigroup: ")
+    else:
+        assert "argument --tol: must be a number with 0 < tol < 1" in proc.stderr

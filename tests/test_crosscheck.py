@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from amenalyzer import characters
+from amenalyzer import algebra, characters, quasiadd
+from amenalyzer.classify import Analysis, build_report
 from amenalyzer.corpus import corpus
 from amenalyzer.crosscheck import CHECK_IDS, run_crosscheck
 
@@ -92,37 +93,71 @@ def test_float_backend_suite_matches_exact_statuses(result):
         assert r["status"] == exact_statuses[(r["theorem"], r["algebra"])], r
 
 
-@pytest.mark.parametrize("backend", ["exact", "float"])
-def test_each_per_character_space_is_solved_once(backend, monkeypatch):
-    """Every point-derivation space and maximal ideal of a run is solved
-    once, however many checks read it.  The wrappers replace every module
-    binding of the two solvers, so a call through any import is counted."""
+def _count_solves(monkeypatch, key_args):
+    """Replace every module binding of each solver in ``key_args`` (a
+    {function: argument names} dict) by a wrapper counting its calls, so a
+    call through any import is counted.  Returns the {(solver name,
+    *arguments): calls} dict the wrappers fill."""
     solved = {}
 
-    def counting(fn, key_args):
+    def counting(fn, names):
         sig = inspect.signature(fn)
 
         def wrapper(*args, **kwargs):
             bound = sig.bind(*args, **kwargs)
             bound.apply_defaults()
-            key = (fn.__name__,) + tuple(bound.arguments[k] for k in key_args)
+            key = (fn.__name__,) + tuple(bound.arguments[k] for k in names)
             solved[key] = solved.get(key, 0) + 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    wrappers = {
-        characters.point_derivation_space: counting(
-            characters.point_derivation_space, ("a", "phi", "backend")
-        ),
-        characters.maximal_ideal: counting(characters.maximal_ideal, ("a", "phi")),
-    }
+    wrappers = {fn: counting(fn, names) for fn, names in key_args.items()}
     for mod_name, module in list(sys.modules.items()):
         if mod_name == "amenalyzer" or mod_name.startswith("amenalyzer."):
             for attr, value in list(vars(module).items()):
                 if inspect.isfunction(value) and value in wrappers:
                     monkeypatch.setattr(module, attr, wrappers[value])
+    return solved
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_each_per_character_space_is_solved_once(backend, monkeypatch):
+    """Every point-derivation space and maximal ideal of a run is solved
+    once, however many checks read it."""
+    solved = _count_solves(
+        monkeypatch,
+        {
+            characters.point_derivation_space: ("a", "phi", "backend"),
+            characters.maximal_ideal: ("a", "phi"),
+        },
+    )
     run_crosscheck(backend=backend)
     assert {k[0] for k in solved} == {"point_derivation_space", "maximal_ideal"}
     repeated = sorted((k[0], k[1].name, n) for k, n in solved.items() if n > 1)
     assert repeated == []
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_build_report_solves_the_product_span_once(backend, monkeypatch):
+    """The report and the essential predicate read one solved product span."""
+    solved = _count_solves(monkeypatch, {algebra.product_span: ("a", "backend")})
+    for name, a in sorted(corpus().items()):
+        build_report(Analysis(a, backend))
+        assert solved.pop(("product_span", a, backend)) == 1, name
+    assert solved == {}
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_each_table_inner_space_is_solved_once(backend, monkeypatch):
+    """T5.5f and T5.6f read one table-indexed inner space per group algebra."""
+    solved = _count_solves(monkeypatch, {quasiadd.inner_q: ("a", "backend")})
+    result = run_crosscheck(backend=backend)
+    groups = {
+        r["algebra"]
+        for r in result["results"]
+        if r["theorem"] == "T5.5f" and r["status"] != "skip"
+    }
+    assert groups
+    assert sorted(k[1].name for k in solved) == sorted(groups)
+    assert set(solved.values()) == {1}

@@ -62,13 +62,13 @@ def test_inner_trivial_for_commutative():
 def test_inner_contained_in_cyclic():
     for name, a in sorted(corpus().items()):
         inner = inner_quasi_space(a)
-        cyc = cyclic_quasi_space(a)
+        cyc = cyclic_quasi_space(a, quasi_additive_space(a))
         assert subspace_leq(inner, cyc), name
 
 
 def test_zero2_cyclic_space_is_antisymmetric_line():
     a = zero_algebra(2)
-    cyc = cyclic_quasi_space(a)
+    cyc = cyclic_quasi_space(a, quasi_additive_space(a))
     assert cyc.dim == 1
     flat = cyc.basis_vectors()[0]
     # basis element is antisymmetric: P[0][1] = -P[1][0], diagonal zero
@@ -76,31 +76,16 @@ def test_zero2_cyclic_space_is_antisymmetric_line():
     assert flat[1] == -flat[2]
 
 
-def _spaces(a):
-    qa = quasi_additive_space(a)
-    return qa, inner_quasi_space(a), cyclic_quasi_space(a, qa)
-
-
-def _flags(a):
-    d = classify_derivations(a)
-    return {
-        "weakly_amenable": d.weakly_amenable,
-        "cyclically_amenable": d.cyclically_amenable,
-        "cyclically_weakly_amenable": d.cyclically_weakly_amenable,
-    }
-
-
 def test_corollary_flag_agreement_matrix_algebra():
     a = matrix_algebra(2)
-    rep = corollary_3_2_check(a, _flags(a), None, (), _spaces(a))
+    rep = corollary_3_2_check(Analysis(a))
     assert rep["wa_agree"] and rep["ca_agree"] and rep["cwa_agree"]
     assert rep["iv_status"] == "skipped: no characters"
 
 
 def test_corollary_truncpoly2_witness():
     a = truncated_polynomial(2)
-    chars = find_characters(a).characters
-    rep = corollary_3_2_check(a, _flags(a), False, chars, _spaces(a))
+    rep = corollary_3_2_check(Analysis(a))
     assert rep["wa_agree"] and rep["ca_agree"] and rep["cwa_agree"]
     # the non-cyclic witness pairs x against 1 asymmetrically
     qa = quasi_additive_space(a)
@@ -110,8 +95,7 @@ def test_corollary_truncpoly2_witness():
 
 def test_corollary_pointwise_vacuously_strong():
     a = pointwise_algebra(2)
-    chars = find_characters(a).characters
-    rep = corollary_3_2_check(a, _flags(a), True, chars, _spaces(a))
+    rep = corollary_3_2_check(Analysis(a))
     assert rep["qa_dim"] == 0
     assert rep["iv_status"] == "pass"
 
@@ -195,7 +179,7 @@ def test_s3_cd_equals_inner():
 def test_s3_cd_is_antisymmetric_with_zero_diagonal():
     s3 = corpus()["S3"]
     cds = cd_space(s3, semigroup_quasi_additive(s3))
-    cyc = cyclic_quasi_space(s3)
+    cyc = cyclic_quasi_space(s3, quasi_additive_space(s3))
     assert cds.rows == cyc.rows
     n = s3.dim
     for flat in cds.basis_vectors():

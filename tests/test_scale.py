@@ -8,7 +8,8 @@ from amenalyzer.algebra import (
     truncated_polynomial,
     upper_triangular,
 )
-from amenalyzer.characters import amenability_flags, find_characters
+from amenalyzer.characters import find_characters
+from amenalyzer.classify import Analysis
 from amenalyzer.derivations import classify_derivations
 from amenalyzer.linalg import FLOAT
 
@@ -35,7 +36,7 @@ def test_pointwise_12_fully_amenable():
     a = pointwise_algebra(12)
     d = classify_derivations(a)
     assert (d.z.dim, d.inner.dim, d.zc.dim) == (0, 0, 0)
-    rep = amenability_flags(a)
+    rep = Analysis(a).points
     assert rep.certified and len(rep.characters) == 12
     assert rep.point_amenable and rep.zero_point_amenable
 
