@@ -26,7 +26,7 @@ from .linalg import (
     rowspace,
     solve_exact,
 )
-from .scalars import ONE, ZERO, QQi, parse_part, pair_str, parse_pair
+from .scalars import ONE, ZERO, QQi, gaussian_integers, parse_part, pair_str, parse_pair
 
 
 class AlgebraFormatError(ValueError):
@@ -143,13 +143,16 @@ class ValidationReport:
 
 def _combination(terms):
     """sum of coef * v over (coef, v) terms, v a list of (column, value)
-    nonzeros, as a {column: value} dict of the nonzero sums."""
+    nonzeros, as a {column: value} dict of the nonzero sums; coefficients
+    and values are Gaussian integers (re, im)."""
     out = {}
-    for coef, v in terms:
-        for k, x in v:
+    for (cr, ci), v in terms:
+        for k, (xr, xi) in v:
+            re = cr * xr - ci * xi
+            im = cr * xi + ci * xr
             y = out.get(k)
-            out[k] = coef * x if y is None else y + coef * x
-    return {k: x for k, x in out.items() if x}
+            out[k] = (re, im) if y is None else (y[0] + re, y[1] + im)
+    return {k: x for k, x in out.items() if x[0] or x[1]}
 
 
 def validate(a: FiniteAlgebra) -> ValidationReport:
@@ -160,7 +163,11 @@ def validate(a: FiniteAlgebra) -> ValidationReport:
     """
     issues = []
     n = a.dim
-    nz = a.nz
+    # the constants as Gaussian integers over one denominator D, so both
+    # sides of each triple below are compared scaled by D^2
+    _, ints = gaussian_integers(c for plane in a.nz for terms in plane for _, c in terms)
+    ints = iter(ints)
+    nz = [[[(k, next(ints)) for k, _ in terms] for terms in plane] for plane in a.nz]
     for i in range(n):
         for j in range(n):
             for l in range(n):

@@ -114,11 +114,14 @@ def _verify_vector(a: FiniteAlgebra, values, tol, want_exact=True) -> Character 
             return Character(tuple(values), True, 0.0)
         return None
     arr = np.array([complex(v) for v in values], dtype=np.complex128)
-    if np.abs(arr).max() == 0.0:
+    top = float(np.abs(arr).max())
+    # the zero functional, or a value that is NaN or infinite
+    if not 0.0 < top < np.inf:
         return None
-    res = max(map(abs, _mult_defects(a, arr, LANES[FLOAT])))
-    scale = max(1.0, float(np.abs(arr).max()) ** 2)
-    if res > tol * scale * 100:
+    # numpy's max, unlike max(), keeps a NaN, and the test fails on one
+    res = float(np.abs(list(_mult_defects(a, arr, LANES[FLOAT]))).max())
+    scale = max(1.0, top**2)
+    if not res <= tol * scale * 100:
         return None
     if want_exact:
         rat = _rationalize(arr)

@@ -8,7 +8,9 @@ place that knows the two backends, or lanes:
   (complex numbers with rational parts); arithmetic never rounds, so RREF is
   a syntactically canonical form and subspace equality is entry equality.
   :func:`rref_exact` eliminates on the nonzero entries of each row and drops
-  zero and duplicate rows itself; rows go in and come out dense.
+  zero and duplicate rows itself; rows go in and come out dense.  Inside,
+  it works fraction-free on Gaussian integers (re, im), each row over one
+  positive integer, and converts back to ``QQi`` only at the end.
 * ``float``  - matrices are numpy complex128 arrays; rank decisions use a
   tolerance relative to the largest row norm (default ``1e-9``).
 
@@ -25,12 +27,15 @@ Subspaces are always stored by their RREF basis, one row per basis vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from . import _kernels
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, QQi, gaussian_integers
 
 DEFAULT_TOL = 1e-9
 
@@ -42,30 +47,52 @@ class AmbientMismatch(ValueError):
     """Raised when subspace operands live in different coordinate spaces."""
 
 
-def _subtract_multiple(row, f, other):
-    """row -= f * other, in place, on {column: QQi} dicts of nonzeros."""
-    for c, v in other.items():
-        x = row.get(c)
+def _primitive(n, row):
+    """(n, row) divided by the gcd of n and every part of the {column: (re,
+    im)} Gaussian integers of row; n = 0 leaves n out of the gcd."""
+    g = math.gcd(n, *chain.from_iterable(row.values()))
+    if g > 1:
+        return n // g, {c: (a // g, b // g) for c, (a, b) in row.items()}
+    return n, row
+
+
+def _eliminate(n, row, f, tail):
+    """n * row - f * tail, on {column: (re, im)} dicts of nonzero Gaussian
+    integers; n is a positive integer and f = (re, im).  When n is 1, row
+    itself is updated and returned."""
+    fr, fi = f
+    out = row if n == 1 else {c: (n * a, n * b) for c, (a, b) in row.items()}
+    for c, (a, b) in tail.items():
+        dr = fr * a - fi * b
+        di = fr * b + fi * a
+        x = out.get(c)
         if x is None:
-            row[c] = -(f * v)
+            out[c] = (-dr, -di)
             continue
-        x = x - f * v
-        if x:
-            row[c] = x
+        dr = x[0] - dr
+        di = x[1] - di
+        if dr or di:
+            out[c] = (dr, di)
         else:
-            del row[c]
+            del out[c]
+    return out
 
 
 def rref_exact(rows):
-    """Exact reduced row echelon form, computed on the nonzero entries.
+    """Exact reduced row echelon form, computed fraction-free over Z[i].
 
     ``rows`` is any iterable of equal-length ``QQi`` sequences.  Each row is
     read into a {column: value} dict of its nonzeros; zero rows and exact
-    duplicates of an earlier row are dropped.  A kept row is reduced by the
-    pivot row of its leading column until it vanishes or leads in a new
-    column, where it becomes that column's pivot row, scaled to pivot 1.
-    Back-substitution over the pivot columns, last to first, then clears
-    every pivot column outside its own row.
+    duplicates of an earlier row are dropped.  A kept row is cleared of
+    denominators and becomes a dict of Gaussian integers (re, im), divided
+    by its integer content.  It is reduced by the pivot row of its leading
+    column until it vanishes or leads in a new column.  There it is
+    multiplied by the conjugate of its leading entry and becomes that
+    column's pivot row (N, tail): N is a positive integer, and the row is
+    (N at the pivot, tail) / N.  A row with leading entry f is reduced as
+    N * row - f * tail, and back-substitution over the pivot columns, last
+    to first, does the same in every row above, each result again divided
+    by its content.  Only the output is converted back to ``QQi``.
 
     Returns (tuple of nonzero RREF rows, tuple of pivot columns), the rows
     as dense tuples in pivot order.  The RREF of a row space is unique, so
@@ -73,7 +100,7 @@ def rref_exact(rows):
     """
     ncols = 0
     seen = set()
-    # pivot column -> the other nonzeros of its row; the pivot itself is 1
+    # pivot column -> (N, the other nonzeros of its row), the row over N
     pivot_rows = {}
     for row in rows:
         ncols = len(row)
@@ -85,32 +112,35 @@ def rref_exact(rows):
         if key in seen:
             continue
         seen.add(key)
-        while sparse:
-            lead = min(sparse)
-            tail = pivot_rows.get(lead)
-            if tail is None:
-                piv = sparse.pop(lead)
-                if piv != ONE:
-                    inv = piv.inverse()
-                    sparse = {c: x * inv for c, x in sparse.items()}
-                pivot_rows[lead] = sparse
+        _, ints = gaussian_integers(sparse.values())
+        _, vec = _primitive(0, dict(zip(sparse, ints)))
+        while vec:
+            lead = min(vec)
+            pivot = pivot_rows.get(lead)
+            if pivot is None:
+                # times the conjugate (pr - pi i) of the pivot, which becomes pr^2 + pi^2
+                pr, pi = vec.pop(lead)
+                vec = {c: (a * pr + b * pi, b * pr - a * pi) for c, (a, b) in vec.items()}
+                pivot_rows[lead] = _primitive(pr * pr + pi * pi, vec)
                 break
-            _subtract_multiple(sparse, sparse.pop(lead), tail)
+            n, tail = pivot
+            _, vec = _primitive(0, _eliminate(n, vec, vec.pop(lead), tail))
     pivots = sorted(pivot_rows)
     for k in range(len(pivots) - 1, 0, -1):
         p = pivots[k]
-        tail = pivot_rows[p]
+        n, tail = pivot_rows[p]
         for q in pivots[:k]:
-            upper = pivot_rows[q]
+            m, upper = pivot_rows[q]
             f = upper.pop(p, None)
             if f is not None:
-                _subtract_multiple(upper, f, tail)
+                pivot_rows[q] = _primitive(n * m, _eliminate(n, upper, f, tail))
     out = []
     for p in pivots:
+        n, tail = pivot_rows[p]
         dense = [ZERO] * ncols
         dense[p] = ONE
-        for c, x in pivot_rows[p].items():
-            dense[c] = x
+        for c, (a, b) in tail.items():
+            dense[c] = QQi(Fraction(a, n), Fraction(b, n))
         out.append(tuple(dense))
     return tuple(out), tuple(pivots)
 

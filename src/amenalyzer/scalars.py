@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -79,6 +80,21 @@ ZERO = QQi(0, 0)
 ONE = QQi(1, 0)
 
 
+def gaussian_integers(values):
+    """Scalars as Gaussian integers over one denominator: (D, [(a, b), ...]).
+
+    D is the least common multiple of the denominators of every real and
+    imaginary part, and each x of ``values`` is (a + b i) / D; D is 1 when
+    ``values`` is empty.
+    """
+    values = list(values)
+    d = math.lcm(*(x.re.denominator for x in values), *(x.im.denominator for x in values))
+    return d, [
+        (x.re.numerator * (d // x.re.denominator), x.im.numerator * (d // x.im.denominator))
+        for x in values
+    ]
+
+
 def qq(re, im=0):
     """Coerce ints, Fractions, or numeric strings into a QQi scalar.
 
@@ -97,6 +113,10 @@ def parse_pair(pair):
 # would build a billion-digit number; 4300 is Python's default limit on the
 # digits of an integer string.
 MAX_EXPONENT = 4300
+# The float lane squares and sums values, and a character's values can
+# exceed the constants by a factor of the dimension; squares of parts up to
+# 1e150 stay far inside the float range, whose top is about 1.8e308.
+MAX_MAGNITUDE = 10**150
 _EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*$", re.IGNORECASE)
 
 
@@ -104,8 +124,8 @@ def parse_part(x):
     """One real part, exactly: an int, a Fraction, or a decimal/rational string.
 
     bool and float are refused, as are decimal exponents beyond
-    ``MAX_EXPONENT`` and values beyond the float range, which the float
-    lane and the character search could not convert.
+    ``MAX_EXPONENT`` and values of modulus beyond ``MAX_MAGNITUDE``, whose
+    squares the float lane and the character search could not hold.
     """
     if isinstance(x, Fraction):
         return x
@@ -119,10 +139,10 @@ def parse_part(x):
         if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
             raise ValueError(f"exponent of {x!r} is beyond +-{MAX_EXPONENT}")
     value = Fraction(x)
-    try:
-        float(value)
-    except OverflowError:
-        raise ValueError(f"{x!r} is beyond the float range") from None
+    if abs(value) > MAX_MAGNITUDE:
+        raise ValueError(
+            f"{x!r} is beyond +-1e150, the bound that keeps its square in the float range"
+        )
     return value
 
 

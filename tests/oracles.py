@@ -12,14 +12,15 @@ whole rows, for the restricted update of ``_kernels.rref_inplace``;
 :func:`reference_radical_rows`, the trace form read off whole
 left-multiplication matrices, for the trace-vector ``radical``; and
 :func:`reference_validate`, associativity tested by ``multiply`` on dense
-vectors, for the sparse test of ``validate``.
+vectors, for the sparse test of ``validate``.  :func:`change_basis`
+rewrites an algebra on another basis, for invariance tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from amenalyzer.algebra import ValidationIssue, unitize
+from amenalyzer.algebra import FiniteAlgebra, ValidationIssue, unitize
 from amenalyzer.scalars import ONE, ZERO
 
 
@@ -258,3 +259,48 @@ def reference_radical_rows(a):
             row.append(tr)
         rows.append(row)
     return rows
+
+
+def _row_times(v, m):
+    """The row vector v times the matrix m."""
+    out = [ZERO] * len(m[0])
+    for x, row in zip(v, m):
+        if not x.is_zero():
+            out = [acc + x * y for acc, y in zip(out, row)]
+    return tuple(out)
+
+
+def change_basis(a, p):
+    """The algebra on the basis f_r = sum_i p[r][i] e_i, or None when the
+    square QQi matrix p is singular.
+
+    With q = p^-1, coordinates change as x' = x q, so the constants become
+    sc'[r][s] = (sum_ij p[r][i] p[s][j] e_i e_j) q.  The unit and declared
+    idempotents change as coordinates; a weight, which belongs to its basis,
+    and declared characters are dropped.  The inverse comes from
+    :func:`reference_rref_exact`, not from the package.
+    """
+    n = a.dim
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(p)]
+    red, pivots = reference_rref_exact(aug)
+    if pivots != tuple(range(n)):
+        return None
+    q = [row[n:] for row in red]
+    sc = tuple(
+        tuple(
+            _row_times(a.multiply(list(p[r]), list(p[s])), q)
+            for s in range(n)
+        )
+        for r in range(n)
+    )
+    return FiniteAlgebra(
+        name=f"{a.name}~P",
+        dim=n,
+        sc=sc,
+        labels=tuple(f"f{i}" for i in range(n)),
+        unit=None if a.unit is None else _row_times(a.unit, q),
+        idempotent_span=(
+            None if a.idempotent_span is None
+            else tuple(_row_times(v, q) for v in a.idempotent_span)
+        ),
+    )

@@ -6,12 +6,15 @@ default seed throughout.  Expected dimensions were computed with the
 SVD-rank oracles in oracles.py and are frozen in test_derivations.py.
 """
 
+import functools
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from amenalyzer.algebra import tensor_product, unitize
 from amenalyzer.classify import Analysis, AnalysisCache, build_report
@@ -19,7 +22,9 @@ from amenalyzer.corpus import corpus
 from amenalyzer.derivations import is_cyclic, rank_one_dual_map, vanishes_on_diameter, pairing_with_unit_vanishes
 from amenalyzer.linalg import EXACT, FLOAT, annihilator, subspace_leq
 from amenalyzer.quasiadd import cd_space, inner_q, weighted_norm
-from amenalyzer.scalars import ONE
+from amenalyzer.scalars import ONE, QQi
+
+from oracles import change_basis
 
 TOL = 1e-9  # float-backend tolerance pinned by the acceptance criteria
 
@@ -290,3 +295,39 @@ def test_criterion_12_crosscheck_determinism():
     report_line(
         12, True, "two consecutive crosscheck --json runs are byte-identical (default seed)"
     )
+
+
+# change of basis: entries of P in {-1, 0, 1} + i{-1, 0, 1}, as in perfbench's dense-gauss
+_SMALL_CORPUS = [a for _, a in sorted(corpus().items()) if a.dim <= 4]
+_BASIS_ENTRIES = [QQi(re, im) for re in (-1, 0, 1) for im in (-1, 0, 1)]
+
+
+def _invariants(report):
+    dims = dict(report["dims"])
+    dims["point_derivations"] = sorted(e["dim"] for e in dims["point_derivations"])
+    return dims, report["flags"]
+
+
+@functools.lru_cache(maxsize=None)
+def _base_invariants(a):
+    return _invariants(build_report(Analysis(a)))
+
+
+@given(
+    ap=st.sampled_from(_SMALL_CORPUS).flatmap(
+        lambda a: st.tuples(
+            st.just(a),
+            st.lists(
+                st.lists(st.sampled_from(_BASIS_ENTRIES), min_size=a.dim, max_size=a.dim),
+                min_size=a.dim,
+                max_size=a.dim,
+            ),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_build_report_is_invariant_under_change_of_basis(ap):
+    a, p = ap
+    b = change_basis(a, p)
+    assume(b is not None)
+    assert _invariants(build_report(Analysis(b))) == _base_invariants(a)

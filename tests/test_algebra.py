@@ -128,6 +128,7 @@ def test_validate_equals_multiply_reference(a):
 
 
 _SMALL = (*corpus().values(), matrix_algebra(3), upper_triangular(4), _broken_algebra())
+_BIG = st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**6))
 _VALUES = st.one_of(
     st.integers(-3, 3).map(qq),
     st.builds(
@@ -135,6 +136,10 @@ _VALUES = st.one_of(
         st.fractions(min_value=-2, max_value=2, max_denominator=5),
         st.fractions(min_value=-2, max_value=2, max_denominator=5),
     ),
+    # pure-imaginary, negative, and numerators up to 1e9 over denominators up to 1e6
+    st.builds(QQi, st.just(0), st.integers(-3, 3)),
+    st.integers(-3, -1).map(qq),
+    st.builds(QQi, _BIG, _BIG),
 )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from amenalyzer.algebra import (
+    FiniteAlgebra,
     matrix_algebra,
     pointwise_algebra,
     tensor_product,
@@ -14,6 +15,7 @@ from amenalyzer.algebra import (
 from amenalyzer.characters import (
     Character,
     CharacterVerificationError,
+    _verify_vector,
     augmentation_character,
     check_prop_2_4,
     check_prop_2_5,
@@ -391,3 +393,11 @@ def test_character_count_of_pointwise_tensors(k1, k2):
     for ch in s.characters:
         vals = [x for x in ch.phi if not x.is_zero()]
         assert len(vals) == 1 and vals[0] == ONE
+
+
+@pytest.mark.parametrize("value", [complex("nan"), complex("inf"), complex(1, float("nan"))])
+def test_float_character_check_refuses_nan_and_inf(value):
+    # e * e = e, whose one character is phi(e) = 1
+    a = FiniteAlgebra("x", 1, (((ONE,),),), ("e",))
+    assert _verify_vector(a, [1 + 0j], 1e-9, want_exact=False) is not None
+    assert _verify_vector(a, [value], 1e-9, want_exact=False) is None

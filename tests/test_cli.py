@@ -248,6 +248,10 @@ def test_malformed_algebra_files_exit_2_without_traceback(tmp_path):
             ("sc", [[0, 0, 0, "1e999999999", "0"]]),  # hung inside Fraction
             ("sc", [[0, 0, 0, "1e5000", "0"]]),
             ("sc", [[0, 0, 0, "1e400", "0"]]),  # beyond the float range
+            # squares beyond the float range
+            ("sc", [[0, 0, 0, "1e160", "0"]]),
+            ("sc", [[0, 0, 0, "1e200", "0"]]),
+            ("sc", [[0, 0, 0, "1e300", "0"]]),
             ("sc", [[0, 0, 0, True, "0"]]),
             ("unit", ["1e999999999"]),
             ("unit", [0.1]),

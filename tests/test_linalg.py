@@ -1,5 +1,7 @@
 """Kernel, RREF, and subspace-lattice behaviour on both backends."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,8 +188,12 @@ def test_trivial_and_full_space_extremes():
         assert subspace_leq(trivial_space(3, backend), full_space(3, backend))
 
 
+# numerators up to 1e9 over denominators up to 1e6
+big_fraction = st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**6))
+
 # Entries mix zeros, integers, fractions and non-real values, so the sparse
-# path meets fill-in, cancellation and complex pivots.
+# path meets fill-in, cancellation and complex pivots; pure-imaginary and
+# negative ones lead rows too, and large ones spread the common denominators.
 qqi_entry = st.one_of(
     st.just(ZERO),
     st.builds(qq, st.integers(-3, 3)),
@@ -196,6 +202,9 @@ qqi_entry = st.one_of(
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
         st.fractions(min_value=-2, max_value=2, max_denominator=3),
     ),
+    st.builds(QQi, st.just(0), st.integers(-3, 3)),
+    st.builds(qq, st.integers(-3, -1)),
+    st.builds(QQi, big_fraction, big_fraction),
 )
 
 
@@ -217,7 +226,17 @@ def qqi_matrix_with_plants(draw):
     return rows
 
 
-@given(m=qqi_matrix_with_plants(), as_generator=st.booleans())
+@st.composite
+def dense_complex_matrix(draw):
+    """Up to 8 x 10 entries, each with a nonzero imaginary part."""
+    cols = draw(st.integers(1, 10))
+    part = st.one_of(st.integers(-3, 3).map(Fraction), big_fraction)
+    entry = st.builds(QQi, part, part.filter(bool))
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=1, max_size=8))
+
+
+@given(m=st.one_of(qqi_matrix_with_plants(), dense_complex_matrix()), as_generator=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_rref_exact_equals_dense_reference(m, as_generator):
     expected = reference_rref_exact(m)
