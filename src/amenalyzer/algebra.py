@@ -20,13 +20,12 @@ import numpy as np
 from .linalg import (
     EXACT,
     DEFAULT_TOL,
-    LANES,
     Subspace,
     nullspace,
     rowspace,
     solve_exact,
 )
-from .scalars import ONE, ZERO, QQi, gaussian_integers, parse_part, pair_str, parse_pair
+from .scalars import MAX_MAGNITUDE, ONE, ZERO, QQi, gaussian_integers, parse_part, pair_str, parse_pair
 
 
 class AlgebraFormatError(ValueError):
@@ -248,14 +247,7 @@ def validate(a: FiniteAlgebra) -> ValidationReport:
 
 def product_span(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     """Span of all products of basis vectors, one row per pair (i, j)."""
-    lane = LANES[backend]
-    rows = []
-    for plane in a.nz:
-        for terms in plane:
-            row = [lane.zero] * a.dim
-            for k, c in terms:
-                row[k] = lane.coerce(c)
-            rows.append(row)
+    rows = [dict(terms) for plane in a.nz for terms in plane]
     return rowspace(rows, a.dim, backend, tol)
 
 
@@ -493,6 +485,9 @@ def tensor_product(a1: FiniteAlgebra, a2: FiniteAlgebra, name=None) -> FiniteAlg
     ok2, u2 = is_unital(a2)
     if ok1 and ok2:
         unit = [u1[i] * u2[p] for i in range(n1) for p in range(n2)]
+    # a product of two parts within the reader's bound can exceed it
+    if any(max(abs(c.re), abs(c.im)) > MAX_MAGNITUDE for c in [*terms.values(), *(unit or ())]):
+        raise AlgebraFormatError(f"{a1.name} (x) {a2.name}: a product part is beyond +-1e150")
     return _make(name or f"Tensor({a1.name},{a2.name})", n, terms, labels, unit=unit)
 
 
@@ -521,28 +516,34 @@ def radical(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     on the unitization for every basis vector b of the unitization; valid
     in characteristic zero.  The trace of left multiplication by e_s is
     tau_s = sum_t sc#[s][t][t], so the entry for e_k and b_j is
-    sum_s sc#[k][j][s] tau_s.
+    sum_s sc#[k][j][s] tau_s.  Both are read off ``a.nz``: e_s 1# = e_s
+    adds no diagonal term, so tau_s is the trace on A itself, and the row
+    of b = 1# is tau.
     """
-    nz = unitize(a).nz
+    n = a.dim
+    nz = a.nz
     tau = [
         sum((c for t, terms in enumerate(plane) for k, c in terms if k == t), ZERO)
         for plane in nz
     ]
     rows = [
-        [sum((c * tau[s] for s, c in nz[k][j]), ZERO) for k in range(a.dim)]
-        for j in range(len(nz))
+        {k: sum((c * tau[s] for s, c in nz[k][j]), ZERO) for k in range(n) if nz[k][j]}
+        for j in range(n)
     ]
-    return nullspace(rows, a.dim, backend, tol)
+    rows.append(dict(enumerate(tau)))
+    return nullspace(rows, n, backend, tol)
 
 
 def commutator_span(a: FiniteAlgebra) -> Subspace:
-    rows = []
     n = a.dim
+    nz = a.nz
+    rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            rows.append(
-                [x - y for x, y in zip(a.basis_product(i, j), a.basis_product(j, i))]
-            )
+            row = dict(nz[i][j])
+            for k, c in nz[j][i]:
+                row[k] = row.get(k, ZERO) - c
+            rows.append(row)
     return rowspace(rows, n, EXACT)
 
 

@@ -274,11 +274,9 @@ def point_derivation_space(
     rows = []
     for i, plane in enumerate(a.nz):
         for j, terms in enumerate(plane):
-            row = [lane.zero] * n
-            for k, c in terms:
-                row[k] = row[k] + lane.coerce(c)
-            row[i] = row[i] - pv[j]
-            row[j] = row[j] - pv[i]
+            row = {k: lane.coerce(c) for k, c in terms}
+            row[i] = row.get(i, lane.zero) - pv[j]
+            row[j] = row.get(j, lane.zero) - pv[i]
             rows.append(row)
     return nullspace(rows, n, lane.backend, tol)
 

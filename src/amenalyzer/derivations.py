@@ -39,26 +39,26 @@ def unflatten_map(v, n):
 
 
 def _assemble_derivation_rows(a: FiniteAlgebra):
-    """One linear constraint per basis triple (i, j, l).
+    """One linear constraint per basis triple (i, j, l), as a {column: QQi}
+    dict of its terms.
 
     The derivation identity evaluated at basis vectors reads: the pairing
     of D(e_i e_j) against e_l equals the pairing of D(e_i) against e_j e_l
     plus the pairing of D(e_j) against e_l e_i.
     """
     n = a.dim
-    nn = n * n
     nz = a.nz
     rows = []
     for i in range(n):
         for j in range(n):
             for l in range(n):
-                row = [ZERO] * nn
+                row = {}
                 for k, c in nz[i][j]:
-                    row[k * n + l] = row[k * n + l] + c
+                    row[k * n + l] = row.get(k * n + l, ZERO) + c
                 for m, c in nz[j][l]:
-                    row[i * n + m] = row[i * n + m] - c
+                    row[i * n + m] = row.get(i * n + m, ZERO) - c
                 for m, c in nz[l][i]:
-                    row[j * n + m] = row[j * n + m] - c
+                    row[j * n + m] = row.get(j * n + m, ZERO) - c
                 rows.append(row)
     return rows
 
@@ -80,29 +80,23 @@ def _broadcast_derivation_rows(sc: np.ndarray) -> np.ndarray:
     return c.reshape(n**3, n * n)
 
 
-def _derivation_rows(a: FiniteAlgebra, backend=EXACT):
-    """The n^3-by-n^2 derivation system: QQi rows, or one complex128 array."""
-    if backend == FLOAT:
-        return _broadcast_derivation_rows(a.complex_sc)
-    return _assemble_derivation_rows(a)
-
-
 def derivation_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
-    """Kernel of the derivation constraint system, inside C^(n*n)."""
-    return nullspace(_derivation_rows(a, backend), a.dim * a.dim, backend, tol)
+    """Kernel of the n^3-by-n^2 derivation system, inside C^(n*n); the float
+    lane broadcasts the system from the tensor, which is faster there."""
+    rows = _broadcast_derivation_rows(a.complex_sc) if backend == FLOAT else _assemble_derivation_rows(a)
+    return nullspace(rows, a.dim * a.dim, backend, tol)
 
 
 def inner_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     """Image of F -> (i,j) |-> F(e_i e_j - e_j e_i), one row per dual basis F."""
     n = a.dim
-    lane = LANES[backend]
-    rows = [[lane.zero] * (n * n) for _ in range(n)]
+    rows = [{} for _ in range(n)]
     for i, plane in enumerate(a.nz):
         for j, terms in enumerate(plane):
             for k, c in terms:
-                c = lane.coerce(c)
-                rows[k][i * n + j] = rows[k][i * n + j] + c
-                rows[k][j * n + i] = rows[k][j * n + i] - c
+                row = rows[k]
+                row[i * n + j] = row.get(i * n + j, ZERO) + c
+                row[j * n + i] = row.get(j * n + i, ZERO) - c
     return rowspace(rows, n * n, backend, tol)
 
 
@@ -113,14 +107,8 @@ def _symmetric_pairs(n):
 
 def antisymmetric_space(n, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     """Matrices with M[i][j] + M[j][i] = 0, as a subspace of C^(n*n)."""
-    nn = n * n
-    rows = []
-    for ij, ji in _symmetric_pairs(n):
-        row = [ZERO] * nn
-        row[ij] = row[ij] + ONE
-        row[ji] = row[ji] + ONE
-        rows.append(row)
-    return nullspace(rows, nn, backend, tol)
+    rows = [{ij: ONE, ji: ONE} if ij != ji else {ij: ONE + ONE} for ij, ji in _symmetric_pairs(n)]
+    return nullspace(rows, n * n, backend, tol)
 
 
 def cyclic_subspace(a: FiniteAlgebra, z: Subspace) -> Subspace:

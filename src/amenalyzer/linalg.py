@@ -8,7 +8,7 @@ place that knows the two backends, or lanes:
   (complex numbers with rational parts); arithmetic never rounds, so RREF is
   a syntactically canonical form and subspace equality is entry equality.
   :func:`rref_exact` eliminates on the nonzero entries of each row and drops
-  zero and duplicate rows itself; rows go in and come out dense.  Inside,
+  zero and duplicate rows itself, dense rows in and out.  Inside,
   it works fraction-free on Gaussian integers (re, im), each row over one
   positive integer, and converts back to ``QQi`` only at the end.
 * ``float``  - matrices are numpy complex128 arrays; rank decisions use a
@@ -20,7 +20,10 @@ its vector and matrix containers and its elimination.  :func:`nullspace`,
 :func:`rowspace` and :meth:`Subspace.contains` take ``QQi`` input on either
 backend, or complex input on the float one, and convert it once, at this
 door, to the lane of their backend; every algorithm above them is written
-once.
+once.  The system builders hand the first two each row as a {column: value}
+dict of its nonzeros.  The exact lane expands one dict at a time, as
+:func:`rref_exact` reaches it, so no exact system is ever dense in full;
+the float lane writes the values into one preallocated array.
 
 Subspaces are always stored by their RREF basis, one row per basis vector.
 """
@@ -175,6 +178,17 @@ def matrix_scale(arr) -> float:
 # the two lanes
 
 
+def _dense_rows(rows, ncols):
+    """The rows as dense sequences, each dict row expanded when it is reached."""
+    for row in rows:
+        if isinstance(row, dict):
+            dense = [ZERO] * ncols
+            for c, x in row.items():
+                dense[c] = x
+            row = dense
+        yield row
+
+
 class _ExactLane:
     """Exact arithmetic over Q(i): entries are QQi and zero means zero."""
 
@@ -221,7 +235,7 @@ class _ExactLane:
 
     @staticmethod
     def rref(rows, ncols, tol):
-        return rref_exact(rows)
+        return rref_exact(_dense_rows(rows, ncols))
 
 
 class _FloatLane:
@@ -264,7 +278,15 @@ class _FloatLane:
 
     @staticmethod
     def rref(rows, ncols, tol):
-        arr = np.asarray(rows, dtype=np.complex128)
+        arr = rows  # an array, such as the broadcast derivation system, is on the lane
+        if not isinstance(rows, np.ndarray):
+            arr = np.zeros((len(rows), ncols), dtype=np.complex128)
+            for r, row in enumerate(rows):
+                if isinstance(row, dict):
+                    for c, x in row.items():
+                        arr[r, c] = complex(x)
+                else:
+                    arr[r] = row
         arr = arr.reshape(-1, ncols) if arr.size else np.zeros((0, ncols), dtype=np.complex128)
         basis, pivots = rref_float(arr, tol)
         basis.setflags(write=False)

@@ -33,7 +33,7 @@ def _basis_products(a: FiniteAlgebra):
 
 
 def _add_elementary(row, u, v, n, subtract=False):
-    """Add (or subtract) the coefficients of p(u tensor v) against the P[a][b]."""
+    """Add (or subtract) the coefficients of p(u tensor v) against the P[a][b] to the dict row."""
     for s, ua in enumerate(u):
         if ua.is_zero():
             continue
@@ -41,7 +41,8 @@ def _add_elementary(row, u, v, n, subtract=False):
             if vb.is_zero():
                 continue
             k = s * n + t
-            row[k] = row[k] - ua * vb if subtract else row[k] + ua * vb
+            x = row.get(k, ZERO)
+            row[k] = x - ua * vb if subtract else x + ua * vb
 
 
 def quasi_additive_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
@@ -60,7 +61,7 @@ def quasi_additive_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Su
     for i in range(n):
         for j in range(n):
             for l in range(n):
-                row = [ZERO] * (n * n)
+                row = {}
                 _add_elementary(row, prod[i][j], basis[l], n)
                 _add_elementary(row, basis[i], prod[j][l], n, subtract=True)
                 _add_elementary(row, basis[j], prod[l][i], n, subtract=True)
@@ -190,17 +191,15 @@ def semigroup_quasi_additive(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -
     """
     table = _require_table(a)
     n = a.dim
-    nn = n * n
     rows = []
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                row = [ZERO] * nn
-                row[table[x][y] * n + z] = row[table[x][y] * n + z] + ONE
-                row[x * n + table[y][z]] = row[x * n + table[y][z]] - ONE
-                row[y * n + table[z][x]] = row[y * n + table[z][x]] - ONE
+                row = {table[x][y] * n + z: ONE}
+                for k in (x * n + table[y][z], y * n + table[z][x]):
+                    row[k] = row.get(k, ZERO) - ONE
                 rows.append(row)
-    return nullspace(rows, nn, backend, tol)
+    return nullspace(rows, n * n, backend, tol)
 
 
 def cd_space(a: FiniteAlgebra, qa: Subspace) -> Subspace:
@@ -216,11 +215,7 @@ def cd_space(a: FiniteAlgebra, qa: Subspace) -> Subspace:
     if e is None:
         raise NotASemigroupAlgebra(f"{a.name}: no identity element for normalization")
     n = a.dim
-    rows = []
-    for x in range(n):
-        row = [ZERO] * (n * n)
-        row[x * n + e] = ONE
-        rows.append(row)
+    rows = [{x * n + e: ONE} for x in range(n)]
     normal = nullspace(rows, n * n, qa.backend, qa.tol)
     return subspace_intersect(qa, normal)
 
@@ -229,18 +224,13 @@ def inner_q(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     """Image of h -> q(x, y) = h(xy) - h(yx) on a semigroup."""
     table = _require_table(a)
     n = a.dim
-    rows = []
-    for k in range(n):
-        row = []
-        for x in range(n):
-            for y in range(n):
-                v = ZERO
-                if table[x][y] == k:
-                    v = v + ONE
-                if table[y][x] == k:
-                    v = v - ONE
-                row.append(v)
-        rows.append(row)
+    rows = [{} for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            row = rows[table[x][y]]
+            row[x * n + y] = row.get(x * n + y, ZERO) + ONE
+            row = rows[table[y][x]]
+            row[x * n + y] = row.get(x * n + y, ZERO) - ONE
     return rowspace(rows, n * n, backend, tol)
 
 

@@ -529,3 +529,19 @@ def test_nonzero_view_matches_a_dense_scan(tensor):
     assert not a.complex_sc.flags.writeable
     with pytest.raises(ValueError):
         a.complex_sc[0, 0, 0] = 1
+
+
+def _one_dim(c):
+    return from_json_dict({"name": "c", "dim": 1, "labels": ["e"], "sc": [[0, 0, 0, c, "0"]]})
+
+
+def test_tensor_product_refuses_a_product_part_beyond_the_reader_bound():
+    # 1e75 * 1e75 is the bound itself, and a file can still hold it
+    at_bound = tensor_product(_one_dim("1e75"), _one_dim("1e75"))
+    assert at_bound.sc[0][0][0] == QQi(10**150)
+    assert from_json_dict(to_json_dict(at_bound)) == at_bound
+    with pytest.raises(AlgebraFormatError, match="beyond"):
+        tensor_product(_one_dim("1e100"), _one_dim("1e100"))
+    # e.e = 1e-100 e has the unit 1e100 e, and the tensor square's unit is 1e200
+    with pytest.raises(AlgebraFormatError, match="beyond"):
+        tensor_product(_one_dim("1e-100"), _one_dim("1e-100"))

@@ -139,6 +139,19 @@ def test_construct_bad_params_exit_1(tmp_path):
     assert proc.returncode == 1
 
 
+def test_construct_tensor_refuses_a_product_beyond_the_reader_bound(tmp_path):
+    # each factor is within the reader's bound, but the product 1e200 is not
+    big = tmp_path / "big.json"
+    doc = {"name": "big", "dim": 1, "labels": ["e"], "sc": [[0, 0, 0, "1e100", "0"]]}
+    big.write_text(json.dumps(doc))
+    out = tmp_path / "t.json"
+    proc = run_cli(["construct", "tensor", str(big), str(big), "-o", str(out)])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("bad parameters for construct tensor: ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_corpus_list():
     proc = run_cli(["corpus", "list"], check=True)
     lines = [l for l in proc.stdout.splitlines() if l.strip()]

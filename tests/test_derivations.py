@@ -14,7 +14,7 @@ from amenalyzer.algebra import (
 from amenalyzer.corpus import corpus
 from amenalyzer.crosscheck import _rows_match
 from amenalyzer.derivations import (
-    _derivation_rows,
+    _broadcast_derivation_rows,
     antisymmetric_space,
     classify_derivations,
     cyclic_subspace,
@@ -271,7 +271,7 @@ def test_broadcast_float_system_equals_oracle_matrix(name):
     # both evaluate a - b - c per entry from the same doubles, so the
     # arrays agree bit for bit, rows and columns in the same order
     a = corpus()[name]
-    assert np.array_equal(_derivation_rows(a, FLOAT), derivation_constraint_matrix(a))
+    assert np.array_equal(_broadcast_derivation_rows(a.complex_sc), derivation_constraint_matrix(a))
 
 
 ZC_ALGEBRAS = dict(corpus(), UpperTri4=upper_triangular(4), Zero8Sharp=unitize(zero_algebra(8)))

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from amenalyzer import _kernels
 from amenalyzer.algebra import matrix_algebra, truncated_polynomial, upper_triangular
 from amenalyzer.corpus import corpus
-from amenalyzer.derivations import _derivation_rows
-from amenalyzer.linalg import DEFAULT_TOL, FLOAT, matrix_scale, rref_float
+from amenalyzer.derivations import _broadcast_derivation_rows
+from amenalyzer.linalg import DEFAULT_TOL, matrix_scale, rref_float
 
 from oracles import reference_rref_inplace
 
@@ -89,4 +89,4 @@ def _algebras():
 
 @pytest.mark.parametrize("a", list(_algebras()), ids=lambda a: a.name)
 def test_kernel_equals_whole_row_reference_on_derivation_systems(a):
-    _assert_kernel_matches_reference(_derivation_rows(a, FLOAT))
+    _assert_kernel_matches_reference(_broadcast_derivation_rows(a.complex_sc))

@@ -258,6 +258,35 @@ def test_float_lane_converts_qqi_rows_at_the_door(m):
 
 @given(m=qqi_matrix_with_plants(), data=st.data())
 @settings(max_examples=100, deadline=None)
+def test_dict_rows_equal_the_same_rows_given_dense(m, data):
+    cols = len(m[0]) if m else 3
+    mixed = []
+    for row in m:
+        if data.draw(st.booleans()):
+            # the nonzeros in any column order, and explicit zeros such as c - c;
+            # a zero row becomes an empty dict or a dict of zeros
+            sparse = {}
+            for c in data.draw(st.permutations(range(cols))):
+                if row[c]:
+                    sparse[c] = row[c]
+                elif data.draw(st.booleans()):
+                    x = data.draw(qqi_entry)
+                    sparse[c] = x - x
+            row = sparse
+        mixed.append(row)
+    for backend in (EXACT, FLOAT):
+        for solve in (nullspace, rowspace):
+            got = solve(mixed, cols, backend)
+            want = solve(m, cols, backend)
+            assert got.pivots == want.pivots
+            if backend == EXACT:
+                assert got.rows == want.rows
+            else:
+                assert np.array_equal(got.rows, want.rows)
+
+
+@given(m=qqi_matrix_with_plants(), data=st.data())
+@settings(max_examples=100, deadline=None)
 def test_exact_membership_equals_rank_test(m, data):
     cols = len(m[0]) if m else 3
     s = rowspace(m, cols)

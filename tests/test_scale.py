@@ -1,5 +1,7 @@
 """Desk-scale checks beyond the corpus (dimensions up to sixteen)."""
 
+import tracemalloc
+
 import pytest
 
 from amenalyzer.algebra import (
@@ -10,8 +12,9 @@ from amenalyzer.algebra import (
 )
 from amenalyzer.characters import find_characters
 from amenalyzer.classify import Analysis
-from amenalyzer.derivations import classify_derivations
+from amenalyzer.derivations import classify_derivations, derivation_space
 from amenalyzer.linalg import FLOAT
+from amenalyzer.quasiadd import quasi_additive_space
 
 from oracles import oracle_derivation_dim, oracle_inner_dim
 
@@ -54,3 +57,26 @@ def test_exact_dims_at_dimension_16(a):
     d = classify_derivations(a)
     assert d.z.dim == oracle_derivation_dim(a)
     assert d.inner.dim == oracle_inner_dim(a)
+
+
+@pytest.mark.parametrize(
+    "solve, a",
+    [
+        (derivation_space, matrix_algebra(4)),
+        (derivation_space, truncated_polynomial(16)),
+        (quasi_additive_space, matrix_algebra(4)),
+    ],
+    ids=["Z-M4", "Z-TruncPoly16", "QA-M4"],
+)
+def test_exact_n3_system_is_never_dense_in_full(solve, a):
+    # the 4096 x 256 system held dense is 8 MiB of references alone; emitted
+    # as its nonzeros and expanded one row at a time, the solve peaks near 2 MiB
+    a.nz  # the algebra's cached view, not part of the system
+    tracemalloc.start()
+    try:
+        space = solve(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 15
+    assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MiB"
