@@ -25,6 +25,7 @@ from .linalg import (
     rowspace,
     subspace_leq,
     subspace_equal,
+    system_zeros,
 )
 from .scalars import ONE, ZERO
 
@@ -71,7 +72,7 @@ def _broadcast_derivation_rows(sc: np.ndarray) -> np.ndarray:
     into which the (n, n, n) tensor is broadcast whole.
     """
     n = sc.shape[0]
-    c = np.zeros((n, n, n, n, n), dtype=np.complex128)
+    c = system_zeros((n, n, n, n, n))
     sc_lis = sc.transpose(1, 0, 2)
     for t in range(n):
         c[:, :, t, :, t] += sc

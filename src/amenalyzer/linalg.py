@@ -31,6 +31,7 @@ Subspaces are always stored by their RREF basis, one row per basis vector.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -41,6 +42,8 @@ from . import _kernels
 from .scalars import ONE, ZERO, QQi, gaussian_integers
 
 DEFAULT_TOL = 1e-9
+_SCALE_BLOCK = 1 << 13  # entries of a row block in matrix_scale: 64 KiB of float64
+_OWN_PAGES = 1 << 20  # bytes from which system_zeros maps a system on pages of its own
 
 EXACT = "exact"
 FLOAT = "float"
@@ -154,9 +157,11 @@ def rref_float(arr, tol=DEFAULT_TOL):
     Returns (2-d array of nonzero rows, tuple of pivot columns).  The pivot
     threshold is ``tol`` times the largest row norm of the input.
     """
-    a = np.array(arr, dtype=np.complex128, copy=True)
-    if a.ndim != 2:
-        a = a.reshape(len(a), -1) if a.size else a.reshape(0, 0)
+    src = np.asarray(arr, dtype=np.complex128)
+    if src.ndim != 2:
+        src = src.reshape(len(src), -1) if src.size else src.reshape(0, 0)
+    a = system_zeros(src.shape)
+    a[...] = src
     tol_abs = tol * matrix_scale(a)
     rank, pivots = _kernels.rref_inplace(a, tol_abs)
     out = a[:rank]
@@ -167,11 +172,28 @@ def rref_float(arr, tol=DEFAULT_TOL):
 
 
 def matrix_scale(arr) -> float:
-    """Largest Euclidean row norm, floored at 1 so tolerances stay sane."""
+    """Largest Euclidean row norm, floored at 1 so tolerances stay sane.
+    Taken a block of rows at a time, so no float copy of a system is made."""
     a = np.asarray(arr, dtype=np.complex128)
     if a.size == 0:
         return 1.0
-    return max(1.0, float(np.sqrt((np.abs(a) ** 2).sum(axis=1)).max()))
+    step = max(1, _SCALE_BLOCK // a.shape[1])
+    top = max((np.abs(a[i : i + step]) ** 2).sum(axis=1).max() for i in range(0, len(a), step))
+    return max(1.0, float(np.sqrt(top)))
+
+
+def system_zeros(shape) -> np.ndarray:
+    """A zero complex128 array for a float system.  On Linux one of 1 MiB or
+    more is mapped on private pages of its own, which go back to the system
+    when it is freed: a freed heap block leaves a hole that later small
+    blocks split, and peak memory then depends on when they came.  The pages
+    are marked for huge pages, as numpy marks its own large arrays."""
+    nbytes = math.prod(shape) * 16
+    if nbytes < _OWN_PAGES or not hasattr(mmap, "MADV_HUGEPAGE"):
+        return np.zeros(shape, dtype=np.complex128)
+    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    pages.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(pages, dtype=np.complex128).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +302,7 @@ class _FloatLane:
     def rref(rows, ncols, tol):
         arr = rows  # an array, such as the broadcast derivation system, is on the lane
         if not isinstance(rows, np.ndarray):
-            arr = np.zeros((len(rows), ncols), dtype=np.complex128)
+            arr = system_zeros((len(rows), ncols))
             for r, row in enumerate(rows):
                 if isinstance(row, dict):
                     for c, x in row.items():

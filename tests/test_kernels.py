@@ -1,16 +1,19 @@
 """The float elimination kernel produces a reduced row echelon form, the
 same one as the whole-row reference kernel."""
 
+import mmap
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amenalyzer import _kernels
+from amenalyzer import _kernels, linalg
 from amenalyzer.algebra import matrix_algebra, truncated_polynomial, upper_triangular
 from amenalyzer.corpus import corpus
 from amenalyzer.derivations import _broadcast_derivation_rows
-from amenalyzer.linalg import DEFAULT_TOL, matrix_scale, rref_float
+from amenalyzer.linalg import DEFAULT_TOL, matrix_scale, rref_float, system_zeros
 
 from oracles import reference_rref_inplace
 
@@ -90,3 +93,42 @@ def _algebras():
 @pytest.mark.parametrize("a", list(_algebras()), ids=lambda a: a.name)
 def test_kernel_equals_whole_row_reference_on_derivation_systems(a):
     _assert_kernel_matches_reference(_broadcast_derivation_rows(a.complex_sc))
+
+
+def _whole_array_scale(a):
+    return max(1.0, float(np.sqrt((np.abs(a) ** 2).sum(axis=1)).max()))
+
+
+@given(a=sparse_complex_matrix(), block=st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_matrix_scale_by_row_blocks_equals_the_whole_array_formula(a, block):
+    with mock.patch.object(linalg, "_SCALE_BLOCK", block):
+        assert matrix_scale(a) == _whole_array_scale(a)
+
+
+@pytest.mark.parametrize("a", list(_algebras()), ids=lambda a: a.name)
+def test_matrix_scale_of_derivation_systems_equals_the_whole_array_formula(a):
+    arr = _broadcast_derivation_rows(a.complex_sc)
+    assert matrix_scale(arr) == _whole_array_scale(arr)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4, 5), (4096, 256), (8, 8, 8, 8, 8)])
+def test_system_zeros_are_writable_contiguous_complex_zeros(shape):
+    a = system_zeros(shape)
+    assert a.shape == shape and a.dtype == np.complex128
+    assert a.flags.writeable and a.flags.c_contiguous
+    assert not a.any()
+    a[...] = 1 - 2j
+    assert (a == 1 - 2j).all()
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="large systems are mapped on Linux only")
+def test_large_system_zeros_are_mapped_on_pages_of_their_own():
+    def owner(a):
+        while isinstance(a, np.ndarray):
+            a = a.base
+        return a.obj if isinstance(a, memoryview) else a
+
+    assert isinstance(owner(system_zeros((4096, 256))), mmap.mmap)
+    assert isinstance(owner(system_zeros((16, 16, 16, 16, 16))), mmap.mmap)
+    assert owner(system_zeros((64, 64))) is None  # 64 KiB, from numpy's allocator
