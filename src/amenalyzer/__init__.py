@@ -30,8 +30,6 @@ from .corpus import corpus as builtin_corpus
 from .corpus import corpus_names
 from .crosscheck import run_crosscheck
 from .derivations import (
-    DerivationAnalysis,
-    classify_derivations,
     derivation_space,
     inner_space,
 )

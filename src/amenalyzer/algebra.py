@@ -43,6 +43,15 @@ class FiniteAlgebra:
     weight: tuple | None = None
     declared_characters: tuple | None = None
 
+    def __post_init__(self):
+        # the reader's bound holds however the algebra was built: a product
+        # or a unit computed from parts within it can exceed it
+        vectors = [self.unit or (), *(self.idempotent_span or ()), *(self.declared_characters or ())]
+        parts = [c for plane in self.nz for terms in plane for _, c in terms]
+        parts += [x for v in vectors for x in v]
+        if any(max(abs(c.re), abs(c.im)) > MAX_MAGNITUDE for c in parts):
+            raise AlgebraFormatError(f"{self.name}: a part is beyond +-1e150")
+
     def multiply(self, x, y):
         """Bilinear product of coordinate vectors via the structure tensor."""
         n = self.dim
@@ -485,9 +494,6 @@ def tensor_product(a1: FiniteAlgebra, a2: FiniteAlgebra, name=None) -> FiniteAlg
     ok2, u2 = is_unital(a2)
     if ok1 and ok2:
         unit = [u1[i] * u2[p] for i in range(n1) for p in range(n2)]
-    # a product of two parts within the reader's bound can exceed it
-    if any(max(abs(c.re), abs(c.im)) > MAX_MAGNITUDE for c in [*terms.values(), *(unit or ())]):
-        raise AlgebraFormatError(f"{a1.name} (x) {a2.name}: a product part is beyond +-1e150")
     return _make(name or f"Tensor({a1.name},{a2.name})", n, terms, labels, unit=unit)
 
 

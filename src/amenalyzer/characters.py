@@ -1,4 +1,4 @@
-"""Characters, point derivations, maximal ideals, and the two point flags.
+"""Characters, point derivations and maximal ideals.
 
 Characters (nonzero multiplicative functionals) are found by a reduction
 pipeline: quotient out the two-sided ideal generated by commutators, then
@@ -303,8 +303,8 @@ def _rank_one_map(d, phi: Character, lane):
 
 
 # The helpers below take an Analysis of the algebra (``amenalyzer.classify``)
-# and read its solved spaces: ``pds``, ``derivations``, ``unital``,
-# ``commutative`` and ``essential``.  They solve nothing themselves.
+# and read its solved spaces: ``z``, ``inner``, ``pd_space``, ``ideal_square``,
+# ``unital``, ``commutative`` and ``essential``.  They solve nothing themselves.
 
 
 def _lane(an, *phis):
@@ -328,8 +328,8 @@ def check_prop_2_4(an, d, phi: Character):
     lane = _lane(an, phi)
     d = lane.vector(d)
     _, flat = _rank_one_map(d, phi, lane)
-    via_derivation = an.derivations.z.contains(flat)
-    via_point = an.pds.space(phi).contains(d)
+    via_derivation = an.z.contains(flat)
+    via_point = an.pd_space(phi).contains(d)
     result = {
         "rank_one_is_derivation": via_derivation,
         "is_point_derivation": via_point,
@@ -337,7 +337,7 @@ def check_prop_2_4(an, d, phi: Character):
         "annihilates_ideal_square": None,
     }
     if via_point:
-        _, msq = an.pds.ideal_square(phi)
+        _, msq = an.ideal_square(phi)
         result["annihilates_ideal_square"] = all(
             lane.is_zero(lane.dot(d, w), an.tol * 100) for w in msq.basis_vectors()
         )
@@ -348,9 +348,9 @@ def unital_characterization(an, phi: Character) -> bool:
     """For a unital algebra and an exact character: the point derivations at
     phi are exactly the functionals killing the unit and the square of ker phi."""
     _, u = an.unital
-    _, msq = an.pds.ideal_square(phi)
+    _, msq = an.ideal_square(phi)
     expected = nullspace(list(msq.rows) + [list(u)], an.algebra.dim, EXACT, an.tol)
-    return subspace_equal(expected, an.pds.space(phi))
+    return subspace_equal(expected, an.pd_space(phi))
 
 
 def check_prop_2_5(an, d, phi: Character):
@@ -372,9 +372,9 @@ def check_prop_2_5(an, d, phi: Character):
         return {"applicable": False, "gates": gates}
     dmap, flat = _rank_one_map(lane.vector(d), phi, lane)
     checks = {"applicable": True, "gates": gates}
-    checks["is_derivation"] = an.derivations.z.contains(flat)
+    checks["is_derivation"] = an.z.contains(flat)
     if gates["commutative"] or unital:
-        checks["non_inner"] = not an.derivations.inner.contains(flat)
+        checks["non_inner"] = not an.inner.contains(flat)
     if gates["essential"]:
         checks["non_cyclic"] = not is_cyclic(dmap, an.tol)
     if unital and phi.exact:
@@ -396,9 +396,9 @@ def tensor_point_derivation(an1, phi1, d1, an2, phi2, d2, big):
     lane = _lane(big, phi1, phi2)
     d1v = lane.vector(d1)
     d2v = lane.vector(d2)
-    if not an1.pds.space(phi1).contains(d1v):
+    if not an1.pd_space(phi1).contains(d1v):
         raise ValueError("d1 is not a point derivation of the first factor")
-    if not an2.pds.space(phi2).contains(d2v):
+    if not an2.pd_space(phi2).contains(d2v):
         raise ValueError("d2 is not a point derivation of the second factor")
     n1, n2 = an1.algebra.dim, an2.algebra.dim
     p1 = _phi_entries(phi1, n1, lane)
@@ -410,74 +410,8 @@ def tensor_point_derivation(an1, phi1, d1, an2, phi2, d2, big):
     big_phi = None
     if not all(lane.is_zero(x, big.tol) for x in phi_vals):
         big_phi = Character(tuple(phi_vals), lane.exact, 0.0)
-    member = big.pds.space(big_phi).contains(combined)
+    member = big.pd_space(big_phi).contains(combined)
     return big.algebra, big_phi, combined, member
-
-
-@dataclass(frozen=True)
-class PointDerivationReport:
-    """Point-derivation spaces and amenability flags for one algebra."""
-
-    characters: tuple
-    certified: bool
-    pd_dims: tuple
-    cotangent_dims: tuple
-    zero_space_dim: int
-    point_amenable: bool
-    zero_point_amenable: bool
-
-    @property
-    def conditional(self):
-        return not self.certified
-
-
-class PointDerivations:
-    """The per-character spaces of one algebra, each solved once.
-
-    ``space(phi)`` is the point-derivation space at a character, or at the
-    zero functional when ``phi`` is None; ``ideal_square(phi)`` is the
-    maximal ideal ker phi together with the span of its products.  A float
-    character puts its spaces on the float lane, as in
-    :func:`point_derivation_space`.
-    """
-
-    def __init__(self, a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL):
-        self.algebra = a
-        self.backend = backend
-        self.tol = tol
-        self._spaces = {}
-        self._squares = {}
-
-    def space(self, phi) -> Subspace:
-        pd = self._spaces.get(phi)
-        if pd is None:
-            pd = self._spaces[phi] = point_derivation_space(self.algebra, phi, self.backend, self.tol)
-        return pd
-
-    def ideal_square(self, phi: Character):
-        """(ker phi, span of the products of ker phi)."""
-        pair = self._squares.get(phi)
-        if pair is None:
-            m = maximal_ideal(self.algebra, phi, self.tol)
-            pair = self._squares[phi] = (m, ideal_product_span(self.algebra, m, self.tol))
-        return pair
-
-    def report(self, search: CharacterSearch) -> PointDerivationReport:
-        """Point amenability over the characters, and over characters plus zero."""
-        chars = search.characters
-        pd_dims = tuple(self.space(ch).dim for ch in chars)
-        cot_dims = tuple(m.dim - msq.dim for m, msq in map(self.ideal_square, chars))
-        zero_dim = self.space(None).dim
-        pa = all(d == 0 for d in pd_dims)
-        return PointDerivationReport(
-            characters=chars,
-            certified=search.certified,
-            pd_dims=pd_dims,
-            cotangent_dims=cot_dims,
-            zero_space_dim=zero_dim,
-            point_amenable=pa,
-            zero_point_amenable=pa and zero_dim == 0,
-        )
 
 
 def extend_character_to_unitization(phi: Character) -> Character:

@@ -7,12 +7,20 @@ from functools import cached_property
 from .algebra import FiniteAlgebra, is_unital, product_span, radical
 from .characters import (
     CharacterSearch,
-    PointDerivations,
     find_characters,
+    ideal_product_span,
+    maximal_ideal,
+    point_derivation_space,
     resolve_seed,
 )
-from .derivations import DerivationAnalysis, classify_derivations
-from .linalg import DEFAULT_TOL, EXACT
+from .derivations import (
+    cyclic_subspace,
+    derivation_space,
+    inner_space,
+    t_operator_rank,
+    unflatten_map,
+)
+from .linalg import DEFAULT_TOL, EXACT, Subspace, subspace_equal
 from .quasiadd import (
     cyclic_quasi_space,
     inner_q,
@@ -26,13 +34,23 @@ SCHEMA_VERSION = 1
 
 
 class Analysis:
-    """Lazily computed classification data for one algebra and backend."""
+    """Everything solved for one algebra on one backend, each solved once on
+    first use.
+
+    The derivation side is Z, Inn and Zc with the three flags comparing
+    them; the point side is the characters, ``pd_space(phi)`` and
+    ``ideal_square(phi)`` per character, and the two point flags.  A float
+    character puts its spaces on the float lane, as in
+    :func:`~amenalyzer.characters.point_derivation_space`.
+    """
 
     def __init__(self, algebra: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL, seed=None):
         self.algebra = algebra
         self.backend = backend
         self.tol = tol
         self.seed = resolve_seed(seed)
+        self._pd_spaces = {}
+        self._ideal_squares = {}
 
     @cached_property
     def commutative(self) -> bool:
@@ -58,22 +76,108 @@ class Analysis:
     def semisimple(self) -> bool:
         return self.radical.dim == 0
 
+    # derivations into the dual module
+
     @cached_property
-    def derivations(self) -> DerivationAnalysis:
-        return classify_derivations(self.algebra, self.backend, self.tol)
+    def z(self) -> Subspace:
+        return derivation_space(self.algebra, self.backend, self.tol)
+
+    @cached_property
+    def inner(self) -> Subspace:
+        return inner_space(self.algebra, self.backend, self.tol)
+
+    @cached_property
+    def _cyclic(self):
+        """(Zc, t_rank); ``t_operator_rank`` asserts Zc <= Z with every solve of Zc."""
+        zc = cyclic_subspace(self.algebra, self.z)
+        return zc, t_operator_rank(self.z, zc)
+
+    @property
+    def zc(self) -> Subspace:
+        return self._cyclic[0]
+
+    @property
+    def t_rank(self) -> int:
+        return self._cyclic[1]
+
+    @cached_property
+    def weakly_amenable(self) -> bool:
+        return subspace_equal(self.z, self.inner)
+
+    @cached_property
+    def cyclically_amenable(self) -> bool:
+        return subspace_equal(self.zc, self.inner)
+
+    @cached_property
+    def cyclically_weakly_amenable(self) -> bool:
+        return subspace_equal(self.z, self.zc)
+
+    @cached_property
+    def witnesses(self) -> dict:
+        """For each failed derivation flag, the first RREF basis vector of
+        the larger space outside the smaller, as a dual-map matrix."""
+        out = {}
+        for flag, larger, smaller in (
+            ("weakly_amenable", self.z, self.inner),
+            ("cyclically_amenable", self.zc, self.inner),
+            ("cyclically_weakly_amenable", self.z, self.zc),
+        ):
+            if getattr(self, flag):
+                continue
+            w = next((v for v in larger.basis_vectors() if not smaller.contains(v)), None)
+            if w is not None:
+                out[flag] = unflatten_map(w, self.algebra.dim)
+        return out
+
+    # characters and point derivations
 
     @cached_property
     def characters(self) -> CharacterSearch:
         return find_characters(self.algebra, seed=self.seed, tol=self.tol, backend=self.backend)
 
-    @cached_property
-    def pds(self) -> PointDerivations:
-        """The point-derivation spaces and ideal squares, one solve per character."""
-        return PointDerivations(self.algebra, self.backend, self.tol)
+    def pd_space(self, phi) -> Subspace:
+        """The point-derivation space at a character, or at the zero
+        functional when ``phi`` is None."""
+        pd = self._pd_spaces.get(phi)
+        if pd is None:
+            pd = self._pd_spaces[phi] = point_derivation_space(self.algebra, phi, self.backend, self.tol)
+        return pd
+
+    def ideal_square(self, phi):
+        """(ker phi, span of the products of ker phi)."""
+        pair = self._ideal_squares.get(phi)
+        if pair is None:
+            m = maximal_ideal(self.algebra, phi, self.tol)
+            pair = self._ideal_squares[phi] = (m, ideal_product_span(self.algebra, m, self.tol))
+        return pair
 
     @cached_property
-    def points(self):
-        return self.pds.report(self.characters)
+    def pd_dims(self) -> tuple:
+        return tuple(self.pd_space(ch).dim for ch in self.characters.characters)
+
+    @cached_property
+    def cotangent_dims(self) -> tuple:
+        """dim ker phi - dim (ker phi)^2 per character."""
+        return tuple(m.dim - msq.dim for m, msq in map(self.ideal_square, self.characters.characters))
+
+    @cached_property
+    def zero_space_dim(self) -> int:
+        return self.pd_space(None).dim
+
+    @cached_property
+    def point_amenable(self) -> bool:
+        return all(d == 0 for d in self.pd_dims)
+
+    @cached_property
+    def zero_point_amenable(self) -> bool:
+        return self.point_amenable and self.zero_space_dim == 0
+
+    @property
+    def conditional(self) -> bool:
+        """The character enumeration, and so the point flags, is not certified."""
+        return not self.characters.certified
+
+    # the tensor-square side
 
     @cached_property
     def qa_space(self):
@@ -99,30 +203,14 @@ class Analysis:
 
     @property
     def flags(self) -> dict:
-        d = self.derivations
-        p = self.points
         return {
-            "weakly_amenable": d.weakly_amenable,
-            "cyclically_amenable": d.cyclically_amenable,
-            "cyclically_weakly_amenable": d.cyclically_weakly_amenable,
-            "point_amenable": p.point_amenable,
-            "zero_point_amenable": p.zero_point_amenable,
-            "conditional": p.conditional,
+            "weakly_amenable": self.weakly_amenable,
+            "cyclically_amenable": self.cyclically_amenable,
+            "cyclically_weakly_amenable": self.cyclically_weakly_amenable,
+            "point_amenable": self.point_amenable,
+            "zero_point_amenable": self.zero_point_amenable,
+            "conditional": self.conditional,
         }
-
-
-class AnalysisCache:
-    def __init__(self, backend=EXACT, tol=DEFAULT_TOL, seed=None):
-        self.backend = backend
-        self.tol = tol
-        self.seed = resolve_seed(seed)
-        self._store = {}
-
-    def get(self, algebra: FiniteAlgebra) -> Analysis:
-        key = algebra
-        if key not in self._store:
-            self._store[key] = Analysis(algebra, self.backend, self.tol, self.seed)
-        return self._store[key]
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +249,6 @@ def build_report(analysis: Analysis, include_witnesses=False) -> dict:
     asserts the equality.
     """
     a = analysis.algebra
-    d = analysis.derivations
-    p = analysis.points
     unital, unit_vec = analysis.unital
     report = {
         "schema": SCHEMA_VERSION,
@@ -172,21 +258,23 @@ def build_report(analysis: Analysis, include_witnesses=False) -> dict:
         "seed": analysis.seed,
         "dims": {
             "n": a.dim,
-            "Z": d.z.dim,
-            "Inn": d.inner.dim,
-            "Zc": d.zc.dim,
-            "t_rank": d.t_rank,
-            "quasi_additive": d.z.dim,
+            "Z": analysis.z.dim,
+            "Inn": analysis.inner.dim,
+            "Zc": analysis.zc.dim,
+            "t_rank": analysis.t_rank,
+            "quasi_additive": analysis.z.dim,
             "radical": analysis.radical.dim,
             "product_span": analysis.product_span.dim,
-            "zero_point_space": p.zero_space_dim,
+            "zero_point_space": analysis.zero_space_dim,
             "point_derivations": [
                 {
                     "character": character_json(ch),
                     "dim": dim,
                     "cotangent": cot,
                 }
-                for ch, dim, cot in zip(p.characters, p.pd_dims, p.cotangent_dims)
+                for ch, dim, cot in zip(
+                    analysis.characters.characters, analysis.pd_dims, analysis.cotangent_dims
+                )
             ],
         },
         "predicates": {
@@ -196,11 +284,11 @@ def build_report(analysis: Analysis, include_witnesses=False) -> dict:
             "semisimple": analysis.semisimple,
         },
         "flags": analysis.flags,
-        "characters_certified": p.certified,
+        "characters_certified": analysis.characters.certified,
     }
     if include_witnesses:
         report["witnesses"] = {
-            flag: _matrix_json(mat) for flag, mat in d.witnesses.items()
+            flag: _matrix_json(mat) for flag, mat in analysis.witnesses.items()
         }
     return report
 

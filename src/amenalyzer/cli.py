@@ -126,27 +126,26 @@ def cmd_characters(args):
 
 def cmd_derivations(args):
     an = _classified(args)
-    d = an.derivations
     data = {
         "schema": 1,
         "name": an.algebra.name,
-        "dims": {"Z": d.z.dim, "Inn": d.inner.dim, "Zc": d.zc.dim, "t_rank": d.t_rank},
+        "dims": {"Z": an.z.dim, "Inn": an.inner.dim, "Zc": an.zc.dim, "t_rank": an.t_rank},
         "flags": {
-            "weakly_amenable": d.weakly_amenable,
-            "cyclically_amenable": d.cyclically_amenable,
-            "cyclically_weakly_amenable": d.cyclically_weakly_amenable,
+            "weakly_amenable": an.weakly_amenable,
+            "cyclically_amenable": an.cyclically_amenable,
+            "cyclically_weakly_amenable": an.cyclically_weakly_amenable,
         },
     }
     if args.as_json:
         _emit_json(data)
     else:
         print(
-            f"{an.algebra.name}: Z={d.z.dim} Inn={d.inner.dim} Zc={d.zc.dim} "
-            f"t_rank={d.t_rank}"
+            f"{an.algebra.name}: Z={an.z.dim} Inn={an.inner.dim} Zc={an.zc.dim} "
+            f"t_rank={an.t_rank}"
         )
         print(
-            f"  WA={d.weakly_amenable} CA={d.cyclically_amenable} "
-            f"CWA={d.cyclically_weakly_amenable}"
+            f"  WA={an.weakly_amenable} CA={an.cyclically_amenable} "
+            f"CWA={an.cyclically_weakly_amenable}"
         )
     return 0
 

@@ -1,4 +1,4 @@
-"""Derivations into the dual module and the three derivation-based flags.
+"""Derivations into the dual module: the spaces Z, Inn and Zc.
 
 A linear map D from the algebra into its dual is stored as the n-by-n
 matrix M with M[i][j] the pairing of D(e_i) against e_j.  Matrices are
@@ -7,8 +7,6 @@ dual maps are ordinary subspaces and the lattice operations apply.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +22,6 @@ from .linalg import (
     nullspace,
     rowspace,
     subspace_leq,
-    subspace_equal,
     system_zeros,
 )
 from .scalars import ONE, ZERO
@@ -187,68 +184,3 @@ def pairing_with_unit_vanishes(a: FiniteAlgebra, m, tol=DEFAULT_TOL) -> bool:
     bound = tol * lane.scale(m)
     u = lane.vector(u)
     return all(lane.is_zero(lane.dot(row, u), bound) for row in m)
-
-
-@dataclass(frozen=True)
-class DerivationAnalysis:
-    """Derivation-side classification of one algebra."""
-
-    algebra: FiniteAlgebra
-    z: Subspace
-    inner: Subspace
-    zc: Subspace
-    t_rank: int
-    weakly_amenable: bool
-    cyclically_amenable: bool
-    cyclically_weakly_amenable: bool
-    witnesses: dict
-
-    @property
-    def dims(self):
-        return {"Z": self.z.dim, "Inn": self.inner.dim, "Zc": self.zc.dim}
-
-
-def _first_outside(larger: Subspace, smaller: Subspace):
-    for v in larger.basis_vectors():
-        if not smaller.contains(v):
-            return v
-    return None
-
-
-def classify_derivations(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> DerivationAnalysis:
-    """Compute Z, Inn, Zc and the three flags, with witnesses for failures.
-
-    A witness is the first RREF basis vector of the larger space that
-    fails membership in the smaller, unflattened to a dual-map matrix.
-    """
-    z = derivation_space(a, backend, tol)
-    inn = inner_space(a, backend, tol)
-    zc = cyclic_subspace(a, z)
-    n = a.dim
-    wa = subspace_equal(z, inn)
-    ca = subspace_equal(zc, inn)
-    cwa = subspace_equal(z, zc)
-    witnesses = {}
-    if not wa:
-        w = _first_outside(z, inn)
-        if w is not None:
-            witnesses["weakly_amenable"] = unflatten_map(w, n)
-    if not ca:
-        w = _first_outside(zc, inn)
-        if w is not None:
-            witnesses["cyclically_amenable"] = unflatten_map(w, n)
-    if not cwa:
-        w = _first_outside(z, zc)
-        if w is not None:
-            witnesses["cyclically_weakly_amenable"] = unflatten_map(w, n)
-    return DerivationAnalysis(
-        algebra=a,
-        z=z,
-        inner=inn,
-        zc=zc,
-        t_rank=t_operator_rank(z, zc),
-        weakly_amenable=wa,
-        cyclically_amenable=ca,
-        cyclically_weakly_amenable=cwa,
-        witnesses=witnesses,
-    )

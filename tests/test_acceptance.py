@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amenalyzer.algebra import tensor_product, unitize
-from amenalyzer.classify import Analysis, AnalysisCache, build_report
+from amenalyzer.classify import Analysis, build_report
 from amenalyzer.corpus import corpus
 from amenalyzer.derivations import is_cyclic, rank_one_dual_map, vanishes_on_diameter, pairing_with_unit_vanishes
 from amenalyzer.linalg import EXACT, FLOAT, annihilator, subspace_leq
@@ -36,20 +36,20 @@ def report_line(num, ok, text):
 
 @pytest.fixture(scope="module")
 def cache():
-    return AnalysisCache(backend=EXACT, tol=TOL)
+    """One exact Analysis per algebra, shared by the tests of this module."""
+    return functools.cache(lambda a: Analysis(a, EXACT, TOL))
 
 
 @pytest.fixture(scope="module")
 def entries(cache):
-    return [(name, cache.get(a)) for name, a in sorted(corpus().items())]
+    return [(name, cache(a)) for name, a in sorted(corpus().items())]
 
 
 def test_criterion_01_chain_invariant(entries):
     assert len(entries) >= 16
     for name, an in entries:
-        d = an.derivations
-        assert subspace_leq(d.inner, d.zc), name
-        assert subspace_leq(d.zc, d.z), name
+        assert subspace_leq(an.inner, an.zc), name
+        assert subspace_leq(an.zc, an.z), name
     report_line(
         1, True, f"Inn <= Zc <= Z exactly on all {len(entries)} corpus algebras"
     )
@@ -57,11 +57,10 @@ def test_criterion_01_chain_invariant(entries):
 
 def test_criterion_02_wa_is_ca_and_cwa(entries):
     for name, an in entries:
-        d = an.derivations
-        assert d.weakly_amenable == (
-            d.cyclically_amenable and d.cyclically_weakly_amenable
+        assert an.weakly_amenable == (
+            an.cyclically_amenable and an.cyclically_weakly_amenable
         ), name
-    cz = dict(entries)["Czero1"].derivations
+    cz = dict(entries)["Czero1"]
     assert (cz.z.dim, cz.zc.dim, cz.inner.dim) == (1, 0, 0)
     assert cz.cyclically_amenable and not cz.cyclically_weakly_amenable
     assert not cz.weakly_amenable
@@ -75,7 +74,7 @@ def test_criterion_03_cyclicity_characterizations(entries):
         a = an.algebra
         n = a.dim
         unital = an.unital[0]
-        for flat in an.derivations.z.basis_vectors():
+        for flat in an.z.basis_vectors():
             mat = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
             cyc = is_cyclic(mat)
             assert cyc == vanishes_on_diameter(mat), name
@@ -92,7 +91,7 @@ def test_criterion_04_non_essential_witness(entries):
         if an.essential:
             continue
         checked += 1
-        assert not an.derivations.cyclically_weakly_amenable, name
+        assert not an.cyclically_weakly_amenable, name
         ann = annihilator(an.product_span)
         span_pivots = set(an.product_span.pivots)
         witness = a0 = None
@@ -106,7 +105,7 @@ def test_criterion_04_non_essential_witness(entries):
                 break
         dmap = rank_one_dual_map(witness, witness)
         flat = [dmap[i][j] for i in range(an.algebra.dim) for j in range(an.algebra.dim)]
-        assert an.derivations.z.contains(flat), name
+        assert an.z.contains(flat), name
         assert not dmap[a0][a0].is_zero(), name  # pairing against a0 squares to 1
         assert dmap[a0][a0] == witness[a0] * witness[a0] == ONE
     assert checked >= 3
@@ -117,10 +116,9 @@ def test_criterion_04_non_essential_witness(entries):
 
 def test_criterion_05_tensor_square_coincidence(entries):
     for name, an in entries:
-        d = an.derivations
-        assert an.qa_space.rows == d.z.rows, name
-        assert an.inner_qa.rows == d.inner.rows, name
-        assert an.cyclic_qa.rows == d.zc.rows, name
+        assert an.qa_space.rows == an.z.rows, name
+        assert an.inner_qa.rows == an.inner.rows, name
+        assert an.cyclic_qa.rows == an.zc.rows, name
     report_line(5, True, "quasi-additive spaces equal Z/Inn/Zc as RREF bases, exactly")
 
 
@@ -131,21 +129,21 @@ def test_criterion_06_unitization_chain(entries, cache):
         if not an.characters.characters:
             continue
         checked += 1
-        sharp_an = cache.get(unitize(an.algebra))
+        sharp_an = cache(unitize(an.algebra))
         stmts = [
-            an.derivations.cyclically_weakly_amenable,
-            sharp_an.derivations.cyclically_weakly_amenable,
-            sharp_an.points.point_amenable,
-            sharp_an.points.zero_point_amenable,
-            an.points.zero_point_amenable,
-            an.points.point_amenable and an.essential,
+            an.cyclically_weakly_amenable,
+            sharp_an.cyclically_weakly_amenable,
+            sharp_an.point_amenable,
+            sharp_an.zero_point_amenable,
+            an.zero_point_amenable,
+            an.point_amenable and an.essential,
         ]
         assert len(set(stmts)) == 1, (name, stmts)
     ef = names["EF"]
-    assert ef.points.point_amenable and not ef.essential
-    assert not ef.derivations.cyclically_weakly_amenable
+    assert ef.point_amenable and not ef.essential
+    assert not ef.cyclically_weakly_amenable
     ef_sharp = names["EFSharp"]
-    assert not ef_sharp.points.point_amenable  # the flag flips on the unitization
+    assert not ef_sharp.point_amenable  # the flag flips on the unitization
     report_line(
         6, True, f"six-way unitization chain agrees on all {checked} entries with characters"
     )
@@ -156,25 +154,24 @@ def test_criterion_07_commutative_chains(entries):
     for name, an in entries:
         if not an.commutative:
             continue
-        d = an.derivations
-        assert d.weakly_amenable == d.cyclically_weakly_amenable, name
+        assert an.weakly_amenable == an.cyclically_weakly_amenable, name
         if an.unital[0]:
             chain = {
-                d.weakly_amenable,
-                d.cyclically_weakly_amenable,
-                an.points.point_amenable,
-                all(c == 0 for c in an.points.cotangent_dims),
+                an.weakly_amenable,
+                an.cyclically_weakly_amenable,
+                an.point_amenable,
+                all(c == 0 for c in an.cotangent_dims),
             }
             assert len(chain) == 1, name
     tp2 = names["TruncPoly2"]
-    assert tp2.points.cotangent_dims == (1,)
-    assert tp2.points.pd_dims == (1,)
+    assert tp2.cotangent_dims == (1,)
+    assert tp2.pd_dims == (1,)
     assert not any(
         [
-            tp2.derivations.weakly_amenable,
-            tp2.derivations.cyclically_weakly_amenable,
-            tp2.points.point_amenable,
-            tp2.points.zero_point_amenable,
+            tp2.weakly_amenable,
+            tp2.cyclically_weakly_amenable,
+            tp2.point_amenable,
+            tp2.zero_point_amenable,
         ]
     )
     report_line(
@@ -190,7 +187,7 @@ def test_criterion_08_tensor_point_derivations(entries):
         for ch in list(an.characters.characters) + [None]:
             if ch is not None and not ch.exact:
                 continue
-            pd = an.pds.space(ch)
+            pd = an.pd_space(ch)
             if pd.dim > 0:
                 out.append((ch, [list(v) for v in pd.basis_vectors()]))
         return out
@@ -249,10 +246,10 @@ def test_criterion_10_idempotent_spans(entries):
         if a.idempotent_span is None:
             continue
         checked += 1
-        assert an.points.zero_point_amenable, name
+        assert an.zero_point_amenable, name
         if an.commutative:
-            assert an.derivations.cyclically_amenable, name
-            assert an.derivations.cyclically_weakly_amenable, name
+            assert an.cyclically_amenable, name
+            assert an.cyclically_weakly_amenable, name
     assert checked >= 5
     report_line(
         10, True, f"all {checked} idempotent-spanned entries are 0-point amenable (+cyclic flags when commutative)"
@@ -260,9 +257,8 @@ def test_criterion_10_idempotent_spans(entries):
 
 
 def test_criterion_11_backend_agreement(entries):
-    float_cache = AnalysisCache(backend=FLOAT, tol=TOL)
     for name, an in entries:
-        fl = float_cache.get(an.algebra)
+        fl = Analysis(an.algebra, FLOAT, TOL)
         re_rep = build_report(an)
         fl_rep = build_report(fl)
         assert re_rep["dims"]["Z"] == fl_rep["dims"]["Z"], name

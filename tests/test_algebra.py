@@ -545,3 +545,19 @@ def test_tensor_product_refuses_a_product_part_beyond_the_reader_bound():
     # e.e = 1e-100 e has the unit 1e100 e, and the tensor square's unit is 1e200
     with pytest.raises(AlgebraFormatError, match="beyond"):
         tensor_product(_one_dim("1e-100"), _one_dim("1e-100"))
+
+
+def test_finite_algebra_refuses_a_part_beyond_the_reader_bound():
+    # e.e = 1e160 e, built directly rather than read from a file
+    big = QQi(10**160)
+    with pytest.raises(AlgebraFormatError, match="beyond"):
+        FiniteAlgebra("big", 1, (((big,),),), ("e",))
+    one = ((((ONE,),),), ("e",))
+    for field in ("unit", "idempotent_span", "declared_characters"):
+        value = (big,) if field == "unit" else ((big,),)
+        with pytest.raises(AlgebraFormatError, match="beyond"):
+            FiniteAlgebra("e", 1, *one, **{field: value})
+    # the imaginary part is bounded too, and the bound itself is accepted
+    with pytest.raises(AlgebraFormatError, match="beyond"):
+        FiniteAlgebra("big", 1, (((QQi(0, 10**160),),),), ("e",))
+    assert FiniteAlgebra("edge", 1, (((QQi(10**150),),),), ("e",)).dim == 1

@@ -143,7 +143,7 @@ def test_point_derivation_space_rejects_raw_vectors():
 
 
 def _cotangent(a, phi):
-    m, msq = Analysis(a).pds.ideal_square(phi)
+    m, msq = Analysis(a).ideal_square(phi)
     return m.dim - msq.dim
 
 
@@ -313,19 +313,19 @@ def test_tensor_point_derivation_rejects_non_members():
 
 
 def test_flags_pointwise():
-    rep = Analysis(pointwise_algebra(3)).points
+    rep = Analysis(pointwise_algebra(3))
     assert rep.point_amenable and rep.zero_point_amenable
 
 
 def test_flags_truncpoly2():
-    rep = Analysis(truncated_polynomial(2)).points
+    rep = Analysis(truncated_polynomial(2))
     assert not rep.point_amenable and not rep.zero_point_amenable
     assert rep.pd_dims == (1,)
     assert rep.cotangent_dims == (1,)
 
 
 def test_flags_ef_split():
-    rep = Analysis(corpus()["EF"]).points
+    rep = Analysis(corpus()["EF"])
     assert rep.point_amenable
     assert not rep.zero_point_amenable
     assert rep.zero_space_dim == 1
@@ -334,8 +334,7 @@ def test_flags_ef_split():
 def test_zero_space_trivial_iff_essential():
     for name, a in sorted(corpus().items()):
         an = Analysis(a)
-        rep = an.points
-        assert (rep.zero_space_dim == 0) == an.essential, name
+        assert (an.zero_space_dim == 0) == an.essential, name
 
 
 def test_unitization_characters_structure():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from amenalyzer import algebra, characters, quasiadd
+from amenalyzer import algebra, characters, derivations, quasiadd
 from amenalyzer.classify import Analysis, build_report
 from amenalyzer.corpus import corpus
 from amenalyzer.crosscheck import CHECK_IDS, run_crosscheck
@@ -124,16 +124,28 @@ def _count_solves(monkeypatch, key_args):
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_each_per_character_space_is_solved_once(backend, monkeypatch):
     """Every point-derivation space and maximal ideal of a run is solved
-    once, however many checks read it."""
+    once, however many checks read it, and so are Z, Inn and the
+    quasi-additive space of each (algebra, lane), also for an algebra met
+    in two roles (a corpus entry that is another entry's unitization, or
+    the T2.7 partner)."""
     solved = _count_solves(
         monkeypatch,
         {
             characters.point_derivation_space: ("a", "phi", "backend"),
             characters.maximal_ideal: ("a", "phi"),
+            derivations.derivation_space: ("a", "backend"),
+            derivations.inner_space: ("a", "backend"),
+            quasiadd.quasi_additive_space: ("a", "backend"),
         },
     )
     run_crosscheck(backend=backend)
-    assert {k[0] for k in solved} == {"point_derivation_space", "maximal_ideal"}
+    assert {k[0] for k in solved} == {
+        "point_derivation_space",
+        "maximal_ideal",
+        "derivation_space",
+        "inner_space",
+        "quasi_additive_space",
+    }
     repeated = sorted((k[0], k[1].name, n) for k, n in solved.items() if n > 1)
     assert repeated == []
 

@@ -11,12 +11,12 @@ from amenalyzer.algebra import (
     upper_triangular,
     zero_algebra,
 )
+from amenalyzer.classify import Analysis
 from amenalyzer.corpus import corpus
 from amenalyzer.crosscheck import _rows_match
 from amenalyzer.derivations import (
     _broadcast_derivation_rows,
     antisymmetric_space,
-    classify_derivations,
     cyclic_subspace,
     derivation_space,
     inner_space,
@@ -68,7 +68,7 @@ FROZEN_DIMS = {
 def test_frozen_dims_match_engine_and_oracle(name):
     a = corpus()[name]
     want = FROZEN_DIMS[name]
-    d = classify_derivations(a)
+    d = Analysis(a)
     assert (d.z.dim, d.inner.dim, d.zc.dim) == want
     assert (
         oracle_derivation_dim(a),
@@ -113,23 +113,23 @@ def test_cyclic_subspace_zero_algebra():
 
 def test_inner_contained_in_cyclic_everywhere():
     for name, a in sorted(corpus().items()):
-        d = classify_derivations(a)
+        d = Analysis(a)
         assert subspace_leq(d.inner, d.zc), name
         assert subspace_leq(d.zc, d.z), name
 
 
 def test_matrix_algebra_cyclic_equals_z():
     a = matrix_algebra(2)
-    d = classify_derivations(a)
+    d = Analysis(a)
     assert d.zc.dim == d.z.dim == 3
 
 
 def test_t_operator_rank_values():
-    z1 = classify_derivations(zero_algebra(1))
+    z1 = Analysis(zero_algebra(1))
     assert z1.t_rank == 1
-    m2 = classify_derivations(matrix_algebra(2))
+    m2 = Analysis(matrix_algebra(2))
     assert m2.t_rank == 0
-    tp2 = classify_derivations(truncated_polynomial(2))
+    tp2 = Analysis(truncated_polynomial(2))
     assert tp2.t_rank == oracle_derivation_dim(truncated_polynomial(2)) - oracle_cyclic_dim(
         truncated_polynomial(2)
     ) == 1
@@ -153,7 +153,7 @@ def test_vanishes_on_diameter_basic():
 def test_cyclic_basis_vanishes_on_diameter():
     for name in ("M2", "S3", "Czero2"):
         a = corpus()[name]
-        d = classify_derivations(a)
+        d = Analysis(a)
         n = a.dim
         for flat in d.zc.basis_vectors():
             mat = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
@@ -171,7 +171,7 @@ def test_pairing_with_unit():
 def test_cyclic_derivations_of_unital_algebras_kill_unit():
     for name in ("M2", "UpperTri2", "S3"):
         a = corpus()[name]
-        d = classify_derivations(a)
+        d = Analysis(a)
         n = a.dim
         for flat in d.zc.basis_vectors():
             mat = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
@@ -206,7 +206,7 @@ def test_unit_pairing_fails_for_rank_one_with_unit_value():
 def test_membership_predicates():
     a = matrix_algebra(2)
     n = a.dim
-    d = classify_derivations(a)
+    d = Analysis(a)
     zero_map = tuple(tuple(ZERO for _ in range(n)) for _ in range(n))
     assert d.z.contains(flatten_map(zero_map, n))
     assert d.inner.contains(flatten_map(zero_map, n))
@@ -227,19 +227,19 @@ def test_membership_predicates():
 
 
 def test_classify_flags():
-    z1 = classify_derivations(zero_algebra(1))
+    z1 = Analysis(zero_algebra(1))
     assert (z1.weakly_amenable, z1.cyclically_amenable, z1.cyclically_weakly_amenable) == (
         False,
         True,
         False,
     )
-    m2 = classify_derivations(matrix_algebra(2))
+    m2 = Analysis(matrix_algebra(2))
     assert (m2.weakly_amenable, m2.cyclically_amenable, m2.cyclically_weakly_amenable) == (
         True,
         True,
         True,
     )
-    tp2 = classify_derivations(truncated_polynomial(2))
+    tp2 = Analysis(truncated_polynomial(2))
     assert (tp2.weakly_amenable, tp2.cyclically_amenable, tp2.cyclically_weakly_amenable) == (
         False,
         True,
@@ -249,8 +249,8 @@ def test_classify_flags():
 
 def test_witnesses_are_deterministic_and_outside_smaller_space():
     a = truncated_polynomial(2)
-    d1 = classify_derivations(a)
-    d2 = classify_derivations(a)
+    d1 = Analysis(a)
+    d2 = Analysis(a)
     assert d1.witnesses.keys() == d2.witnesses.keys()
     w = d1.witnesses["weakly_amenable"]
     assert w == d2.witnesses["weakly_amenable"]
@@ -261,9 +261,9 @@ def test_witnesses_are_deterministic_and_outside_smaller_space():
 def test_float_backend_agrees_on_dims():
     for name in ("M2", "TruncPoly3", "S3", "Czero2"):
         a = corpus()[name]
-        de = classify_derivations(a, EXACT)
-        df = classify_derivations(a, FLOAT)
-        assert de.dims == df.dims, name
+        de = Analysis(a, EXACT)
+        df = Analysis(a, FLOAT)
+        assert (de.z.dim, de.inner.dim, de.zc.dim) == (df.z.dim, df.inner.dim, df.zc.dim), name
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_DIMS), ids=str)

@@ -16,7 +16,7 @@ from amenalyzer.algebra import (
 )
 from amenalyzer.characters import find_characters
 from amenalyzer.classify import Analysis
-from amenalyzer.derivations import classify_derivations, derivation_space
+from amenalyzer.derivations import derivation_space
 from amenalyzer.linalg import FLOAT
 from amenalyzer.quasiadd import quasi_additive_space
 
@@ -25,7 +25,7 @@ from oracles import oracle_derivation_dim, oracle_inner_dim
 
 def test_matrix_algebra_3_dims_and_flags():
     a = matrix_algebra(3)  # dimension 9, constraint system 729 x 81
-    d = classify_derivations(a)
+    d = Analysis(a)
     assert (d.z.dim, d.inner.dim, d.zc.dim) == (8, 8, 8)
     assert oracle_derivation_dim(a) == oracle_inner_dim(a) == 8
     assert d.weakly_amenable and d.cyclically_amenable and d.cyclically_weakly_amenable
@@ -34,31 +34,30 @@ def test_matrix_algebra_3_dims_and_flags():
 
 def test_upper_triangular_4_is_weakly_amenable():
     a = upper_triangular(4)  # dimension 10, constraint system 1000 x 100
-    d = classify_derivations(a)
+    d = Analysis(a)
     assert (d.z.dim, d.inner.dim, d.zc.dim) == (6, 6, 6)
     assert d.weakly_amenable
 
 
 def test_pointwise_12_fully_amenable():
     a = pointwise_algebra(12)
-    d = classify_derivations(a)
+    d = Analysis(a)
     assert (d.z.dim, d.inner.dim, d.zc.dim) == (0, 0, 0)
-    rep = Analysis(a).points
-    assert rep.certified and len(rep.characters) == 12
-    assert rep.point_amenable and rep.zero_point_amenable
+    assert d.characters.certified and len(d.characters.characters) == 12
+    assert d.point_amenable and d.zero_point_amenable
 
 
 def test_matrix_algebra_3_float_agrees():
     a = matrix_algebra(3)
-    de = classify_derivations(a)
-    df = classify_derivations(a, FLOAT)
-    assert de.dims == df.dims
+    de = Analysis(a)
+    df = Analysis(a, FLOAT)
+    assert (de.z.dim, de.inner.dim, de.zc.dim) == (df.z.dim, df.inner.dim, df.zc.dim)
 
 
 @pytest.mark.parametrize("a", [truncated_polynomial(16), matrix_algebra(4)], ids=lambda a: a.name)
 def test_exact_dims_at_dimension_16(a):
     # constraint system 4096 x 256, eliminated exactly
-    d = classify_derivations(a)
+    d = Analysis(a)
     assert d.z.dim == oracle_derivation_dim(a)
     assert d.inner.dim == oracle_inner_dim(a)
 
