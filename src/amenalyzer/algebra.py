@@ -43,15 +43,6 @@ class FiniteAlgebra:
     weight: tuple | None = None
     declared_characters: tuple | None = None
 
-    def __post_init__(self):
-        # the reader's bound holds however the algebra was built: a product
-        # or a unit computed from parts within it can exceed it
-        vectors = [self.unit or (), *(self.idempotent_span or ()), *(self.declared_characters or ())]
-        parts = [c for plane in self.nz for terms in plane for _, c in terms]
-        parts += [x for v in vectors for x in v]
-        if any(max(abs(c.re), abs(c.im)) > MAX_MAGNITUDE for c in parts):
-            raise AlgebraFormatError(f"{self.name}: a part is beyond +-1e150")
-
     def multiply(self, x, y):
         """Bilinear product of coordinate vectors via the structure tensor."""
         n = self.dim
@@ -294,6 +285,21 @@ def _dense(n, terms):
     return tuple(tuple(tuple(row) for row in plane) for plane in c)
 
 
+def check_bound(a: FiniteAlgebra) -> FiniteAlgebra:
+    """Return the algebra, or refuse it when a part of its constants, unit,
+    idempotent span or declared characters is beyond the reader's bound.
+
+    For an algebra that was not read from a file; the quotients and
+    subalgebras an analysis builds are exact and are not held to it.
+    """
+    vectors = [a.unit or (), *(a.idempotent_span or ()), *(a.declared_characters or ())]
+    parts = [c for plane in a.nz for terms in plane for _, c in terms]
+    parts += [x for v in vectors for x in v]
+    if any(max(abs(c.re), abs(c.im)) > MAX_MAGNITUDE for c in parts):
+        raise AlgebraFormatError(f"{a.name}: a part is beyond +-1e150")
+    return a
+
+
 def _make(name, n, terms, labels, unit=None, **kw):
     return FiniteAlgebra(
         name=name,
@@ -494,7 +500,7 @@ def tensor_product(a1: FiniteAlgebra, a2: FiniteAlgebra, name=None) -> FiniteAlg
     ok2, u2 = is_unital(a2)
     if ok1 and ok2:
         unit = [u1[i] * u2[p] for i in range(n1) for p in range(n2)]
-    return _make(name or f"Tensor({a1.name},{a2.name})", n, terms, labels, unit=unit)
+    return check_bound(_make(name or f"Tensor({a1.name},{a2.name})", n, terms, labels, unit=unit))
 
 
 def direct_sum(a1: FiniteAlgebra, a2: FiniteAlgebra, name=None) -> FiniteAlgebra:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import FiniteAlgebra, is_unital, product_span, radical
+from .algebra import FiniteAlgebra, check_bound, is_unital, product_span, radical
 from .characters import (
     CharacterSearch,
     find_characters,
@@ -45,7 +45,7 @@ class Analysis:
     """
 
     def __init__(self, algebra: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL, seed=None):
-        self.algebra = algebra
+        self.algebra = check_bound(algebra)
         self.backend = backend
         self.tol = tol
         self.seed = resolve_seed(seed)

@@ -32,7 +32,7 @@ from amenalyzer.algebra import (
 )
 from amenalyzer.classify import Analysis
 from amenalyzer.corpus import corpus
-from amenalyzer.linalg import nullspace
+from amenalyzer.linalg import EXACT, FLOAT, nullspace
 from amenalyzer.scalars import ONE, ZERO, QQi, qq
 
 from oracles import oracle_product_span_dim, reference_radical_rows, reference_validate
@@ -547,17 +547,22 @@ def test_tensor_product_refuses_a_product_part_beyond_the_reader_bound():
         tensor_product(_one_dim("1e-100"), _one_dim("1e-100"))
 
 
-def test_finite_algebra_refuses_a_part_beyond_the_reader_bound():
+def test_analysis_refuses_a_part_beyond_the_reader_bound():
     # e.e = 1e160 e, built directly rather than read from a file
     big = QQi(10**160)
-    with pytest.raises(AlgebraFormatError, match="beyond"):
-        FiniteAlgebra("big", 1, (((big,),),), ("e",))
     one = ((((ONE,),),), ("e",))
-    for field in ("unit", "idempotent_span", "declared_characters"):
-        value = (big,) if field == "unit" else ((big,),)
-        with pytest.raises(AlgebraFormatError, match="beyond"):
-            FiniteAlgebra("e", 1, *one, **{field: value})
-    # the imaginary part is bounded too, and the bound itself is accepted
-    with pytest.raises(AlgebraFormatError, match="beyond"):
-        FiniteAlgebra("big", 1, (((QQi(0, 10**160),),),), ("e",))
-    assert FiniteAlgebra("edge", 1, (((QQi(10**150),),),), ("e",)).dim == 1
+    algebras = [
+        FiniteAlgebra("big", 1, (((big,),),), ("e",)),
+        FiniteAlgebra("big", 1, (((QQi(0, 10**160),),),), ("e",)),
+        FiniteAlgebra("e", 1, *one, unit=(big,)),
+        FiniteAlgebra("e", 1, *one, idempotent_span=((big,),)),
+        FiniteAlgebra("e", 1, *one, declared_characters=((big,),)),
+    ]
+    for a in algebras:
+        for backend in (EXACT, FLOAT):
+            with pytest.raises(AlgebraFormatError, match="beyond"):
+                Analysis(a, backend)
+    # the bound itself is accepted
+    edge = FiniteAlgebra("edge", 1, (((QQi(10**150),),),), ("e",))
+    assert Analysis(edge).z.dim == 0
+

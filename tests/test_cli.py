@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from amenalyzer import cli
+from amenalyzer.algebra import commutator_span, from_json_dict, ideal_closure, quotient_map
 
 CLI = [sys.executable, "-m", "amenalyzer.cli"]
 
@@ -150,6 +151,32 @@ def test_construct_tensor_refuses_a_product_beyond_the_reader_bound(tmp_path):
     assert proc.stderr.startswith("bad parameters for construct tensor: ")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_classify_accepts_a_file_whose_quotient_exceeds_the_reader_bound(tmp_path):
+    # every part is within the bound; the commutator quotient, an exact
+    # intermediate of the character search, holds 1e200 and is not refused
+    doc = {
+        "name": "Big5", "dim": 5, "labels": [f"e{i}" for i in range(5)],
+        "sc": [[2, 3, 0, "1", "0"], [3, 2, 1, "1e100", "0"], [4, 4, 0, "1e100", "0"]],
+    }
+    a = from_json_dict(doc)
+    quotient, _ = quotient_map(a, ideal_closure(a, commutator_span(a)))
+    assert max(abs(c.re) for plane in quotient.nz for terms in plane for _, c in terms) == 10**200
+    path = tmp_path / "big5.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(["classify", str(path), "--json", "--witnesses"])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["dims"] == {
+        "Inn": 1, "Z": 9, "Zc": 3, "n": 5, "point_derivations": [], "product_span": 2,
+        "quasi_additive": 9, "radical": 5, "t_rank": 6, "zero_point_space": 3,
+    }
+    assert report["flags"] == {
+        "conditional": False, "cyclically_amenable": False,
+        "cyclically_weakly_amenable": False, "point_amenable": True,
+        "weakly_amenable": False, "zero_point_amenable": False,
+    }
 
 
 def test_corpus_list():
