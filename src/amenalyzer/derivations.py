@@ -69,13 +69,14 @@ def _broadcast_derivation_rows(sc: np.ndarray) -> np.ndarray:
     into which the (n, n, n) tensor is broadcast whole.
     """
     n = sc.shape[0]
-    c = system_zeros((n, n, n, n, n))
+    system = system_zeros((n**3, n * n))
+    c = system.reshape(n, n, n, n, n)
     sc_lis = sc.transpose(1, 0, 2)
     for t in range(n):
         c[:, :, t, :, t] += sc
         c[t, :, :, t, :] -= sc
         c[:, t, :, t, :] -= sc_lis
-    return c.reshape(n**3, n * n)
+    return system
 
 
 def derivation_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:

@@ -13,6 +13,8 @@ place that knows the two backends, or lanes:
   positive integer, and converts back to ``QQi`` only at the end.
 * ``float``  - matrices are numpy complex128 arrays; rank decisions use a
   tolerance relative to the largest row norm (default ``1e-9``).
+  :func:`rref_float` eliminates a writeable complex128 system in the
+  buffer it was built in, so each float system is held once.
 
 Each lane is an ops object in :data:`LANES` holding its zero and one, scalar
 coercion, a zero test (``QQi.is_zero()`` exact, ``abs(x) <= bound`` float),
@@ -30,6 +32,7 @@ Subspaces are always stored by their RREF basis, one row per basis vector.
 
 from __future__ import annotations
 
+import errno
 import math
 import mmap
 from dataclasses import dataclass, field
@@ -156,12 +159,21 @@ def rref_float(arr, tol=DEFAULT_TOL):
 
     Returns (2-d array of nonzero rows, tuple of pivot columns).  The pivot
     threshold is ``tol`` times the largest row norm of the input.
+
+    A writeable, C-contiguous, 2-d complex128 array is eliminated in place,
+    so a system is held once: afterwards it holds the RREF rows, and the
+    rows returned are a view of it.  Any other input (a read-only array,
+    another dtype, a list) is first copied into :func:`system_zeros` and
+    left as it is.
     """
-    src = np.asarray(arr, dtype=np.complex128)
-    if src.ndim != 2:
-        src = src.reshape(len(src), -1) if src.size else src.reshape(0, 0)
-    a = system_zeros(src.shape)
-    a[...] = src
+    a = np.asarray(arr, dtype=np.complex128)
+    if a.ndim != 2:
+        a = a.reshape(len(a), -1) if a.size else a.reshape(0, 0)
+    # asarray and reshape hand back arr itself only for a 2-d complex128 array
+    if a is not arr or not (a.flags.c_contiguous and a.flags.writeable):
+        src = a
+        a = system_zeros(src.shape)
+        a[...] = src
     tol_abs = tol * matrix_scale(a)
     rank, pivots = _kernels.rref_inplace(a, tol_abs)
     out = a[:rank]
@@ -187,11 +199,22 @@ def system_zeros(shape) -> np.ndarray:
     more is mapped on private pages of its own, which go back to the system
     when it is freed: a freed heap block leaves a hole that later small
     blocks split, and peak memory then depends on when they came.  The pages
-    are marked for huge pages, as numpy marks its own large arrays."""
+    are marked for huge pages, as numpy marks its own large arrays.  A map
+    the system refuses raises an ``OSError`` (``ENOMEM``) that names the
+    shape and size of the system."""
     nbytes = math.prod(shape) * 16
     if nbytes < _OWN_PAGES or not hasattr(mmap, "MADV_HUGEPAGE"):
         return np.zeros(shape, dtype=np.complex128)
-    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    try:
+        pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise OSError(
+            errno.ENOMEM,
+            f"cannot allocate a {nbytes / 1e9:.3g} GB float system of shape {tuple(shape)}; "
+            "--backend exact solves the system sparsely",
+        ) from None
     pages.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(pages, dtype=np.complex128).reshape(shape)
 
@@ -300,7 +323,9 @@ class _FloatLane:
 
     @staticmethod
     def rref(rows, ncols, tol):
-        arr = rows  # an array, such as the broadcast derivation system, is on the lane
+        # an array, such as the broadcast derivation system, is on the lane;
+        # rref_float reduces it, or the array filled here, in place
+        arr = rows
         if not isinstance(rows, np.ndarray):
             arr = system_zeros((len(rows), ncols))
             for r, row in enumerate(rows):
@@ -389,7 +414,9 @@ class Subspace:
 
 
 def rowspace(rows, ncols, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
-    """Canonicalize a spanning set of row vectors into a Subspace."""
+    """Canonicalize a spanning set of row vectors into a Subspace; on the
+    float backend a writeable complex128 array of rows is reduced in place,
+    as in :func:`nullspace`."""
     basis, pivots = LANES[backend].rref(rows, ncols, tol)
     return Subspace(ncols, basis, pivots, backend, tol)
 
@@ -403,7 +430,12 @@ def full_space(ambient, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
 
 
 def nullspace(rows, ncols, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
-    """Kernel {v : rows . v = 0} as a canonical Subspace of dimension ncols."""
+    """Kernel {v : rows . v = 0} as a canonical Subspace of dimension ncols.
+
+    On the float backend a writeable complex128 array of rows is eliminated
+    in place (see :func:`rref_float`); its row space, and so the kernel, is
+    unchanged, but its entries are not.
+    """
     lane = LANES[backend]
     red, pivots = lane.rref(rows, ncols, tol)
     pivset = set(pivots)

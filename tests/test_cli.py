@@ -1,9 +1,11 @@
 """End-to-end CLI behaviour: exit codes, JSON output, and determinism."""
 
+import errno
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -311,6 +313,18 @@ def test_malformed_algebra_files_exit_2_without_traceback(tmp_path):
         assert proc.returncode == 2, (text[:80], proc.stderr)
         assert "Traceback" not in proc.stderr, text[:80]
         assert proc.stderr.startswith("error:"), text[:80]
+
+
+def test_float_system_that_cannot_be_mapped_is_named_without_traceback(tmp_path, capsys):
+    path = str(tmp_path / "m4.json")
+    assert cli.main(["construct", "matrix", "4", "-o", path]) == 0
+    capsys.readouterr()
+    refused = OSError(errno.ENOMEM, "Cannot allocate memory")
+    with mock.patch("mmap.mmap", side_effect=refused):
+        assert cli.main(["classify", path, "--backend", "float"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 12]") and "Traceback" not in err
+    assert "(4096, 256)" in err and "0.0168 GB" in err and "--backend exact" in err
 
 
 BAD_INVOCATIONS = {

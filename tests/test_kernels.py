@@ -82,6 +82,20 @@ def test_kernel_equals_whole_row_reference(a):
     _assert_kernel_matches_reference(a)
 
 
+@given(a=sparse_complex_matrix())
+@settings(max_examples=200, deadline=None)
+def test_rref_float_copies_a_read_only_array_and_reduces_a_writeable_one_in_place(a):
+    frozen = a.copy()
+    frozen.setflags(write=False)
+    out, pivots = rref_float(frozen)
+    assert np.array_equal(frozen, a)
+    writeable = a.copy()
+    in_place, in_place_pivots = rref_float(writeable)
+    assert in_place_pivots == pivots
+    assert in_place.tobytes() == out.tobytes()  # bit for bit, signs of zeros too
+    assert in_place.base is writeable
+
+
 def _algebras():
     yield from corpus().values()
     yield upper_triangular(5)

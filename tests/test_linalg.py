@@ -172,6 +172,16 @@ def test_annihilator_dimension():
             assert acc.is_zero()
 
 
+def test_float_annihilator_and_intersect_leave_their_operands_rows_unchanged():
+    rng = np.random.default_rng(5)
+    a = rowspace(rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6)), 6, FLOAT)
+    b = rowspace(rng.standard_normal((4, 6)), 6, FLOAT)
+    before = (a.rows.copy(), b.rows.copy())
+    assert annihilator(a).dim == 3
+    assert subspace_intersect(a, b).dim == 1
+    assert np.array_equal(a.rows, before[0]) and np.array_equal(b.rows, before[1])
+
+
 def test_float_nullspace_residual_bound():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
@@ -251,7 +261,7 @@ def test_float_lane_converts_qqi_rows_at_the_door(m):
     pre = np.array([[complex(x) for x in r] for r in m], dtype=np.complex128).reshape(-1, cols)
     for solve in (nullspace, rowspace):
         got = solve(m, cols, FLOAT)
-        want = solve(pre, cols, FLOAT)
+        want = solve(pre.copy(), cols, FLOAT)  # a writeable array is reduced in place
         assert np.array_equal(got.rows, want.rows)
         assert got.pivots == want.pivots
 

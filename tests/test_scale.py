@@ -85,6 +85,17 @@ def test_exact_n3_system_is_never_dense_in_full(solve, a):
     assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
+# A child's ru_maxrss starts at the peak RSS of the process that started it,
+# and pytest's passes 100 MB when the whole suite runs, above every figure
+# measured below.  Started through a bare interpreter, the measuring process
+# starts from that interpreter's peak of about 14 MB instead.
+_LAUNCH = "import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)"
+
+
+def _run_measured(code):
+    return subprocess.run([sys.executable, "-c", _LAUNCH, code], capture_output=True, text=True, env=os.environ.copy())
+
+
 # Small blocks that outlive each call, allocated by a 1 ms timer while the
 # float systems are live, as a timing probe or any other code in the same
 # process may do.  From the malloc heap, the holes the freed systems leave
@@ -113,6 +124,31 @@ print((peaks[-1] - peaks[0]) / 1024)
 
 @pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="large systems are mapped on Linux only")
 def test_float_peak_memory_does_not_grow_with_unrelated_small_blocks():
-    proc = subprocess.run([sys.executable, "-c", _CHURN], capture_output=True, text=True, env=os.environ.copy())
+    proc = _run_measured(_CHURN)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 4, f"peak RSS grew by {float(proc.stdout):.1f} MB"
+
+
+# One float derivation_space of M4 in a fresh process.  Its system is 4096 x
+# 256 complex128, 16 MiB; eliminated in the buffer it was built in, it is held
+# once, and peak RSS rises by about 17 MiB.  A working copy would add 16 MiB.
+_ONE_SYSTEM = """
+import resource
+from amenalyzer.algebra import matrix_algebra
+from amenalyzer.derivations import derivation_space
+from amenalyzer.linalg import FLOAT
+
+a = matrix_algebra(4)
+a.complex_sc
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert derivation_space(a, FLOAT).dim == 15
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024, a.dim**5 * 16)
+"""
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="large systems are mapped on Linux only")
+def test_float_derivation_system_is_held_once():
+    proc = _run_measured(_ONE_SYSTEM)
+    assert proc.returncode == 0, proc.stderr
+    rise, system = map(int, proc.stdout.split())
+    assert rise < 1.3 * system, f"peak RSS rose by {rise / 2**20:.1f} MiB for a {system / 2**20:.0f} MiB system"
