@@ -8,6 +8,7 @@ falsification.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 
@@ -339,7 +340,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # ENOMEM comes from mapping a float system, which the exact lane never holds dense
+        hint = "; --backend exact solves the system sparsely" if exc.errno == errno.ENOMEM else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 1
 
 

@@ -212,8 +212,7 @@ def system_zeros(shape) -> np.ndarray:
             raise
         raise OSError(
             errno.ENOMEM,
-            f"cannot allocate a {nbytes / 1e9:.3g} GB float system of shape {tuple(shape)}; "
-            "--backend exact solves the system sparsely",
+            f"cannot allocate a {nbytes / 1e9:.3g} GB float system of shape {tuple(shape)}",
         ) from None
     pages.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(pages, dtype=np.complex128).reshape(shape)

@@ -116,7 +116,7 @@ def test_rank_nullity_both_backends(m):
     kernel = nullspace(exact_rows(m), cols)
     assert len(ex_piv) + kernel.dim == cols
     fl = np.array(m, dtype=np.complex128)
-    _, fl_piv = rref_float(fl)
+    _, fl_piv = rref_float(fl.copy())
     fkernel = nullspace(fl, cols, FLOAT)
     # pivot columns are intrinsic to the row space, so the backends agree
     assert fl_piv == ex_piv
@@ -182,10 +182,23 @@ def test_float_annihilator_and_intersect_leave_their_operands_rows_unchanged():
     assert np.array_equal(a.rows, before[0]) and np.array_equal(b.rows, before[1])
 
 
+def test_float_nullspace_reduces_a_writeable_complex128_caller_array_in_place():
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
+    rows, pivots = rref_float(m.copy())
+    real = m.real.copy()
+    kernel = nullspace(m, 7, FLOAT)
+    assert kernel.dim == 7 - len(pivots)
+    assert np.array_equal(m[: len(pivots)], rows)  # m now holds its RREF
+    before = real.copy()
+    nullspace(real, 7, FLOAT)
+    assert np.array_equal(real, before)  # float64 rows are copied, not reduced
+
+
 def test_float_nullspace_residual_bound():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
-    kernel = nullspace(m, 9, FLOAT)
+    kernel = nullspace(m.copy(), 9, FLOAT)  # m itself would be reduced in place
     norm = max(np.linalg.norm(row) for row in m)
     for v in kernel.basis_vectors():
         assert np.abs(m @ v).max() <= DEFAULT_TOL * norm * 10
