@@ -19,7 +19,6 @@ import numpy as np
 
 from .linalg import (
     EXACT,
-    DEFAULT_TOL,
     Subspace,
     nullspace,
     rowspace,
@@ -245,10 +244,10 @@ def validate(a: FiniteAlgebra) -> ValidationReport:
 # predicates and invariant subspaces
 
 
-def product_span(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
+def product_span(a: FiniteAlgebra, backend=EXACT) -> Subspace:
     """Span of all products of basis vectors, one row per pair (i, j)."""
     rows = [dict(terms) for plane in a.nz for terms in plane]
-    return rowspace(rows, a.dim, backend, tol)
+    return rowspace(rows, a.dim, backend)
 
 
 def find_unit(a: FiniteAlgebra):
@@ -521,7 +520,7 @@ def direct_sum(a1: FiniteAlgebra, a2: FiniteAlgebra, name=None) -> FiniteAlgebra
 # radical, ideals, quotients
 
 
-def radical(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
+def radical(a: FiniteAlgebra, backend=EXACT) -> Subspace:
     """Jacobson radical by the trace-form criterion on the unitization.
 
     v lies in the radical iff trace of left multiplication by v*b vanishes
@@ -543,7 +542,7 @@ def radical(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
         for j in range(n)
     ]
     rows.append(dict(enumerate(tau)))
-    return nullspace(rows, n, backend, tol)
+    return nullspace(rows, n, backend)
 
 
 def commutator_span(a: FiniteAlgebra) -> Subspace:

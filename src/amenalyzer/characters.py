@@ -11,7 +11,6 @@ rationalized and re-verified exactly whenever possible.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,12 +47,7 @@ RATIONALIZE_DENOM_BOUND = 10**6
 
 
 def resolve_seed(seed=None) -> int:
-    if seed is not None:
-        return int(seed)
-    env = os.environ.get("AMENALYZER_SEED")
-    if env:
-        return int(env)
-    return DEFAULT_SEED
+    return DEFAULT_SEED if seed is None else int(seed)
 
 
 class CharacterVerificationError(ValueError):
@@ -66,7 +60,6 @@ class Character:
 
     phi: tuple  # QQi entries when exact, complex entries otherwise
     exact: bool
-    residual: float
 
     def values_complex(self) -> np.ndarray:
         return np.array([complex(x) for x in self.phi], dtype=np.complex128)
@@ -80,7 +73,6 @@ class CharacterSearch:
     characters: tuple
     certified: bool
     attempts: int
-    notes: tuple = ()
 
 
 def _mult_defects(a: FiniteAlgebra, values, lane):
@@ -105,13 +97,13 @@ def _rationalize(values: np.ndarray):
     return tuple(out)
 
 
-def _verify_vector(a: FiniteAlgebra, values, tol, want_exact=True) -> Character | None:
+def _verify_vector(a: FiniteAlgebra, values, want_exact=True) -> Character | None:
     """Verify a candidate character; exact first when possible."""
     if want_exact and all(isinstance(v, QQi) for v in values):
         if all(v.is_zero() for v in values):
             return None
         if not any(_mult_defects(a, values, LANES[EXACT])):
-            return Character(tuple(values), True, 0.0)
+            return Character(tuple(values), True)
         return None
     arr = np.array([complex(v) for v in values], dtype=np.complex128)
     top = float(np.abs(arr).max())
@@ -121,16 +113,16 @@ def _verify_vector(a: FiniteAlgebra, values, tol, want_exact=True) -> Character 
     # numpy's max, unlike max(), keeps a NaN, and the test fails on one
     res = float(np.abs(list(_mult_defects(a, arr, LANES[FLOAT]))).max())
     scale = max(1.0, top**2)
-    if not res <= tol * scale * 100:
+    if not res <= DEFAULT_TOL * scale * 100:
         return None
     if want_exact:
         rat = _rationalize(arr)
         if rat is not None and not any(_mult_defects(a, rat, LANES[EXACT])):
-            return Character(rat, True, 0.0)
-    return Character(tuple(complex(v) for v in arr), False, res)
+            return Character(rat, True)
+    return Character(tuple(complex(v) for v in arr), False)
 
 
-def _semisimple_commutative_characters(c_alg: FiniteAlgebra, rng, tol):
+def _semisimple_commutative_characters(c_alg: FiniteAlgebra, rng):
     """Characters of a commutative semisimple algebra via joint eigenvectors.
 
     Returns (list of float value-vectors, certified flag, attempts used).
@@ -151,7 +143,7 @@ def _semisimple_commutative_characters(c_alg: FiniteAlgebra, rng, tol):
         coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         r = np.tensordot(coeffs, lt, axes=1)
         eigvals, eigvecs = np.linalg.eig(r)
-        sep = tol * 1e3 * max(1.0, float(np.abs(eigvals).max()))
+        sep = DEFAULT_TOL * 1e3 * max(1.0, float(np.abs(eigvals).max()))
         distinct = all(
             abs(eigvals[s] - eigvals[t]) > sep
             for s in range(k)
@@ -171,9 +163,7 @@ def _semisimple_commutative_characters(c_alg: FiniteAlgebra, rng, tol):
     return [], False, attempts
 
 
-def find_characters(
-    a: FiniteAlgebra, seed=None, tol=DEFAULT_TOL, backend=EXACT
-) -> CharacterSearch:
+def find_characters(a: FiniteAlgebra, *, seed=None, backend=EXACT) -> CharacterSearch:
     """Enumerate the characters of the algebra.
 
     The reduction steps run in exact arithmetic (structure constants are
@@ -182,7 +172,6 @@ def find_characters(
     rationals are re-verified exactly and kept in exact form.
     """
     rng = np.random.default_rng(resolve_seed(seed))
-    notes = []
 
     comm_ideal = ideal_closure(a, commutator_span(a))
     b_alg, proj1 = quotient_map(a, comm_ideal)
@@ -198,13 +187,7 @@ def find_characters(
             certified = True
             attempts = 0
         else:
-            vecs, certified, attempts = _semisimple_commutative_characters(
-                c_alg, rng, tol
-            )
-            if not certified:
-                notes.append(
-                    "completeness not certified: repeated eigenvalues after retries"
-                )
+            vecs, certified, attempts = _semisimple_commutative_characters(c_alg, rng)
             p2 = np.array(
                 [[complex(x) for x in row] for row in proj2], dtype=np.complex128
             )
@@ -216,16 +199,15 @@ def find_characters(
     want_exact = backend == EXACT
     chars = []
     for values in found:
-        ch = _verify_vector(a, values, tol, want_exact=want_exact)
+        ch = _verify_vector(a, values, want_exact=want_exact)
         if ch is None:
             certified = False
-            notes.append("candidate eigenvector failed multiplicativity verification")
             continue
         chars.append(ch)
 
     if a.declared_characters:
         for t, declared in enumerate(a.declared_characters):
-            ch = _verify_vector(a, declared, tol, want_exact=want_exact)
+            ch = _verify_vector(a, declared, want_exact=want_exact)
             if ch is None:
                 raise CharacterVerificationError(
                     f"{a.name}: declared character {t} fails multiplicativity"
@@ -241,7 +223,7 @@ def find_characters(
             continue
         deduped.append(ch)
     deduped.sort(key=lambda c: c.sort_key())
-    return CharacterSearch(tuple(deduped), certified, attempts, tuple(notes))
+    return CharacterSearch(tuple(deduped), certified, attempts)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +239,7 @@ def _phi_entries(phi, n, lane):
     return [lane.zero] * n if phi is None else lane.vector(phi.phi)
 
 
-def point_derivation_space(
-    a: FiniteAlgebra, phi, backend=EXACT, tol=DEFAULT_TOL
-) -> Subspace:
+def point_derivation_space(a: FiniteAlgebra, phi, backend=EXACT) -> Subspace:
     """Kernel of the point-derivation system at a character (or at zero).
 
     phi may be a verified Character or None for the zero functional, in
@@ -278,22 +258,22 @@ def point_derivation_space(
             row[i] = row.get(i, lane.zero) - pv[j]
             row[j] = row.get(j, lane.zero) - pv[i]
             rows.append(row)
-    return nullspace(rows, n, lane.backend, tol)
+    return nullspace(rows, n, lane.backend)
 
 
-def maximal_ideal(a: FiniteAlgebra, phi: Character, tol=DEFAULT_TOL) -> Subspace:
+def maximal_ideal(a: FiniteAlgebra, phi: Character) -> Subspace:
     """Kernel of the character, a subspace of dimension n - 1."""
-    return nullspace([list(phi.phi)], a.dim, character_backend(phi), tol)
+    return nullspace([list(phi.phi)], a.dim, character_backend(phi))
 
 
-def ideal_product_span(a: FiniteAlgebra, s: Subspace, tol=DEFAULT_TOL) -> Subspace:
+def ideal_product_span(a: FiniteAlgebra, s: Subspace) -> Subspace:
     """Span of all pairwise products of basis vectors of a subspace."""
     vecs = s.basis_vectors()
     if s.backend == EXACT:
         rows = [a.multiply(u, v) for u in vecs for v in vecs]
     else:
         rows = [np.einsum("i,j,ijk->k", u, v, a.complex_sc) for u in vecs for v in vecs]
-    return rowspace(rows, a.dim, s.backend, tol)
+    return rowspace(rows, a.dim, s.backend)
 
 
 def _rank_one_map(d, phi: Character, lane):
@@ -339,7 +319,7 @@ def check_prop_2_4(an, d, phi: Character):
     if via_point:
         _, msq = an.ideal_square(phi)
         result["annihilates_ideal_square"] = all(
-            lane.is_zero(lane.dot(d, w), an.tol * 100) for w in msq.basis_vectors()
+            lane.is_zero(lane.dot(d, w), DEFAULT_TOL * 100) for w in msq.basis_vectors()
         )
     return result
 
@@ -349,7 +329,7 @@ def unital_characterization(an, phi: Character) -> bool:
     phi are exactly the functionals killing the unit and the square of ker phi."""
     _, u = an.unital
     _, msq = an.ideal_square(phi)
-    expected = nullspace(list(msq.rows) + [list(u)], an.algebra.dim, EXACT, an.tol)
+    expected = nullspace(list(msq.rows) + [list(u)], an.algebra.dim, EXACT)
     return subspace_equal(expected, an.pd_space(phi))
 
 
@@ -376,7 +356,7 @@ def check_prop_2_5(an, d, phi: Character):
     if gates["commutative"] or unital:
         checks["non_inner"] = not an.inner.contains(flat)
     if gates["essential"]:
-        checks["non_cyclic"] = not is_cyclic(dmap, an.tol)
+        checks["non_cyclic"] = not is_cyclic(dmap)
     if unital and phi.exact:
         checks["unital_characterization"] = unital_characterization(an, phi)
     ok = all(v for k, v in checks.items() if isinstance(v, bool))
@@ -408,8 +388,8 @@ def tensor_point_derivation(an1, phi1, d1, an2, phi2, d2, big):
     )
     phi_vals = [lane.coerce(p1[i] * p2[p]) for i in range(n1) for p in range(n2)]
     big_phi = None
-    if not all(lane.is_zero(x, big.tol) for x in phi_vals):
-        big_phi = Character(tuple(phi_vals), lane.exact, 0.0)
+    if not all(lane.is_zero(x, DEFAULT_TOL) for x in phi_vals):
+        big_phi = Character(tuple(phi_vals), lane.exact)
     member = big.pd_space(big_phi).contains(combined)
     return big.algebra, big_phi, combined, member
 
@@ -417,9 +397,9 @@ def tensor_point_derivation(an1, phi1, d1, an2, phi2, d2, big):
 def extend_character_to_unitization(phi: Character) -> Character:
     """Extension of a character to the unitization (value 1 on the new unit)."""
     one = LANES[character_backend(phi)].one
-    return Character(tuple(phi.phi) + (one,), phi.exact, phi.residual)
+    return Character(tuple(phi.phi) + (one,), phi.exact)
 
 
 def augmentation_character(n: int) -> Character:
     """The character of a unitization vanishing on the original algebra."""
-    return Character(tuple([ZERO] * n + [ONE]), True, 0.0)
+    return Character(tuple([ZERO] * n + [ONE]), True)

@@ -44,10 +44,9 @@ class Analysis:
     :func:`~amenalyzer.characters.point_derivation_space`.
     """
 
-    def __init__(self, algebra: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL, seed=None):
+    def __init__(self, algebra: FiniteAlgebra, backend=EXACT, *, seed=None):
         self.algebra = check_bound(algebra)
         self.backend = backend
-        self.tol = tol
         self.seed = resolve_seed(seed)
         self._pd_spaces = {}
         self._ideal_squares = {}
@@ -66,11 +65,11 @@ class Analysis:
 
     @cached_property
     def product_span(self):
-        return product_span(self.algebra, self.backend, self.tol)
+        return product_span(self.algebra, self.backend)
 
     @cached_property
     def radical(self):
-        return radical(self.algebra, self.backend, self.tol)
+        return radical(self.algebra, self.backend)
 
     @cached_property
     def semisimple(self) -> bool:
@@ -80,11 +79,11 @@ class Analysis:
 
     @cached_property
     def z(self) -> Subspace:
-        return derivation_space(self.algebra, self.backend, self.tol)
+        return derivation_space(self.algebra, self.backend)
 
     @cached_property
     def inner(self) -> Subspace:
-        return inner_space(self.algebra, self.backend, self.tol)
+        return inner_space(self.algebra, self.backend)
 
     @cached_property
     def _cyclic(self):
@@ -133,22 +132,22 @@ class Analysis:
 
     @cached_property
     def characters(self) -> CharacterSearch:
-        return find_characters(self.algebra, seed=self.seed, tol=self.tol, backend=self.backend)
+        return find_characters(self.algebra, seed=self.seed, backend=self.backend)
 
     def pd_space(self, phi) -> Subspace:
         """The point-derivation space at a character, or at the zero
         functional when ``phi`` is None."""
         pd = self._pd_spaces.get(phi)
         if pd is None:
-            pd = self._pd_spaces[phi] = point_derivation_space(self.algebra, phi, self.backend, self.tol)
+            pd = self._pd_spaces[phi] = point_derivation_space(self.algebra, phi, self.backend)
         return pd
 
     def ideal_square(self, phi):
         """(ker phi, span of the products of ker phi)."""
         pair = self._ideal_squares.get(phi)
         if pair is None:
-            m = maximal_ideal(self.algebra, phi, self.tol)
-            pair = self._ideal_squares[phi] = (m, ideal_product_span(self.algebra, m, self.tol))
+            m = maximal_ideal(self.algebra, phi)
+            pair = self._ideal_squares[phi] = (m, ideal_product_span(self.algebra, m))
         return pair
 
     @cached_property
@@ -181,11 +180,11 @@ class Analysis:
 
     @cached_property
     def qa_space(self):
-        return quasi_additive_space(self.algebra, self.backend, self.tol)
+        return quasi_additive_space(self.algebra, self.backend)
 
     @cached_property
     def inner_qa(self):
-        return inner_quasi_space(self.algebra, self.backend, self.tol)
+        return inner_quasi_space(self.algebra, self.backend)
 
     @cached_property
     def cyclic_qa(self):
@@ -194,12 +193,12 @@ class Analysis:
     @cached_property
     def table_qa(self):
         """The table-indexed quasi-additive space; semigroup algebras only."""
-        return semigroup_quasi_additive(self.algebra, self.backend, self.tol)
+        return semigroup_quasi_additive(self.algebra, self.backend)
 
     @cached_property
     def table_inner(self):
         """The table-indexed inner functions; semigroup algebras only."""
-        return inner_q(self.algebra, self.backend, self.tol)
+        return inner_q(self.algebra, self.backend)
 
     @property
     def flags(self) -> dict:
@@ -254,7 +253,7 @@ def build_report(analysis: Analysis, include_witnesses=False) -> dict:
         "schema": SCHEMA_VERSION,
         "name": a.name,
         "backend": analysis.backend,
-        "tol": analysis.tol,
+        "tol": DEFAULT_TOL,
         "seed": analysis.seed,
         "dims": {
             "n": a.dim,

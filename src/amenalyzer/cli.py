@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .classify import Analysis, build_report, render_text
 from .crosscheck import CHECK_IDS, FAIL, run_crosscheck
-from .linalg import DEFAULT_TOL, EXACT
+from .linalg import EXACT
 
 
 def _load_target(target: str):
@@ -48,20 +48,8 @@ def _emit_json(data):
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _tolerance(text):
-    """--tol: a finite float with 0 < tol < 1 (nan and inf fail the test)."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = None
-    if tol is None or not 0 < tol < 1:
-        raise argparse.ArgumentTypeError(f"must be a number with 0 < tol < 1, got {text!r}")
-    return tol
-
-
 def _add_options(parser):
     parser.add_argument("--backend", choices=["exact", "float"], default=EXACT)
-    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--json", action="store_true", dest="as_json")
 
@@ -87,7 +75,7 @@ def _classified(args) -> Analysis:
     report = validate(a)
     if not report.ok:
         raise AlgebraFormatError(f"{a.name} failed validation:\n{report}")
-    return Analysis(a, backend=args.backend, tol=args.tol, seed=args.seed)
+    return Analysis(a, backend=args.backend, seed=args.seed)
 
 
 def cmd_classify(args):
@@ -248,7 +236,7 @@ def cmd_crosscheck(args):
                 print(f"unknown theorem id {cid!r}; known: {','.join(CHECK_IDS)}", file=sys.stderr)
                 return 1
             only.add(cid)
-    result = run_crosscheck(only=only, backend=args.backend, tol=args.tol, seed=args.seed)
+    result = run_crosscheck(only=only, backend=args.backend, seed=args.seed)
     if args.as_json:
         _emit_json(result)
     else:
@@ -278,8 +266,7 @@ def build_parser():
         description=(
             "Classify finite-dimensional associative algebras, given by "
             "structure constants, by their derivation-based amenability "
-            "properties.  The AMENALYZER_SEED environment variable overrides "
-            "the default character-search seed; --seed wins over both."
+            "properties."
         ),
     )
     sub = p.add_subparsers(dest="command", required=True)

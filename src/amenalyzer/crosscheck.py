@@ -70,7 +70,7 @@ def _rows_match(s1, s2) -> bool:
     """Coordinatewise basis equality, entry-exact or entry-close by backend."""
     if s1.dim != s2.dim or s1.backend != s2.backend:
         return False
-    return LANES[s1.backend].rows_equal(s1.rows, s2.rows, max(s1.tol, s2.tol) * 100)
+    return LANES[s1.backend].rows_equal(s1.rows, s2.rows, DEFAULT_TOL * 100)
 
 
 def _nonzero_pd_basis(an: Analysis):
@@ -128,12 +128,12 @@ def check_p21(an: Analysis, ctx):
     unital, _ = an.unital
     for v in an.z.basis_vectors():
         mat = unflatten_map(v, n)
-        cyc = is_cyclic(mat, an.tol)
-        dia = vanishes_on_diameter(mat, an.tol)
+        cyc = is_cyclic(mat)
+        dia = vanishes_on_diameter(mat)
         if cyc != dia:
             return FAIL, "cyclic vs diagonal-vanishing disagree"
         if unital:
-            pu = pairing_with_unit_vanishes(an.algebra, mat, an.tol)
+            pu = pairing_with_unit_vanishes(an.algebra, mat)
             if cyc != pu:
                 return FAIL, "cyclic vs unit-pairing disagree"
     if an.z.dim == 0:
@@ -267,7 +267,7 @@ def check_t27(an: Analysis, ctx):
     if not pairs2:
         return SKIP, "partner has no point derivations"
     # one Analysis per call: no other check reads the tensor product
-    big = Analysis(tensor_product(a, partner), EXACT, ean.tol, ean.seed)
+    big = Analysis(tensor_product(a, partner), EXACT, seed=ean.seed)
     checked = 0
     for phi1, d1 in pairs1:
         for phi2, d2 in pairs2:
@@ -296,8 +296,8 @@ def check_t31(an: Analysis, ctx):
     if unital:
         for flat in an.qa_space.basis_vectors():
             mat = unflatten_map(flat, n)
-            anti = is_cyclic(mat, an.tol)
-            pu = pairing_with_unit_vanishes(a, mat, an.tol)
+            anti = is_cyclic(mat)
+            pu = pairing_with_unit_vanishes(a, mat)
             if anti != pu:
                 return FAIL, "antisymmetry vs unit-column vanishing disagree"
     # forward half of the quotient construction, on the exact lane
@@ -556,7 +556,7 @@ def check_t55f(an: Analysis, ctx):
         for x in range(n):
             lhs = flat[x * n + x]
             rhs = flat[table[x][x] * n + e]
-            if not lane.is_zero(lhs - half * rhs, an.tol * 100):
+            if not lane.is_zero(lhs - half * rhs, DEFAULT_TOL * 100):
                 return FAIL, "diagonal halving identity fails"
     return PASS, None
 
@@ -576,7 +576,7 @@ def check_t56f(an: Analysis, ctx):
     lane = LANES[an.backend]
     for flat in cds.basis_vectors():
         for x in range(n):
-            if not lane.is_zero(flat[x * n + x], an.tol * 100):
+            if not lane.is_zero(flat[x * n + x], DEFAULT_TOL * 100):
                 return FAIL, "normalized function has a nonzero diagonal value"
     all_inner = subspace_equal(cds, iq)
     if an.cyclically_amenable != all_inner:
@@ -661,7 +661,7 @@ CHECKS = [
 CHECK_IDS = [cid for cid, _ in CHECKS]
 
 
-def run_crosscheck(only=None, backend=EXACT, tol=DEFAULT_TOL, seed=None):
+def run_crosscheck(only=None, backend=EXACT, *, seed=None):
     """Run the suite over the whole corpus; returns the result dict."""
     from .algebra import truncated_polynomial
     from .characters import resolve_seed
@@ -675,7 +675,7 @@ def run_crosscheck(only=None, backend=EXACT, tol=DEFAULT_TOL, seed=None):
 
     def analysis(algebra, lane=backend):
         if (algebra, lane) not in analyses:
-            analyses[algebra, lane] = Analysis(algebra, lane, tol, seed)
+            analyses[algebra, lane] = Analysis(algebra, lane, seed=seed)
         return analyses[algebra, lane]
 
     sharp_cache = {}
@@ -714,7 +714,7 @@ def run_crosscheck(only=None, backend=EXACT, tol=DEFAULT_TOL, seed=None):
     return {
         "schema": 1,
         "backend": backend,
-        "tol": tol,
+        "tol": DEFAULT_TOL,
         "seed": resolve_seed(seed),
         "corpus_size": len(entries),
         "results": results,

@@ -79,14 +79,14 @@ def _broadcast_derivation_rows(sc: np.ndarray) -> np.ndarray:
     return system
 
 
-def derivation_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
+def derivation_space(a: FiniteAlgebra, backend=EXACT) -> Subspace:
     """Kernel of the n^3-by-n^2 derivation system, inside C^(n*n); the float
     lane broadcasts the system from the tensor, which is faster there."""
     rows = _broadcast_derivation_rows(a.complex_sc) if backend == FLOAT else _assemble_derivation_rows(a)
-    return nullspace(rows, a.dim * a.dim, backend, tol)
+    return nullspace(rows, a.dim * a.dim, backend)
 
 
-def inner_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
+def inner_space(a: FiniteAlgebra, backend=EXACT) -> Subspace:
     """Image of F -> (i,j) |-> F(e_i e_j - e_j e_i), one row per dual basis F."""
     n = a.dim
     rows = [{} for _ in range(n)]
@@ -96,7 +96,7 @@ def inner_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
                 row = rows[k]
                 row[i * n + j] = row.get(i * n + j, ZERO) + c
                 row[j * n + i] = row.get(j * n + i, ZERO) - c
-    return rowspace(rows, n * n, backend, tol)
+    return rowspace(rows, n * n, backend)
 
 
 def _symmetric_pairs(n):
@@ -104,10 +104,10 @@ def _symmetric_pairs(n):
     return [(i * n + j, j * n + i) for i in range(n) for j in range(i, n)]
 
 
-def antisymmetric_space(n, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
+def antisymmetric_space(n, backend=EXACT) -> Subspace:
     """Matrices with M[i][j] + M[j][i] = 0, as a subspace of C^(n*n)."""
     rows = [{ij: ONE, ji: ONE} if ij != ji else {ij: ONE + ONE} for ij, ji in _symmetric_pairs(n)]
-    return nullspace(rows, n * n, backend, tol)
+    return nullspace(rows, n * n, backend)
 
 
 def cyclic_subspace(a: FiniteAlgebra, z: Subspace) -> Subspace:
@@ -123,13 +123,13 @@ def cyclic_subspace(a: FiniteAlgebra, z: Subspace) -> Subspace:
         return z
     n = a.dim
     eqs = [[row[ij] + row[ji] for row in z.rows] for ij, ji in _symmetric_pairs(n)]
-    coeffs = nullspace(eqs, z.dim, z.backend, z.tol)
+    coeffs = nullspace(eqs, z.dim, z.backend)
     if z.backend == FLOAT:
         combos = np.asarray(coeffs.rows) @ np.asarray(z.rows)
     else:
         columns = list(zip(*z.rows))
         combos = [matvec_exact(columns, c) for c in coeffs.rows]
-    return rowspace(combos, n * n, z.backend, z.tol)
+    return rowspace(combos, n * n, z.backend)
 
 
 def t_operator_rank(z: Subspace, zc: Subspace) -> int:
@@ -147,7 +147,7 @@ def rank_one_dual_map(f1, f2, backend=EXACT):
     return lane.matrix([[lane.coerce(x) * lane.coerce(y) for y in f2] for x in f1])
 
 
-def vanishes_on_diameter(m, tol=DEFAULT_TOL) -> bool:
+def vanishes_on_diameter(m) -> bool:
     """Whether the pairing of D(a) against a vanishes for every a.
 
     Decided by evaluating the quadratic form on the spanning family of
@@ -155,7 +155,7 @@ def vanishes_on_diameter(m, tol=DEFAULT_TOL) -> bool:
     the antisymmetry test.
     """
     lane = lane_of(m)
-    bound = tol * lane.scale(m)
+    bound = DEFAULT_TOL * lane.scale(m)
     n = len(m)
     for i in range(n):
         if not lane.is_zero(m[i][i], bound):
@@ -166,22 +166,22 @@ def vanishes_on_diameter(m, tol=DEFAULT_TOL) -> bool:
     return True
 
 
-def is_cyclic(m, tol=DEFAULT_TOL) -> bool:
+def is_cyclic(m) -> bool:
     """Antisymmetry of the coordinate matrix."""
     lane = lane_of(m)
-    bound = tol * lane.scale(m)
+    bound = DEFAULT_TOL * lane.scale(m)
     n = len(m)
     return all(
         lane.is_zero(m[i][j] + m[j][i], bound) for i in range(n) for j in range(i, n)
     )
 
 
-def pairing_with_unit_vanishes(a: FiniteAlgebra, m, tol=DEFAULT_TOL) -> bool:
+def pairing_with_unit_vanishes(a: FiniteAlgebra, m) -> bool:
     """Whether D(a) pairs to zero against the unit, for all a."""
     ok, u = is_unital(a)
     if not ok:
         raise ValueError(f"{a.name} is not unital")
     lane = lane_of(m)
-    bound = tol * lane.scale(m)
+    bound = DEFAULT_TOL * lane.scale(m)
     u = lane.vector(u)
     return all(lane.is_zero(lane.dot(row, u), bound) for row in m)

@@ -11,8 +11,9 @@ place that knows the two backends, or lanes:
   zero and duplicate rows itself, dense rows in and out.  Inside,
   it works fraction-free on Gaussian integers (re, im), each row over one
   positive integer, and converts back to ``QQi`` only at the end.
-* ``float``  - matrices are numpy complex128 arrays; rank decisions use a
-  tolerance relative to the largest row norm (default ``1e-9``).
+* ``float``  - matrices are numpy complex128 arrays; rank decisions use the
+  one fixed tolerance :data:`DEFAULT_TOL` (``1e-9``), relative to the
+  largest row norm.
   :func:`rref_float` eliminates a writeable complex128 system in the
   buffer it was built in, so each float system is held once.
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 import errno
 import math
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -44,7 +45,7 @@ import numpy as np
 from . import _kernels
 from .scalars import ONE, ZERO, QQi, gaussian_integers
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # the float lane's one tolerance; every float zero test reads it
 _SCALE_BLOCK = 1 << 13  # entries of a row block in matrix_scale: 64 KiB of float64
 _OWN_PAGES = 1 << 20  # bytes from which system_zeros maps a system on pages of its own
 
@@ -154,11 +155,11 @@ def rref_exact(rows):
     return tuple(out), tuple(pivots)
 
 
-def rref_float(arr, tol=DEFAULT_TOL):
+def rref_float(arr):
     """Float RREF with partial pivoting; see :mod:`amenalyzer._kernels`.
 
     Returns (2-d array of nonzero rows, tuple of pivot columns).  The pivot
-    threshold is ``tol`` times the largest row norm of the input.
+    threshold is :data:`DEFAULT_TOL` times the largest row norm of the input.
 
     A writeable, C-contiguous, 2-d complex128 array is eliminated in place,
     so a system is held once: afterwards it holds the RREF rows, and the
@@ -174,7 +175,7 @@ def rref_float(arr, tol=DEFAULT_TOL):
         src = a
         a = system_zeros(src.shape)
         a[...] = src
-    tol_abs = tol * matrix_scale(a)
+    tol_abs = DEFAULT_TOL * matrix_scale(a)
     rank, pivots = _kernels.rref_inplace(a, tol_abs)
     out = a[:rank]
     out[np.abs(out) <= tol_abs] = 0.0
@@ -185,12 +186,17 @@ def rref_float(arr, tol=DEFAULT_TOL):
 
 def matrix_scale(arr) -> float:
     """Largest Euclidean row norm, floored at 1 so tolerances stay sane.
-    Taken a block of rows at a time, so no float copy of a system is made."""
+    Taken a block of rows at a time, so no float copy of a system is made.
+    A squared row norm that overflows raises ``OverflowError``: an infinite
+    scale would make every pivot threshold infinite and the rank 0."""
     a = np.asarray(arr, dtype=np.complex128)
     if a.size == 0:
         return 1.0
     step = max(1, _SCALE_BLOCK // a.shape[1])
-    top = max((np.abs(a[i : i + step]) ** 2).sum(axis=1).max() for i in range(0, len(a), step))
+    with np.errstate(over="ignore"):
+        top = max((np.abs(a[i : i + step]) ** 2).sum(axis=1).max() for i in range(0, len(a), step))
+    if not np.isfinite(top):
+        raise OverflowError(f"a float system's squared row norm is {top}; the float lane cannot rank it")
     return max(1.0, float(np.sqrt(top)))
 
 
@@ -278,7 +284,7 @@ class _ExactLane:
         return r1 == r2
 
     @staticmethod
-    def rref(rows, ncols, tol):
+    def rref(rows, ncols):
         return rref_exact(_dense_rows(rows, ncols))
 
 
@@ -321,7 +327,7 @@ class _FloatLane:
         return bool(diff.max() <= bound) if diff.size else True
 
     @staticmethod
-    def rref(rows, ncols, tol):
+    def rref(rows, ncols):
         # an array, such as the broadcast derivation system, is on the lane;
         # rref_float reduces it, or the array filled here, in place
         arr = rows
@@ -334,7 +340,7 @@ class _FloatLane:
                 else:
                     arr[r] = row
         arr = arr.reshape(-1, ncols) if arr.size else np.zeros((0, ncols), dtype=np.complex128)
-        basis, pivots = rref_float(arr, tol)
+        basis, pivots = rref_float(arr)
         basis.setflags(write=False)
         return basis, pivots
 
@@ -361,7 +367,6 @@ class Subspace:
     rows: tuple | np.ndarray
     pivots: tuple
     backend: str
-    tol: float = field(default=DEFAULT_TOL, compare=False)
 
     @property
     def dim(self) -> int:
@@ -376,7 +381,7 @@ class Subspace:
             other.dim,
         ):
             return False
-        return LANES[self.backend].rows_equal(self.rows, other.rows, max(self.tol, other.tol))
+        return LANES[self.backend].rows_equal(self.rows, other.rows, DEFAULT_TOL)
 
     def __hash__(self):
         return hash((self.ambient, self.backend, self.dim))
@@ -405,30 +410,30 @@ class Subspace:
         lane = LANES[self.backend]
         v = lane.vector(vec)
         _, rest = self.reduce(v)
-        bound = self.tol * lane.scale(v)
+        bound = DEFAULT_TOL * lane.scale(v)
         return all(lane.is_zero(x, bound) for x in rest)
 
     def basis_vectors(self):
         return list(self.rows)
 
 
-def rowspace(rows, ncols, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
+def rowspace(rows, ncols, backend=EXACT) -> Subspace:
     """Canonicalize a spanning set of row vectors into a Subspace; on the
     float backend a writeable complex128 array of rows is reduced in place,
     as in :func:`nullspace`."""
-    basis, pivots = LANES[backend].rref(rows, ncols, tol)
-    return Subspace(ncols, basis, pivots, backend, tol)
+    basis, pivots = LANES[backend].rref(rows, ncols)
+    return Subspace(ncols, basis, pivots, backend)
 
 
-def trivial_space(ambient, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
-    return rowspace([], ambient, backend, tol)
+def trivial_space(ambient, backend=EXACT) -> Subspace:
+    return rowspace([], ambient, backend)
 
 
-def full_space(ambient, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
-    return nullspace([], ambient, backend, tol)
+def full_space(ambient, backend=EXACT) -> Subspace:
+    return nullspace([], ambient, backend)
 
 
-def nullspace(rows, ncols, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
+def nullspace(rows, ncols, backend=EXACT) -> Subspace:
     """Kernel {v : rows . v = 0} as a canonical Subspace of dimension ncols.
 
     On the float backend a writeable complex128 array of rows is eliminated
@@ -436,7 +441,7 @@ def nullspace(rows, ncols, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
     unchanged, but its entries are not.
     """
     lane = LANES[backend]
-    red, pivots = lane.rref(rows, ncols, tol)
+    red, pivots = lane.rref(rows, ncols)
     pivset = set(pivots)
     basis = []
     for f in range(ncols):
@@ -449,7 +454,7 @@ def nullspace(rows, ncols, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
             if not lane.is_zero(coef):
                 v[p] = -coef
         basis.append(v)
-    return rowspace(basis, ncols, backend, tol)
+    return rowspace(basis, ncols, backend)
 
 
 def _check_compatible(a: Subspace, b: Subspace):
@@ -461,19 +466,19 @@ def _check_compatible(a: Subspace, b: Subspace):
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_compatible(a, b)
-    return rowspace(list(a.rows) + list(b.rows), a.ambient, a.backend, a.tol)
+    return rowspace(list(a.rows) + list(b.rows), a.ambient, a.backend)
 
 
 def annihilator(s: Subspace) -> Subspace:
     """Functionals vanishing on the subspace, via the kernel of its basis."""
-    return nullspace(s.rows, s.ambient, s.backend, s.tol)
+    return nullspace(s.rows, s.ambient, s.backend)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection via the kernel of the stacked annihilator systems."""
     _check_compatible(a, b)
     stacked = list(annihilator(a).rows) + list(annihilator(b).rows)
-    return nullspace(stacked, a.ambient, a.backend, a.tol)
+    return nullspace(stacked, a.ambient, a.backend)
 
 
 def subspace_leq(a: Subspace, b: Subspace) -> bool:

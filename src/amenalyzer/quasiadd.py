@@ -47,7 +47,7 @@ def _add_elementary(row, u, v, n, subtract=False):
             row[k] = x - ua * vb if subtract else x + ua * vb
 
 
-def quasi_additive_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
+def quasi_additive_space(a: FiniteAlgebra, backend=EXACT) -> Subspace:
     """Kernel of the quasi-additivity constraints, inside C^(n*n).
 
     p is quasi-additive when p(xy tensor z) = p(x tensor yz) + p(y tensor zx).
@@ -68,10 +68,10 @@ def quasi_additive_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Su
                 _add_elementary(row, basis[i], prod[j][l], n, subtract=True)
                 _add_elementary(row, basis[j], prod[l][i], n, subtract=True)
                 rows.append(row)
-    return nullspace(rows, n * n, backend, tol)
+    return nullspace(rows, n * n, backend)
 
 
-def inner_quasi_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
+def inner_quasi_space(a: FiniteAlgebra, backend=EXACT) -> Subspace:
     """Functionals of the form p(a tensor b) = F(ab - ba), one row per dual basis F."""
     n = a.dim
     _, prod = _basis_products(a)
@@ -82,16 +82,16 @@ def inner_quasi_space(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subsp
                 rows[k][i * n + j] = rows[k].get(i * n + j, ZERO) + c
             for k, c in prod[j][i]:
                 rows[k][i * n + j] = rows[k].get(i * n + j, ZERO) - c
-    return rowspace(rows, n * n, backend, tol)
+    return rowspace(rows, n * n, backend)
 
 
 def cyclic_quasi_space(a: FiniteAlgebra, qa: Subspace) -> Subspace:
     """Quasi-additive functionals vanishing on the diagonal (antisymmetric P).
 
     ``qa`` is the solved :func:`quasi_additive_space` of ``a``; the result
-    is on its backend and tolerance.
+    is on its backend.
     """
-    anti = antisymmetric_space(a.dim, qa.backend, qa.tol)
+    anti = antisymmetric_space(a.dim, qa.backend)
     return subspace_intersect(qa, anti)
 
 
@@ -122,7 +122,6 @@ def corollary_3_2_check(an):
         out["iv_status"] = "skipped: no characters"
         return out
     point_amenable = an.point_amenable
-    tol = an.tol
     lane = LANES[qa.backend]
     n = an.algebra.dim
     columns_vanish = True
@@ -133,10 +132,10 @@ def corollary_3_2_check(an):
                 continue  # a float character on the exact lane: the float backend run covers it
             phi = lane.vector(ch.phi)
             for bidx in range(n):
-                if lane.is_zero(phi[bidx], tol):
+                if lane.is_zero(phi[bidx], DEFAULT_TOL):
                     continue
                 # p(. tensor e_b) is column b of P
-                if not all(lane.is_zero(p_flat[i * n + bidx], tol * 100) for i in range(n)):
+                if not all(lane.is_zero(p_flat[i * n + bidx], DEFAULT_TOL * 100) for i in range(n)):
                     columns_vanish = False
                     witness = (bidx, ch.sort_key())
     # sound direction: vanishing columns force point amenability
@@ -162,7 +161,7 @@ def point_derivation_from_quasi(an, p_flat, phi: Character, a0):
     lane = _lane(an, phi)
     n = an.algebra.dim
     phi_a0 = lane.dot(phi.phi, a0)
-    if lane.is_zero(phi_a0, an.tol):
+    if lane.is_zero(phi_a0, DEFAULT_TOL):
         raise ValueError("phi(a0) must be nonzero")
     # the functional x -> p(x tensor a0), one pairing per row of P
     col = [lane.dot(p_flat[i * n:(i + 1) * n], a0) for i in range(n)]
@@ -187,7 +186,7 @@ def _require_table(a: FiniteAlgebra):
     return table
 
 
-def semigroup_quasi_additive(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
+def semigroup_quasi_additive(a: FiniteAlgebra, backend=EXACT) -> Subspace:
     """Quasi-additive functions on a semigroup, indexed by pairs of elements.
 
     Same kernel as the general construction, assembled directly from the
@@ -203,7 +202,7 @@ def semigroup_quasi_additive(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -
                 for k in (x * n + table[y][z], y * n + table[z][x]):
                     row[k] = row.get(k, ZERO) - ONE
                 rows.append(row)
-    return nullspace(rows, n * n, backend, tol)
+    return nullspace(rows, n * n, backend)
 
 
 def cd_space(a: FiniteAlgebra, qa: Subspace) -> Subspace:
@@ -220,11 +219,11 @@ def cd_space(a: FiniteAlgebra, qa: Subspace) -> Subspace:
         raise NotASemigroupAlgebra(f"{a.name}: no identity element for normalization")
     n = a.dim
     rows = [{x * n + e: ONE} for x in range(n)]
-    normal = nullspace(rows, n * n, qa.backend, qa.tol)
+    normal = nullspace(rows, n * n, qa.backend)
     return subspace_intersect(qa, normal)
 
 
-def inner_q(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
+def inner_q(a: FiniteAlgebra, backend=EXACT) -> Subspace:
     """Image of h -> q(x, y) = h(xy) - h(yx) on a semigroup."""
     table = _require_table(a)
     n = a.dim
@@ -235,7 +234,7 @@ def inner_q(a: FiniteAlgebra, backend=EXACT, tol=DEFAULT_TOL) -> Subspace:
             row[x * n + y] = row.get(x * n + y, ZERO) + ONE
             row = rows[table[y][x]]
             row[x * n + y] = row.get(x * n + y, ZERO) - ONE
-    return rowspace(rows, n * n, backend, tol)
+    return rowspace(rows, n * n, backend)
 
 
 def weighted_norm(p_flat, weight, n=None):

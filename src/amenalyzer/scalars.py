@@ -50,9 +50,6 @@ class QQi:
     def inverse(self):
         return ONE / self
 
-    def conjugate(self):
-        return QQi(self.re, -self.im)
-
     def __eq__(self, other):
         if not isinstance(other, QQi):
             return NotImplemented

@@ -255,7 +255,7 @@ def test_prop25_gates_not_applicable_is_flagged():
     assert not Analysis(a2).essential
     ok, _ = is_unital(a2)
     assert not ok
-    fake = Character((ONE, ZERO, ZERO), True, 0.0)  # not verified, gates only
+    fake = Character((ONE, ZERO, ZERO), True)  # not verified, gates only
     rep = check_prop_2_5(Analysis(a2), [ZERO, ONE, ZERO], fake)
     assert rep == {"applicable": False, "gates": rep["gates"]}
 
@@ -398,5 +398,5 @@ def test_character_count_of_pointwise_tensors(k1, k2):
 def test_float_character_check_refuses_nan_and_inf(value):
     # e * e = e, whose one character is phi(e) = 1
     a = FiniteAlgebra("x", 1, (((ONE,),),), ("e",))
-    assert _verify_vector(a, [1 + 0j], 1e-9, want_exact=False) is not None
-    assert _verify_vector(a, [value], 1e-9, want_exact=False) is None
+    assert _verify_vector(a, [1 + 0j], want_exact=False) is not None
+    assert _verify_vector(a, [value], want_exact=False) is None

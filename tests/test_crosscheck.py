@@ -1,6 +1,9 @@
 """Shape and stability of the cross-check suite itself."""
 
+import ast
+import dataclasses
 import inspect
+import pathlib
 import sys
 
 import pytest
@@ -9,6 +12,7 @@ from amenalyzer import algebra, characters, derivations, quasiadd
 from amenalyzer.classify import Analysis, build_report
 from amenalyzer.corpus import corpus
 from amenalyzer.crosscheck import CHECK_IDS, run_crosscheck
+from amenalyzer.linalg import EXACT, Subspace
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +177,26 @@ def test_each_table_inner_space_is_solved_once(backend, monkeypatch):
     assert groups
     assert sorted(k[1].name for k in solved) == sorted(groups)
     assert set(solved.values()) == {1}
+
+
+def test_a_positional_tolerance_is_refused():
+    # the float tolerance is fixed; seed is keyword-only, so a tolerance
+    # passed where it once went cannot run as seed int(1e-9) = 0
+    a = algebra.truncated_polynomial(2)
+    with pytest.raises(TypeError):
+        Analysis(a, EXACT, 1e-9)
+    with pytest.raises(TypeError):
+        run_crosscheck(None, EXACT, 1e-9)
+    with pytest.raises(TypeError):
+        characters.find_characters(a, None, 1e-9)
+
+
+def test_no_function_takes_a_tolerance():
+    src = pathlib.Path(algebra.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                assert "tol" not in [x.arg for x in args], f"{path.name}:{node.lineno} {node.name}"
+    assert [f.name for f in dataclasses.fields(Subspace)] == ["ambient", "rows", "pivots", "backend"]
+    assert not hasattr(Analysis(algebra.truncated_polynomial(2)), "tol")

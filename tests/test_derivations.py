@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from amenalyzer.algebra import (
+    FiniteAlgebra,
     is_unital,
     matrix_algebra,
     truncated_polynomial,
@@ -29,7 +30,7 @@ from amenalyzer.derivations import (
     unflatten_map,
 )
 from amenalyzer.linalg import EXACT, FLOAT, subspace_intersect, subspace_leq
-from amenalyzer.scalars import ONE, ZERO, qq
+from amenalyzer.scalars import ONE, ZERO, QQi, qq
 
 from oracles import (
     derivation_constraint_matrix,
@@ -311,3 +312,14 @@ def test_predicates_give_the_same_verdict_on_both_lanes():
                 assert pairing_with_unit_vanishes(a, mf) == pu, name
             verdicts.add(cyc)
     assert verdicts == {True, False}
+
+
+def test_float_system_whose_row_norm_overflows_raises():
+    # e * e = 10^160 e: built directly, so not bounded by the reader.  Its
+    # derivation rows have squared norm 10^320, past float range, which
+    # would make every pivot threshold infinite and the rank 0.
+    big = QQi(10**160)
+    a = FiniteAlgebra("big", 1, (((big,),),), ("e",))
+    assert derivation_space(a, EXACT).dim == 0
+    with pytest.raises(OverflowError):
+        derivation_space(a, FLOAT)

@@ -25,7 +25,6 @@ print the same file apart from its ``"backend"`` line.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -91,13 +90,10 @@ def test_constructors_match_golden():
 
 @pytest.mark.parametrize("name", NAMES)
 def test_classify_matches_golden(name):
-    env = os.environ.copy()
-    env.pop("AMENALYZER_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-m", "amenalyzer.cli", "classify", f"builtin:{name}", "--json", "--witnesses"],
         capture_output=True,
         text=True,
-        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     golden = (GOLDEN_DIR / f"classify_{name}.json").read_text()
@@ -106,13 +102,10 @@ def test_classify_matches_golden(name):
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_crosscheck_matches_golden(backend):
-    env = os.environ.copy()
-    env.pop("AMENALYZER_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-m", "amenalyzer.cli", "crosscheck", "--json", "--backend", backend],
         capture_output=True,
         text=True,
-        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     golden = (GOLDEN_DIR / "crosscheck.json").read_text()

@@ -40,7 +40,7 @@ def _assert_kernel_matches_reference(arr):
     rank, pivots = _kernels.rref_inplace(got, tol_abs)
     assert (rank, pivots) == reference_rref_inplace(want, tol_abs)
     assert np.array_equal(got, want)
-    out, out_pivots = rref_float(arr, DEFAULT_TOL)
+    out, out_pivots = rref_float(arr)
     assert out_pivots == pivots
     got[np.abs(got) <= tol_abs] = 0.0
     assert np.array_equal(out, got[:rank])
