@@ -20,6 +20,7 @@ from .linalg import (
     lane_of,
     matvec_exact,
     nullspace,
+    real_if_real,
     rowspace,
     subspace_leq,
     system_zeros,
@@ -62,14 +63,17 @@ def _assemble_derivation_rows(a: FiniteAlgebra):
 
 
 def _broadcast_derivation_rows(sc: np.ndarray) -> np.ndarray:
-    """The same constraints as a complex128 array, rows and columns in the
-    same order: C[(i,j,l),(p,q)] = sc[i,j,p] d_lq - d_ip sc[j,l,q] - d_jp sc[l,i,q].
+    """The same constraints as an array, rows and columns in the same order:
+    C[(i,j,l),(p,q)] = sc[i,j,p] d_lq - d_ip sc[j,l,q] - d_jp sc[l,i,q].
+    It is float64 for a real tensor and complex128 otherwise
+    (:func:`~amenalyzer.linalg.real_if_real`).
 
     Each Kronecker delta selects a diagonal slice of the five-index array,
     into which the (n, n, n) tensor is broadcast whole.
     """
+    sc = real_if_real(sc)
     n = sc.shape[0]
-    system = system_zeros((n**3, n * n))
+    system = system_zeros((n**3, n * n), sc.dtype)
     c = system.reshape(n, n, n, n, n)
     sc_lis = sc.transpose(1, 0, 2)
     for t in range(n):

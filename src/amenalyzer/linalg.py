@@ -14,8 +14,12 @@ place that knows the two backends, or lanes:
 * ``float``  - matrices are numpy complex128 arrays; rank decisions use the
   one fixed tolerance :data:`DEFAULT_TOL` (``1e-9``), relative to the
   largest row norm.
-  :func:`rref_float` eliminates a writeable complex128 system in the
-  buffer it was built in, so each float system is held once.
+  :func:`rref_float` eliminates a writeable float64 or complex128 system
+  in the buffer it was built in, so each float system is held once.  The
+  derivation system of a real structure tensor is built in float64
+  (:func:`real_if_real` makes that choice), half the bytes of complex128,
+  and eliminated to the same bits; every row a float ``Subspace`` holds is
+  complex128 either way.
 
 Each lane is an ops object in :data:`LANES` holding its zero and one, scalar
 coercion, a zero test (``QQi.is_zero()`` exact, ``abs(x) <= bound`` float),
@@ -158,22 +162,27 @@ def rref_exact(rows):
 def rref_float(arr):
     """Float RREF with partial pivoting; see :mod:`amenalyzer._kernels`.
 
-    Returns (2-d array of nonzero rows, tuple of pivot columns).  The pivot
-    threshold is :data:`DEFAULT_TOL` times the largest row norm of the input.
+    Returns (2-d complex128 array of nonzero rows, tuple of pivot columns).
+    The pivot threshold is :data:`DEFAULT_TOL` times the largest row norm
+    of the input.
 
-    A writeable, C-contiguous, 2-d complex128 array is eliminated in place,
-    so a system is held once: afterwards it holds the RREF rows, and the
-    rows returned are a view of it.  Any other input (a read-only array,
-    another dtype, a list) is first copied into :func:`system_zeros` and
-    left as it is.
+    A writeable, C-contiguous, 2-d float64 or complex128 array is
+    eliminated in place, in its own dtype, so a system is held once:
+    afterwards it holds the RREF rows.  For complex128 the rows returned
+    are a view of it; for float64 they are a complex128 copy of its first
+    rank rows, with the same bits the complex128 elimination of the same
+    matrix gives.  Any other input (a read-only array, another dtype, a
+    list) is first copied into :func:`system_zeros` and left as it is.
     """
-    a = np.asarray(arr, dtype=np.complex128)
+    a = np.asarray(arr)
+    if a.dtype != np.float64:
+        a = np.asarray(arr, dtype=np.complex128)
     if a.ndim != 2:
         a = a.reshape(len(a), -1) if a.size else a.reshape(0, 0)
-    # asarray and reshape hand back arr itself only for a 2-d complex128 array
+    # asarray and reshape hand back arr itself only for a 2-d float64 or complex128 array
     if a is not arr or not (a.flags.c_contiguous and a.flags.writeable):
         src = a
-        a = system_zeros(src.shape)
+        a = system_zeros(src.shape, src.dtype)
         a[...] = src
     tol_abs = DEFAULT_TOL * matrix_scale(a)
     rank, pivots = _kernels.rref_inplace(a, tol_abs)
@@ -181,15 +190,26 @@ def rref_float(arr):
     out[np.abs(out) <= tol_abs] = 0.0
     # the kernel may leave -0.0 parts; adding +0.0 makes every zero positive
     out += 0.0
-    return out, pivots
+    return np.asarray(out, dtype=np.complex128), pivots
+
+
+def real_if_real(values) -> np.ndarray:
+    """``values`` as a float64 array when every imaginary part is 0.0, else
+    as complex128.  This is where the float lane picks the dtype of a system
+    built from a structure tensor: a real tensor's system is held and
+    eliminated in float64, in half the bytes, and :func:`rref_float` returns
+    the same bits for it as for the complex128 system."""
+    a = np.asarray(values, dtype=np.complex128)
+    return a if a.imag.any() else a.real
 
 
 def matrix_scale(arr) -> float:
     """Largest Euclidean row norm, floored at 1 so tolerances stay sane.
-    Taken a block of rows at a time, so no float copy of a system is made.
-    A squared row norm that overflows raises ``OverflowError``: an infinite
-    scale would make every pivot threshold infinite and the rank 0."""
-    a = np.asarray(arr, dtype=np.complex128)
+    Taken a block of rows at a time, in the array's own dtype, so no copy of
+    a system is made.  A squared row norm that overflows raises
+    ``OverflowError``: an infinite scale would make every pivot threshold
+    infinite and the rank 0."""
+    a = np.asarray(arr)
     if a.size == 0:
         return 1.0
     step = max(1, _SCALE_BLOCK // a.shape[1])
@@ -200,17 +220,17 @@ def matrix_scale(arr) -> float:
     return max(1.0, float(np.sqrt(top)))
 
 
-def system_zeros(shape) -> np.ndarray:
-    """A zero complex128 array for a float system.  On Linux one of 1 MiB or
-    more is mapped on private pages of its own, which go back to the system
-    when it is freed: a freed heap block leaves a hole that later small
-    blocks split, and peak memory then depends on when they came.  The pages
-    are marked for huge pages, as numpy marks its own large arrays.  A map
-    the system refuses raises an ``OSError`` (``ENOMEM``) that names the
-    shape and size of the system."""
-    nbytes = math.prod(shape) * 16
+def system_zeros(shape, dtype) -> np.ndarray:
+    """A zero array of ``dtype`` (float64 or complex128) for a float system.
+    On Linux one of 1 MiB or more is mapped on private pages of its own,
+    which go back to the system when it is freed: a freed heap block leaves
+    a hole that later small blocks split, and peak memory then depends on
+    when they came.  The pages are marked for huge pages, as numpy marks its
+    own large arrays.  A map the system refuses raises an ``OSError``
+    (``ENOMEM``) that names the shape and size of the system."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     if nbytes < _OWN_PAGES or not hasattr(mmap, "MADV_HUGEPAGE"):
-        return np.zeros(shape, dtype=np.complex128)
+        return np.zeros(shape, dtype=dtype)
     try:
         pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     except OSError as exc:
@@ -221,7 +241,7 @@ def system_zeros(shape) -> np.ndarray:
             f"cannot allocate a {nbytes / 1e9:.3g} GB float system of shape {tuple(shape)}",
         ) from None
     pages.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(pages, dtype=np.complex128).reshape(shape)
+    return np.frombuffer(pages, dtype=dtype).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +352,7 @@ class _FloatLane:
         # rref_float reduces it, or the array filled here, in place
         arr = rows
         if not isinstance(rows, np.ndarray):
-            arr = system_zeros((len(rows), ncols))
+            arr = system_zeros((len(rows), ncols), np.complex128)
             for r, row in enumerate(rows):
                 if isinstance(row, dict):
                     for c, x in row.items():

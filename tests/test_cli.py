@@ -326,7 +326,7 @@ def test_float_system_that_cannot_be_mapped_is_named_without_traceback(tmp_path,
         assert cli.main(["classify", path, "--backend", "float"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno 12]") and "Traceback" not in err
-    assert "(4096, 256)" in err and "0.0168 GB" in err and "--backend exact" in err
+    assert "(4096, 256)" in err and "0.00839 GB" in err and "--backend exact" in err
 
 
 BAD_INVOCATIONS = {

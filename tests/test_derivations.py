@@ -33,6 +33,7 @@ from amenalyzer.linalg import EXACT, FLOAT, subspace_intersect, subspace_leq
 from amenalyzer.scalars import ONE, ZERO, QQi, qq
 
 from oracles import (
+    change_basis,
     derivation_constraint_matrix,
     oracle_cyclic_dim,
     oracle_derivation_dim,
@@ -273,6 +274,16 @@ def test_broadcast_float_system_equals_oracle_matrix(name):
     # arrays agree bit for bit, rows and columns in the same order
     a = corpus()[name]
     assert np.array_equal(_broadcast_derivation_rows(a.complex_sc), derivation_constraint_matrix(a))
+
+
+def test_float_derivation_system_is_float64_exactly_for_a_real_tensor():
+    real = upper_triangular(2)
+    i = QQi(0, 1)
+    rotated = change_basis(real, [[ONE, i, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]])
+    assert rotated.complex_sc.imag.any()
+    assert _broadcast_derivation_rows(real.complex_sc).dtype == np.float64
+    assert _broadcast_derivation_rows(rotated.complex_sc).dtype == np.complex128
+    assert derivation_space(rotated, FLOAT).dim == derivation_space(rotated, EXACT).dim == derivation_space(real, FLOAT).dim
 
 
 ZC_ALGEBRAS = dict(corpus(), UpperTri4=upper_triangular(4), Zero8Sharp=unitize(zero_algebra(8)))

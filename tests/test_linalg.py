@@ -190,9 +190,16 @@ def test_float_nullspace_reduces_a_writeable_complex128_caller_array_in_place():
     kernel = nullspace(m, 7, FLOAT)
     assert kernel.dim == 7 - len(pivots)
     assert np.array_equal(m[: len(pivots)], rows)  # m now holds its RREF
-    before = real.copy()
-    nullspace(real, 7, FLOAT)
-    assert np.array_equal(real, before)  # float64 rows are copied, not reduced
+    real_rows, real_pivots = rref_float(real.copy())
+    assert nullspace(real, 7, FLOAT).dim == 7 - len(real_pivots)
+    assert real.dtype == np.float64  # still float64, and now holding its RREF
+    assert np.array_equal(real[: len(real_pivots)], real_rows)
+    frozen = m.real.copy()
+    frozen.setflags(write=False)
+    for other in (m.real.astype(np.float32), np.arange(-14, 14).reshape(4, 7), frozen):
+        before = other.copy()
+        nullspace(other, 7, FLOAT)
+        assert other.dtype == before.dtype and np.array_equal(other, before)  # copied, not reduced
 
 
 def test_float_nullspace_residual_bound():

@@ -129,9 +129,10 @@ def test_float_peak_memory_does_not_grow_with_unrelated_small_blocks():
     assert float(proc.stdout) < 4, f"peak RSS grew by {float(proc.stdout):.1f} MB"
 
 
-# One float derivation_space of M4 in a fresh process.  Its system is 4096 x
-# 256 complex128, 16 MiB; eliminated in the buffer it was built in, it is held
-# once, and peak RSS rises by about 17 MiB.  A working copy would add 16 MiB.
+# One float derivation_space of M4 in a fresh process.  Its tensor is real, so
+# its system is 4096 x 256 float64, 8 MiB; eliminated in the buffer it was
+# built in, it is held once, and peak RSS rises by about 9.4 MiB.  A working
+# copy would add 8 MiB, and the same system in complex128 rises by 17 MiB.
 _ONE_SYSTEM = """
 import resource
 from amenalyzer.algebra import matrix_algebra
@@ -142,7 +143,7 @@ a = matrix_algebra(4)
 a.complex_sc
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 assert derivation_space(a, FLOAT).dim == 15
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024, a.dim**5 * 16)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024, a.dim**5 * 8)
 """
 
 
