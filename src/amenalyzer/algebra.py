@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
+    DEFAULT_TOL,
     EXACT,
     Subspace,
     nullspace,
@@ -94,6 +96,25 @@ class FiniteAlgebra:
             out[i, j, k] = complex(c)
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def character_reduction(self):
+        """(C, P2, P1): C = (A / <[A, A]>) / rad, the commutative semisimple
+        quotient with the characters of A, and P1, P2 the complex128
+        projections of the two quotients; None when C is zero.  Exact, so
+        one algebra's analyses on both lanes read one reduction."""
+        b_alg, proj1 = quotient_map(self, ideal_closure(self, commutator_span(self)))
+        if b_alg is None:
+            return None
+        c_alg, proj2 = quotient_map(b_alg, radical(b_alg))
+        if c_alg is None:
+            return None
+        projections = []
+        for proj in (proj2, proj1):
+            p = np.array([[complex(x) for x in row] for row in proj], dtype=np.complex128)
+            p.setflags(write=False)
+            projections.append(p)
+        return (c_alg, *projections)
 
     @cached_property
     def _hash(self):
@@ -225,19 +246,21 @@ def validate(a: FiniteAlgebra) -> ValidationReport:
                             )
                         )
     if a.idempotent_span is not None:
-        for idx, v in enumerate(a.idempotent_span):
-            if a.multiply(list(v), list(v)) != list(v):
-                issues.append(
-                    ValidationIssue("idempotent", (idx,), "declared vector is not idempotent")
-                )
-        span = rowspace(list(a.idempotent_span), n, EXACT)
-        if span.dim != n:
-            issues.append(
-                ValidationIssue(
-                    "idempotent", (), "declared idempotents do not span the algebra"
-                )
-            )
+        issues += idempotent_span_issues(a)
     return ValidationReport(tuple(issues))
+
+
+def idempotent_span_issues(a: FiniteAlgebra) -> list:
+    """The issues of a declared idempotent span: each vector that is not
+    idempotent, then vectors that do not span the algebra."""
+    issues = [
+        ValidationIssue("idempotent", (idx,), "declared vector is not idempotent")
+        for idx, v in enumerate(a.idempotent_span)
+        if a.multiply(list(v), list(v)) != list(v)
+    ]
+    if rowspace(list(a.idempotent_span), a.dim, EXACT).dim != a.dim:
+        issues.append(ValidationIssue("idempotent", (), "declared idempotents do not span the algebra"))
+    return issues
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +320,21 @@ def check_bound(a: FiniteAlgebra) -> FiniteAlgebra:
     if any(max(abs(c.re), abs(c.im)) > MAX_MAGNITUDE for c in parts):
         raise AlgebraFormatError(f"{a.name}: a part is beyond +-1e150")
     return a
+
+
+def check_float_spread(a: FiniteAlgebra):
+    """Refuse the algebra for the float lane when its smallest nonzero
+    structure-constant modulus is at most :data:`DEFAULT_TOL` times its
+    largest: pivots that small fall under the float lane's rank threshold,
+    and its dims would be wrong.  Moduli are compared exactly."""
+    squares = [c.re * c.re + c.im * c.im for _, _, _, c in _terms(a)]
+    if squares and min(squares) <= Fraction(DEFAULT_TOL) ** 2 * max(squares):
+        lo, hi = (float(x) ** 0.5 for x in (min(squares), max(squares)))
+        raise AlgebraFormatError(
+            f"{a.name}: nonzero structure constants span moduli {lo:.3g} to {hi:.3g}, "
+            f"a ratio at or below the float tolerance {DEFAULT_TOL:g}; "
+            "the float lane cannot rank its systems, use --backend exact"
+        )
 
 
 def _make(name, n, terms, labels, unit=None, **kw):
@@ -390,9 +428,11 @@ def semigroup_algebra(table, weight=None, identity=None, name=None) -> FiniteAlg
     """Convolution algebra of a finite semigroup given by its Cayley table.
 
     ``table[x][y]`` is the index of the product of elements x and y; the
-    table must be associative.  ``weight`` attaches a positive weight per
-    element (norm metadata only).  ``identity`` asserts which element is the
-    two-sided identity; when omitted it is auto-detected.
+    table must be associative.  ``weight`` attaches a weight per element
+    (norm metadata only): at least 1, 1 at the identity, and
+    submultiplicative.  Both rules are :func:`validate`'s, and the algebra
+    built is refused with its first issue.  ``identity`` asserts which
+    element is the two-sided identity; when omitted it is auto-detected.
     """
     if not isinstance(table, (list, tuple)) or not all(
         isinstance(row, (list, tuple)) for row in table
@@ -409,13 +449,6 @@ def semigroup_algebra(table, weight=None, identity=None, name=None) -> FiniteAlg
                 raise AlgebraFormatError(f"Cayley table entry ({x},{y}) = {v!r} is not an integer")
             if not (0 <= v < m):
                 raise AlgebraFormatError(f"Cayley table entry ({x},{y}) = {v} out of range")
-    for x in range(m):
-        for y in range(m):
-            for z in range(m):
-                if table[table[x][y]][z] != table[x][table[y][z]]:
-                    raise AlgebraFormatError(
-                        f"Cayley table is not associative at ({x},{y},{z})"
-                    )
     detected = cayley_identity(table)
     if identity is not None and identity != detected:
         raise AlgebraFormatError(
@@ -433,17 +466,7 @@ def semigroup_algebra(table, weight=None, identity=None, name=None) -> FiniteAlg
             w = tuple(map(_parse_weight, weight))
         except (ValueError, ZeroDivisionError) as exc:
             raise AlgebraFormatError(f"weight: {exc}") from exc
-        if any(x < 1 for x in w):
-            raise AlgebraFormatError("weights must be >= 1")
-        if ident is not None and w[ident] != 1:
-            raise AlgebraFormatError("identity element must have weight 1")
-        for x in range(m):
-            for y in range(m):
-                if w[table[x][y]] > w[x] * w[y]:
-                    raise AlgebraFormatError(
-                        f"weight not submultiplicative at ({x},{y})"
-                    )
-    return _make(
+    a = _make(
         name or f"Semigroup{m}",
         m,
         {(x, y, table[x][y]): ONE for x in range(m) for y in range(m)},
@@ -451,6 +474,12 @@ def semigroup_algebra(table, weight=None, identity=None, name=None) -> FiniteAlg
         unit=unit,
         weight=w,
     )
+    issues = validate(a).issues
+    if issues:
+        first = issues[0]
+        broken = "is not associative" if first.kind == "associativity" else f"breaks a {first.kind} rule"
+        raise AlgebraFormatError(f"semigroup {broken} at {first.where}: {first.message}")
+    return a
 
 
 def recover_cayley_table(a: FiniteAlgebra):

@@ -6,7 +6,8 @@ the radical of the quotient.  What remains is a commutative semisimple
 algebra whose characters are the eigenvectors of a random combination of
 its transposed left-multiplication matrices; distinct eigenvalues certify
 that the enumeration is complete.  Characters found in floating point are
-rationalized and re-verified exactly whenever possible.
+rationalized and re-verified exactly whenever possible.  The reduction is
+exact, and the algebra holds it as ``FiniteAlgebra.character_reduction``.
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (
-    FiniteAlgebra,
-    commutator_span,
-    find_unit,
-    ideal_closure,
-    quotient_map,
-    radical,
-)
+from .algebra import FiniteAlgebra, find_unit
 from .derivations import (
     flatten_map,
     is_cyclic,
@@ -172,29 +166,13 @@ def find_characters(a: FiniteAlgebra, *, seed=None, backend=EXACT) -> CharacterS
     rationals are re-verified exactly and kept in exact form.
     """
     rng = np.random.default_rng(resolve_seed(seed))
-
-    comm_ideal = ideal_closure(a, commutator_span(a))
-    b_alg, proj1 = quotient_map(a, comm_ideal)
-    if b_alg is None:
-        found = []
-        certified = True
-        attempts = 0
+    reduction = a.character_reduction
+    if reduction is None:
+        found, certified, attempts = [], True, 0
     else:
-        rad = radical(b_alg)
-        c_alg, proj2 = quotient_map(b_alg, rad)
-        if c_alg is None:
-            found = []
-            certified = True
-            attempts = 0
-        else:
-            vecs, certified, attempts = _semisimple_commutative_characters(c_alg, rng)
-            p2 = np.array(
-                [[complex(x) for x in row] for row in proj2], dtype=np.complex128
-            )
-            p1 = np.array(
-                [[complex(x) for x in row] for row in proj1], dtype=np.complex128
-            )
-            found = [np.asarray(v) @ p2 @ p1 for v in vecs]
+        c_alg, p2, p1 = reduction
+        vecs, certified, attempts = _semisimple_commutative_characters(c_alg, rng)
+        found = [np.asarray(v) @ p2 @ p1 for v in vecs]
 
     want_exact = backend == EXACT
     chars = []

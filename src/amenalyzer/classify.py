@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import FiniteAlgebra, check_bound, is_unital, product_span, radical
+from .algebra import FiniteAlgebra, check_bound, check_float_spread, is_unital, product_span, radical
 from .characters import (
     CharacterSearch,
     find_characters,
@@ -20,7 +20,7 @@ from .derivations import (
     t_operator_rank,
     unflatten_map,
 )
-from .linalg import DEFAULT_TOL, EXACT, Subspace, subspace_equal
+from .linalg import DEFAULT_TOL, EXACT, FLOAT, Subspace, subspace_equal
 from .quasiadd import (
     cyclic_quasi_space,
     inner_q,
@@ -41,11 +41,15 @@ class Analysis:
     them; the point side is the characters, ``pd_space(phi)`` and
     ``ideal_square(phi)`` per character, and the two point flags.  A float
     character puts its spaces on the float lane, as in
-    :func:`~amenalyzer.characters.point_derivation_space`.
+    :func:`~amenalyzer.characters.point_derivation_space`.  A float
+    analysis refuses an algebra whose constants span too many orders of
+    magnitude (:func:`~amenalyzer.algebra.check_float_spread`).
     """
 
     def __init__(self, algebra: FiniteAlgebra, backend=EXACT, *, seed=None):
         self.algebra = check_bound(algebra)
+        if backend == FLOAT:
+            check_float_spread(algebra)
         self.backend = backend
         self.seed = resolve_seed(seed)
         self._pd_spaces = {}

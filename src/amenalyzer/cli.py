@@ -50,13 +50,17 @@ def _emit_json(data):
 
 def _add_options(parser):
     parser.add_argument("--backend", choices=["exact", "float"], default=EXACT)
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--json", action="store_true", dest="as_json")
 
 
 def _add_common(parser):
     parser.add_argument("target", help="algebra file path or builtin:NAME")
     _add_options(parser)
+
+
+def _add_seed(parser):
+    # only a command that reads a character takes a seed
+    parser.add_argument("--seed", type=int, default=None)
 
 
 def cmd_validate(args):
@@ -75,7 +79,7 @@ def _classified(args) -> Analysis:
     report = validate(a)
     if not report.ok:
         raise AlgebraFormatError(f"{a.name} failed validation:\n{report}")
-    return Analysis(a, backend=args.backend, seed=args.seed)
+    return Analysis(a, backend=args.backend, seed=getattr(args, "seed", None))
 
 
 def cmd_classify(args):
@@ -286,6 +290,8 @@ def build_parser():
         if extra:
             sp.add_argument("--witnesses", action="store_true")
         sp.set_defaults(fn=fn)
+    for name in ("classify", "characters"):
+        _add_seed(sub.choices[name])
 
     sp = sub.add_parser("construct", help="build a standard algebra and write it")
     sp.add_argument(
@@ -313,6 +319,7 @@ def build_parser():
     sp = sub.add_parser("crosscheck", help="run the invariant suite on the corpus")
     sp.add_argument("--only", help="comma-separated theorem ids")
     _add_options(sp)
+    _add_seed(sp)
     sp.set_defaults(fn=cmd_crosscheck)
 
     return p

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from .algebra import (
     cayley_identity,
+    idempotent_span_issues,
     recover_cayley_table,
     subalgebra_on,
     tensor_product,
@@ -44,7 +45,6 @@ from .linalg import (
     DEFAULT_TOL,
     EXACT,
     LANES,
-    annihilator,
     rowspace,
     subspace_equal,
     subspace_leq,
@@ -149,7 +149,7 @@ def check_p23(an: Analysis, ctx):
     if an.cyclically_weakly_amenable:
         return FAIL, "non-essential but cyclically weakly amenable"
     ean = ctx["analysis"](an.algebra, EXACT)
-    ann = annihilator(ean.product_span)
+    ann = ean.pd_space(None)  # the annihilator of the product span, in canonical RREF
     span_pivots = set(ean.product_span.pivots)
     witness = None
     a0_idx = None
@@ -621,11 +621,9 @@ def check_p511(an: Analysis, ctx):
     a = an.algebra
     if a.idempotent_span is None:
         return SKIP, "hypothesis not met: no declared idempotent span"
-    for idx, v in enumerate(a.idempotent_span):
-        if a.multiply(list(v), list(v)) != list(v):
-            return FAIL, f"declared vector {idx} is not idempotent"
-    if rowspace([list(v) for v in a.idempotent_span], a.dim, EXACT).dim != a.dim:
-        return FAIL, "declared idempotents do not span"
+    issues = idempotent_span_issues(a)
+    if issues:
+        return FAIL, issues[0].message
     if not an.zero_point_amenable:
         return FAIL, "not 0-point amenable"
     if an.commutative:

@@ -162,7 +162,8 @@ def rref_exact(rows):
 def rref_float(arr):
     """Float RREF with partial pivoting; see :mod:`amenalyzer._kernels`.
 
-    Returns (2-d complex128 array of nonzero rows, tuple of pivot columns).
+    ``arr`` is a 2-d array, or a list of equal-length rows.  Returns (2-d
+    complex128 array of nonzero rows, tuple of pivot columns).
     The pivot threshold is :data:`DEFAULT_TOL` times the largest row norm
     of the input.
 
@@ -177,9 +178,7 @@ def rref_float(arr):
     a = np.asarray(arr)
     if a.dtype != np.float64:
         a = np.asarray(arr, dtype=np.complex128)
-    if a.ndim != 2:
-        a = a.reshape(len(a), -1) if a.size else a.reshape(0, 0)
-    # asarray and reshape hand back arr itself only for a 2-d float64 or complex128 array
+    # asarray hands back arr itself only for a float64 or complex128 array
     if a is not arr or not (a.flags.c_contiguous and a.flags.writeable):
         src = a
         a = system_zeros(src.shape, src.dtype)
@@ -379,9 +378,13 @@ def lane_of(*parts):
     return _ExactLane
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
-    """A linear subspace of coordinate space in canonical RREF form."""
+    """A linear subspace of coordinate space in canonical RREF form.
+
+    Two subspaces are compared as sets with :func:`subspace_equal`; ``==``
+    is identity.
+    """
 
     ambient: int
     rows: tuple | np.ndarray
@@ -391,20 +394,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        if (self.ambient, self.backend, self.dim) != (
-            other.ambient,
-            other.backend,
-            other.dim,
-        ):
-            return False
-        return LANES[self.backend].rows_equal(self.rows, other.rows, DEFAULT_TOL)
-
-    def __hash__(self):
-        return hash((self.ambient, self.backend, self.dim))
 
     def reduce(self, vec):
         """Reduce a vector against the RREF basis: (coefficients, remainder).
@@ -445,14 +434,6 @@ def rowspace(rows, ncols, backend=EXACT) -> Subspace:
     return Subspace(ncols, basis, pivots, backend)
 
 
-def trivial_space(ambient, backend=EXACT) -> Subspace:
-    return rowspace([], ambient, backend)
-
-
-def full_space(ambient, backend=EXACT) -> Subspace:
-    return nullspace([], ambient, backend)
-
-
 def nullspace(rows, ncols, backend=EXACT) -> Subspace:
     """Kernel {v : rows . v = 0} as a canonical Subspace of dimension ncols.
 
@@ -482,11 +463,6 @@ def _check_compatible(a: Subspace, b: Subspace):
         raise AmbientMismatch(f"ambient {a.ambient} vs {b.ambient}")
     if a.backend != b.backend:
         raise AmbientMismatch(f"backend {a.backend} vs {b.backend}")
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_compatible(a, b)
-    return rowspace(list(a.rows) + list(b.rows), a.ambient, a.backend)
 
 
 def annihilator(s: Subspace) -> Subspace:

@@ -30,7 +30,7 @@ from amenalyzer.algebra import (
     validate,
     zero_algebra,
 )
-from amenalyzer.classify import Analysis
+from amenalyzer.classify import Analysis, build_report
 from amenalyzer.corpus import corpus
 from amenalyzer.linalg import EXACT, FLOAT, nullspace
 from amenalyzer.scalars import ONE, ZERO, QQi, qq
@@ -566,3 +566,65 @@ def test_analysis_refuses_a_part_beyond_the_reader_bound():
     edge = FiniteAlgebra("edge", 1, (((QQi(10**150),),),), ("e",))
     assert Analysis(edge).z.dim == 0
 
+
+
+def _scaled_pointwise(c0, c1):
+    """e0 e0 = c0 e0 and e1 e1 = c1 e1: two moduli, and associative."""
+    return from_json_dict(
+        {"name": "P", "dim": 2, "labels": ["a", "b"], "sc": [[0, 0, 0, c0, "0"], [1, 1, 1, c1, "0"]]}
+    )
+
+
+def test_float_analysis_refuses_constants_spanning_too_many_orders():
+    # a ratio of smallest to largest modulus at most the float tolerance (1e-9)
+    # is refused on the float lane only; moduli are compared exactly, so 1e-400,
+    # which is 0.0 as a float, is refused too
+    for c0, c1 in (("1", "1e9"), ("1e-9", "1"), ("1", "1e100"), ("1e-400", "1")):
+        a = _scaled_pointwise(c0, c1)
+        with pytest.raises(AlgebraFormatError, match=r"span moduli .* --backend exact"):
+            Analysis(a, FLOAT)
+        assert Analysis(a, EXACT).z.dim == 0
+    for c0, c1 in (("1", "1e8"), ("3", "-4"), ("1e100", "1e100")):
+        assert Analysis(_scaled_pointwise(c0, c1), FLOAT).z.dim == 0
+
+
+# A fixed handful of corpus pairs, every product of dimension at most 12.
+ISOMORPHIC_PAIRS = [
+    ("TruncPoly2", "Z2"),
+    ("UpperTri2", "Pointwise2"),
+    ("M2", "TruncPoly2"),
+    ("EF", "TruncPoly3"),
+    ("Czero2", "Z3"),
+    ("S3", "TruncPoly2"),
+    ("Z2w", "UpperTri2"),
+]
+
+
+def _isomorphism_invariants(a):
+    """Dims, predicates, flags, and the sorted point-derivation and
+    cotangent dims of the exact report: all that a change of basis keeps."""
+    report = build_report(Analysis(a))
+    dims = dict(report["dims"])
+    per_character = dims.pop("point_derivations")
+    return (
+        dims,
+        report["predicates"],
+        report["flags"],
+        sorted(e["dim"] for e in per_character),
+        sorted(e["cotangent"] for e in per_character),
+    )
+
+
+@pytest.mark.parametrize("left,right", ISOMORPHIC_PAIRS, ids=[f"{l}-{r}" for l, r in ISOMORPHIC_PAIRS])
+def test_isomorphic_constructions_give_the_same_report(left, right):
+    a, b = corpus()[left], corpus()[right]
+    assert _isomorphism_invariants(tensor_product(a, b)) == _isomorphism_invariants(tensor_product(b, a))
+    assert _isomorphism_invariants(direct_sum(a, b)) == _isomorphism_invariants(direct_sum(b, a))
+
+
+@pytest.mark.parametrize("name", ["M2", "TruncPoly3", "UpperTri2", "Z3", "S3", "Pointwise2"])
+def test_unitization_of_a_unital_algebra_is_its_sum_with_c(name):
+    # for unital A, 1# - 1_A is a central idempotent, so A# = A + C1
+    a = corpus()[name]
+    assert is_unital(a)[0]
+    assert _isomorphism_invariants(unitize(a)) == _isomorphism_invariants(direct_sum(a, corpus()["C1"]))

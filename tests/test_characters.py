@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from amenalyzer import characters, cli
 from amenalyzer.algebra import (
     FiniteAlgebra,
     matrix_algebra,
@@ -26,7 +27,7 @@ from amenalyzer.characters import (
     point_derivation_space,
     tensor_point_derivation,
 )
-from amenalyzer.classify import Analysis
+from amenalyzer.classify import Analysis, build_report, render_text
 from amenalyzer.corpus import corpus
 from amenalyzer.linalg import EXACT, FLOAT, rowspace
 from amenalyzer.scalars import ONE, ZERO
@@ -400,3 +401,39 @@ def test_float_character_check_refuses_nan_and_inf(value):
     a = FiniteAlgebra("x", 1, (((ONE,),),), ("e",))
     assert _verify_vector(a, [1 + 0j], want_exact=False) is not None
     assert _verify_vector(a, [value], want_exact=False) is None
+
+
+class _ZeroDraws:
+    """A generator whose every draw is 0: every random combination of the
+    multiplication matrices is the zero matrix, whose eigenvalues all tie."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def test_unseparated_eigenvalues_leave_the_point_flags_conditional(monkeypatch, capsys):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _ZeroDraws())
+    a = corpus()["Pointwise2"]
+    search = find_characters(a)
+    assert (search.characters, search.certified, search.attempts) == ((), False, 3)
+    report = build_report(Analysis(a))
+    assert report["characters_certified"] is False
+    assert report["flags"]["conditional"] is True
+    lines = render_text(report).splitlines()
+    assert "characters: 0 (completeness not certified)" in lines
+    assert "flags: WA=yes  CA=yes  CWA=yes  PA=yes?  0-PA=yes?" in lines
+    assert cli.main(["characters", "builtin:Pointwise2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "Pointwise2: 0 character(s)",
+        "  WARNING: completeness not certified",
+    ]
+
+
+def test_a_candidate_that_fails_verification_leaves_the_search_uncertified(monkeypatch):
+    # phi = (2, 0) on Pointwise2: phi(e0)^2 = 4, but phi(e0 e0) = 2
+    monkeypatch.setattr(
+        characters, "_semisimple_commutative_characters", lambda c_alg, rng: ([np.array([2, 0])], True, 1)
+    )
+    for backend in (EXACT, FLOAT):
+        search = find_characters(corpus()["Pointwise2"], backend=backend)
+        assert (search.characters, search.certified) == ((), False)

@@ -181,6 +181,47 @@ def test_classify_accepts_a_file_whose_quotient_exceeds_the_reader_bound(tmp_pat
     }
 
 
+def test_float_classify_refuses_constants_spanning_too_many_orders(tmp_path):
+    # float read Z 10 and t_rank 7 for this file, where exact reads 9 and 6
+    doc = {
+        "name": "Big5", "dim": 5, "labels": [f"e{i}" for i in range(5)],
+        "sc": [[2, 3, 0, "1", "0"], [3, 2, 1, "1e100", "0"], [4, 4, 0, "1e100", "0"]],
+    }
+    path = tmp_path / "big5.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(["classify", str(path), "--json", "--backend", "float"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: Big5: nonzero structure constants span moduli 1 to 1e+100")
+    assert "--backend exact" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["derivations", "quasiadd"])
+def test_seed_is_a_usage_error_where_no_character_is_read(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "builtin:M2", "--seed", "3"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert cli.main([command, "builtin:M2", "--json"]) == 0
+
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        (["[[1,0],[0,0]]"], "semigroup is not associative at (0, 0, 1): (e0*e0)*e1 != e0*(e0*e1)"),
+        (["[[0,1],[1,0]]", "[2,2]"], "semigroup breaks a weight rule at (0,): unit element must have weight 1"),
+        (["[[0,1],[1,0]]", '[1,"1/2"]'], "semigroup breaks a weight rule at (1,): weight 1/2 < 1"),
+        (["[[0,0],[0,0]]", "[3,1]"], "semigroup breaks a weight rule at (1, 1): weight not submultiplicative"),
+    ],
+)
+def test_construct_semigroup_is_refused_with_the_first_validation_issue(params, message, tmp_path, capsys):
+    out = tmp_path / "bad.json"
+    assert cli.main(["construct", "semigroup", *params, "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"bad parameters for construct semigroup: {message}")
+    assert not out.exists()
+
+
 def test_corpus_list():
     proc = run_cli(["corpus", "list"], check=True)
     lines = [l for l in proc.stdout.splitlines() if l.strip()]

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from amenalyzer import algebra, characters, derivations, quasiadd
+from amenalyzer import corpus as corpus_module
 from amenalyzer.classify import Analysis, build_report
 from amenalyzer.corpus import corpus
 from amenalyzer.crosscheck import CHECK_IDS, run_crosscheck
@@ -131,7 +132,11 @@ def test_each_per_character_space_is_solved_once(backend, monkeypatch):
     once, however many checks read it, and so are Z, Inn and the
     quasi-additive space of each (algebra, lane), also for an algebra met
     in two roles (a corpus entry that is another entry's unitization, or
-    the T2.7 partner)."""
+    the T2.7 partner).  The radical is solved once per (algebra, backend)
+    too: the character reduction is exact, so a float run's analyses and
+    their exact siblings read one reduction per algebra."""
+    # a fresh corpus, whose algebras hold no reduction from an earlier run
+    monkeypatch.setattr(corpus_module, "_CORPUS", None)
     solved = _count_solves(
         monkeypatch,
         {
@@ -140,6 +145,7 @@ def test_each_per_character_space_is_solved_once(backend, monkeypatch):
             derivations.derivation_space: ("a", "backend"),
             derivations.inner_space: ("a", "backend"),
             quasiadd.quasi_additive_space: ("a", "backend"),
+            algebra.radical: ("a", "backend"),
         },
     )
     run_crosscheck(backend=backend)
@@ -149,9 +155,13 @@ def test_each_per_character_space_is_solved_once(backend, monkeypatch):
         "derivation_space",
         "inner_space",
         "quasi_additive_space",
+        "radical",
     }
     repeated = sorted((k[0], k[1].name, n) for k, n in solved.items() if n > 1)
     assert repeated == []
+    # 56 distinct (algebra, backend) keys on either lane; a float run solved
+    # 75 while each analysis ran its own reduction
+    assert sum(n for k, n in solved.items() if k[0] == "radical") == 56
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])

@@ -13,16 +13,14 @@ from amenalyzer.linalg import (
     EXACT,
     FLOAT,
     annihilator,
-    full_space,
     matvec_exact,
     nullspace,
     rowspace,
     rref_exact,
     rref_float,
+    subspace_equal,
     subspace_intersect,
     subspace_leq,
-    subspace_sum,
-    trivial_space,
 )
 from amenalyzer.scalars import ONE, ZERO, QQi, qq
 
@@ -31,6 +29,11 @@ from oracles import reference_rref_exact
 
 def exact_rows(int_rows):
     return [[qq(x) for x in row] for row in int_rows]
+
+
+def span_of_both(a, b):
+    """The sum of two subspaces: the row space of their stacked bases."""
+    return rowspace(list(a.rows) + list(b.rows), a.ambient, a.backend)
 
 
 def test_rref_identity_is_fixed():
@@ -70,12 +73,12 @@ def test_nullspace_single_equation():
 def test_sum_of_axes_is_plane():
     x = rowspace(exact_rows([[1, 0]]), 2)
     y = rowspace(exact_rows([[0, 1]]), 2)
-    assert subspace_sum(x, y) == full_space(2)
+    assert subspace_equal(span_of_both(x, y), nullspace([], 2))
 
 
 def test_intersect_idempotent():
     v = rowspace(exact_rows([[1, 2, 0], [0, 0, 1]]), 3)
-    assert subspace_intersect(v, v) == v
+    assert subspace_equal(subspace_intersect(v, v), v)
 
 
 def test_intersect_transverse_lines_is_zero():
@@ -88,7 +91,7 @@ def test_ambient_mismatch_raises():
     x = rowspace(exact_rows([[1, 0]]), 2)
     y = rowspace(exact_rows([[1, 0, 0]]), 3)
     with pytest.raises(AmbientMismatch):
-        subspace_sum(x, y)
+        subspace_intersect(x, y)
 
 
 def test_contains_rejects_wrong_length():
@@ -145,10 +148,10 @@ def test_exact_kernel_vectors_annihilate(m):
 def test_lattice_laws(a, b):
     sa = rowspace(exact_rows(a), 4)
     sb = rowspace(exact_rows(b), 4)
-    assert subspace_sum(sa, sb) == subspace_sum(sb, sa)
-    assert subspace_intersect(sa, sb) == subspace_intersect(sb, sa)
+    assert subspace_equal(span_of_both(sa, sb), span_of_both(sb, sa))
+    assert subspace_equal(subspace_intersect(sa, sb), subspace_intersect(sb, sa))
     assert subspace_leq(subspace_intersect(sa, sb), sa)
-    assert subspace_leq(sa, subspace_sum(sa, sb))
+    assert subspace_leq(sa, span_of_both(sa, sb))
 
 
 @given(a=int_matrix(2, 4), b=int_matrix(2, 4))
@@ -156,7 +159,7 @@ def test_lattice_laws(a, b):
 def test_dimension_formula(a, b):
     sa = rowspace(exact_rows(a), 4)
     sb = rowspace(exact_rows(b), 4)
-    total = subspace_sum(sa, sb).dim + subspace_intersect(sa, sb).dim
+    total = span_of_both(sa, sb).dim + subspace_intersect(sa, sb).dim
     assert total == sa.dim + sb.dim
 
 
@@ -213,9 +216,11 @@ def test_float_nullspace_residual_bound():
 
 def test_trivial_and_full_space_extremes():
     for backend in (EXACT, FLOAT):
-        assert trivial_space(3, backend).dim == 0
-        assert full_space(3, backend).dim == 3
-        assert subspace_leq(trivial_space(3, backend), full_space(3, backend))
+        trivial = rowspace([], 3, backend)
+        full = nullspace([], 3, backend)
+        assert trivial.dim == 0
+        assert full.dim == 3
+        assert subspace_leq(trivial, full)
 
 
 # numerators up to 1e9 over denominators up to 1e6
