@@ -81,9 +81,17 @@ class FiniteAlgebra:
     def nz(self):
         """The nonzero structure constants: ``nz[i][j]`` is the tuple of
         (k, c) with c = sc[i][j][k] nonzero, k ascending, so that
-        e_i e_j = sum of c e_k."""
+        e_i e_j = sum of c e_k.  Equal constants are one object, so rows
+        built from them can be compared by the identity of their values."""
+        shared = {}
+
+        def one(c):
+            # keyed by the parts' integers, which hash faster than a QQi
+            re, im = c.re, c.im
+            return shared.setdefault((re.numerator, re.denominator, im.numerator, im.denominator), c)
+
         return tuple(
-            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
+            tuple(tuple((k, one(c)) for k, c in enumerate(row) if c) for row in plane)
             for plane in self.sc
         )
 
@@ -115,6 +123,12 @@ class FiniteAlgebra:
             p.setflags(write=False)
             projections.append(p)
         return (c_alg, *projections)
+
+    @cached_property
+    def unit_solution(self):
+        """:func:`find_unit` of the algebra, solved once per algebra: the
+        coordinates of its unit, or None."""
+        return find_unit(self)
 
     @cached_property
     def _hash(self):
@@ -291,7 +305,7 @@ def find_unit(a: FiniteAlgebra):
 def is_unital(a: FiniteAlgebra):
     if a.unit is not None:
         return True, tuple(a.unit)
-    u = find_unit(a)
+    u = a.unit_solution
     return (u is not None), u
 
 
@@ -588,19 +602,32 @@ def commutator_span(a: FiniteAlgebra) -> Subspace:
 
 
 def ideal_closure(a: FiniteAlgebra, s: Subspace) -> Subspace:
-    """Smallest two-sided ideal containing the subspace."""
-    current = s
+    """Smallest two-sided ideal containing the subspace.
+
+    Each round adds e_i v and v e_i, read off ``nz``, for every basis vector
+    e_i and every row v the last round added: the rows at the new pivots
+    and the span before them span the new space, so the products of the
+    older rows already lie in it.
+    """
+    nz = a.nz
     n = a.dim
+    current, fresh = s, s.rows
     while True:
-        rows = list(current.rows)
-        for v in current.basis_vectors():
+        rows = [{c: x for c, x in enumerate(v) if not x.is_zero()} for v in current.rows]
+        for v in fresh:
+            terms = [(j, x) for j, x in enumerate(v) if not x.is_zero()]
             for i in range(n):
-                ei = a.basis_vector(i)
-                rows.append(a.multiply(ei, list(v)))
-                rows.append(a.multiply(list(v), ei))
+                left, right = {}, {}
+                for j, x in terms:
+                    for row, products in ((left, nz[i][j]), (right, nz[j][i])):
+                        for k, c in products:
+                            row[k] = row[k] + x * c if k in row else x * c
+                rows += (left, right)
         bigger = rowspace(rows, n, EXACT)
         if bigger.dim == current.dim:
             return bigger
+        old = set(current.pivots)
+        fresh = [v for v, p in zip(bigger.rows, bigger.pivots) if p not in old]
         current = bigger
 
 

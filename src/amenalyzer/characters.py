@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, find_unit
+from .algebra import FiniteAlgebra
 from .derivations import (
     flatten_map,
     is_cyclic,
@@ -124,7 +124,7 @@ def _semisimple_commutative_characters(c_alg: FiniteAlgebra, rng):
     k = c_alg.dim
     if k == 1:
         return [c_alg.complex_sc[0, 0]], True, 0
-    unit = find_unit(c_alg)
+    unit = c_alg.unit_solution
     if unit is None:
         # commutative semisimple algebras always have a unit; defensive only
         return [], False, 0

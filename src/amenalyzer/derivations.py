@@ -4,6 +4,12 @@ A linear map D from the algebra into its dual is stored as the n-by-n
 matrix M with M[i][j] the pairing of D(e_i) against e_j.  Matrices are
 flattened row-major into coordinate vectors of length n*n, so spaces of
 dual maps are ordinary subspaces and the lattice operations apply.
+
+Z is the kernel of the n^3-by-n^2 derivation system.  Both lanes build it
+once, as one {column: value} dict row per basis triple, and
+:mod:`amenalyzer.linalg` splits it into its independent blocks, so no lane
+holds it dense: in a basis of matrix units, monomials or semigroup
+elements it falls into hundreds of blocks.
 """
 
 from __future__ import annotations
@@ -20,10 +26,8 @@ from .linalg import (
     lane_of,
     matvec_exact,
     nullspace,
-    real_if_real,
     rowspace,
     subspace_leq,
-    system_zeros,
 )
 from .scalars import ONE, ZERO
 
@@ -39,55 +43,45 @@ def unflatten_map(v, n):
 
 def _assemble_derivation_rows(a: FiniteAlgebra):
     """One linear constraint per basis triple (i, j, l), as a {column: QQi}
-    dict of its terms.
+    dict of its terms; both lanes build the system from these rows.
 
     The derivation identity evaluated at basis vectors reads: the pairing
     of D(e_i e_j) against e_l equals the pairing of D(e_i) against e_j e_l
-    plus the pairing of D(e_j) against e_l e_i.
+    plus the pairing of D(e_j) against e_l e_i.  Each constant object of
+    ``nz`` is negated once, so equal rows hold the same value objects, and a
+    term is stored as it is unless an earlier one holds its column; terms
+    that cancel leave no entry.
     """
     n = a.dim
     nz = a.nz
+    negated = {}  # one object per constant object, so equal rows share their values
+    neg = [[tuple((m, negated.setdefault(id(c), -c)) for m, c in terms) for terms in plane] for plane in nz]
     rows = []
     for i in range(n):
         for j in range(n):
+            head = nz[i][j]
             for l in range(n):
-                row = {}
-                for k, c in nz[i][j]:
-                    row[k * n + l] = row.get(k * n + l, ZERO) + c
-                for m, c in nz[j][l]:
-                    row[i * n + m] = row.get(i * n + m, ZERO) - c
-                for m, c in nz[l][i]:
-                    row[j * n + m] = row.get(j * n + m, ZERO) - c
+                row = {k * n + l: c for k, c in head}
+                for base, terms in ((i * n, neg[j][l]), (j * n, neg[l][i])):
+                    for m, c in terms:
+                        col = base + m
+                        x = row.get(col)
+                        if x is None:
+                            row[col] = c
+                        else:
+                            x = x + c
+                            if x:
+                                row[col] = x
+                            else:
+                                del row[col]
                 rows.append(row)
     return rows
 
 
-def _broadcast_derivation_rows(sc: np.ndarray) -> np.ndarray:
-    """The same constraints as an array, rows and columns in the same order:
-    C[(i,j,l),(p,q)] = sc[i,j,p] d_lq - d_ip sc[j,l,q] - d_jp sc[l,i,q].
-    It is float64 for a real tensor and complex128 otherwise
-    (:func:`~amenalyzer.linalg.real_if_real`).
-
-    Each Kronecker delta selects a diagonal slice of the five-index array,
-    into which the (n, n, n) tensor is broadcast whole.
-    """
-    sc = real_if_real(sc)
-    n = sc.shape[0]
-    system = system_zeros((n**3, n * n), sc.dtype)
-    c = system.reshape(n, n, n, n, n)
-    sc_lis = sc.transpose(1, 0, 2)
-    for t in range(n):
-        c[:, :, t, :, t] += sc
-        c[t, :, :, t, :] -= sc
-        c[:, t, :, t, :] -= sc_lis
-    return system
-
-
 def derivation_space(a: FiniteAlgebra, backend=EXACT) -> Subspace:
-    """Kernel of the n^3-by-n^2 derivation system, inside C^(n*n); the float
-    lane broadcasts the system from the tensor, which is faster there."""
-    rows = _broadcast_derivation_rows(a.complex_sc) if backend == FLOAT else _assemble_derivation_rows(a)
-    return nullspace(rows, a.dim * a.dim, backend)
+    """Kernel of the n^3-by-n^2 derivation system, inside C^(n*n), solved
+    block by block (see :mod:`amenalyzer.linalg`)."""
+    return nullspace(_assemble_derivation_rows(a), a.dim * a.dim, backend)
 
 
 def inner_space(a: FiniteAlgebra, backend=EXACT) -> Subspace:

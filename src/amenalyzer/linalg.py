@@ -16,10 +16,9 @@ place that knows the two backends, or lanes:
   largest row norm.
   :func:`rref_float` eliminates a writeable float64 or complex128 system
   in the buffer it was built in, so each float system is held once.  The
-  derivation system of a real structure tensor is built in float64
-  (:func:`real_if_real` makes that choice), half the bytes of complex128,
-  and eliminated to the same bits; every row a float ``Subspace`` holds is
-  complex128 either way.
+  blocks of a dict-row system are float64 when every value is real, half
+  the bytes of complex128, and are eliminated to the same bits; every row
+  a float ``Subspace`` holds is complex128 either way.
 
 Each lane is an ops object in :data:`LANES` holding its zero and one, scalar
 coercion, a zero test (``QQi.is_zero()`` exact, ``abs(x) <= bound`` float),
@@ -28,9 +27,14 @@ its vector and matrix containers and its elimination.  :func:`nullspace`,
 backend, or complex input on the float one, and convert it once, at this
 door, to the lane of their backend; every algorithm above them is written
 once.  The system builders hand the first two each row as a {column: value}
-dict of its nonzeros.  The exact lane expands one dict at a time, as
-:func:`rref_exact` reaches it, so no exact system is ever dense in full;
-the float lane writes the values into one preallocated array.
+dict of its nonzeros.  Such a system is split into its independent blocks
+(:func:`_blocks`): two columns are linked when one row holds both, and
+each connected component is eliminated on its own, with the lane's one
+routine, on dense rows or an array of the block's width only.  The RREF of
+the whole is the union of the blocks' RREF rows, merged in pivot order, so
+no dict-row system is ever dense in full; in a basis of matrix units,
+monomials or semigroup elements the derivation system falls into hundreds
+of blocks.
 
 Subspaces are always stored by their RREF basis, one row per basis vector.
 """
@@ -40,6 +44,7 @@ from __future__ import annotations
 import errno
 import math
 import mmap
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -183,7 +188,14 @@ def rref_float(arr):
         src = a
         a = system_zeros(src.shape, src.dtype)
         a[...] = src
-    tol_abs = DEFAULT_TOL * matrix_scale(a)
+    return _rref_at(a, DEFAULT_TOL * matrix_scale(a))
+
+
+def _rref_at(a, tol_abs):
+    """:func:`rref_float`'s elimination of a writeable, C-contiguous float64
+    or complex128 array, in place, at the pivot threshold ``tol_abs``; the
+    blocks of a dict-row system are each reduced here at the threshold of
+    the whole system."""
     rank, pivots = _kernels.rref_inplace(a, tol_abs)
     out = a[:rank]
     out[np.abs(out) <= tol_abs] = 0.0
@@ -194,10 +206,10 @@ def rref_float(arr):
 
 def real_if_real(values) -> np.ndarray:
     """``values`` as a float64 array when every imaginary part is 0.0, else
-    as complex128.  This is where the float lane picks the dtype of a system
-    built from a structure tensor: a real tensor's system is held and
-    eliminated in float64, in half the bytes, and :func:`rref_float` returns
-    the same bits for it as for the complex128 system."""
+    as complex128.  This is where the float lane picks the dtype of a
+    dict-row system's blocks: a real system is held and eliminated in
+    float64, in half the bytes, and :func:`rref_float` returns the same bits
+    for it as for the complex128 system."""
     a = np.asarray(values, dtype=np.complex128)
     return a if a.imag.any() else a.real
 
@@ -214,6 +226,13 @@ def matrix_scale(arr) -> float:
     step = max(1, _SCALE_BLOCK // a.shape[1])
     with np.errstate(over="ignore"):
         top = max((np.abs(a[i : i + step]) ** 2).sum(axis=1).max() for i in range(0, len(a), step))
+    return _scale_of(top)
+
+
+def _scale_of(top) -> float:
+    """The row-norm scale of a system whose largest squared row norm is
+    ``top``: its square root, floored at 1.  An infinite ``top`` raises
+    ``OverflowError``."""
     if not np.isfinite(top):
         raise OverflowError(f"a float system's squared row norm is {top}; the float lane cannot rank it")
     return max(1.0, float(np.sqrt(top)))
@@ -247,15 +266,135 @@ def system_zeros(shape, dtype) -> np.ndarray:
 # the two lanes
 
 
-def _dense_rows(rows, ncols):
-    """The rows as dense sequences, each dict row expanded when it is reached."""
+def _is_dict_system(rows) -> bool:
+    """Whether a builder handed the system over as {column: value} dict
+    rows; a dense row among them is read as the dict of its nonzeros."""
+    return isinstance(rows, list) and any(type(row) is dict for row in rows)
+
+
+def _blocks(rows, ncols):
+    """The independent blocks of a dict-row system: a list of (columns
+    ascending, the nonempty rows on them in input order).
+
+    Two columns are linked when one row holds both, and a union-find pass
+    over the nonzeros gives the connected components of that graph.  The
+    system is block-diagonal after a permutation, so its RREF is the union
+    of the blocks' RREF rows.  Columns no row touches are in no block.
+    """
+    dicts = (row if type(row) is dict else {c: x for c, x in enumerate(row) if x} for row in rows)
+    rows = [row for row in dicts if row]
+    # every tree's root is its smallest column, so parent[c] <= c, and one
+    # pass in column order then points every column at its root
+    parent = list(range(ncols))
     for row in rows:
-        if isinstance(row, dict):
-            dense = [ZERO] * ncols
+        if len(row) == 1:
+            continue
+        r = None
+        for c in row:
+            while parent[c] != c:
+                parent[c] = c = parent[parent[c]]
+            if r is None:
+                r = c
+            elif c < r:
+                parent[r] = r = c
+            elif c > r:
+                parent[c] = r
+    block_rows, block_cols = defaultdict(list), defaultdict(list)
+    for c in sorted(set().union(*rows)):
+        parent[c] = r = parent[parent[c]]
+        block_cols[r].append(c)
+    for row in rows:
+        block_rows[parent[next(iter(row))]].append(row)
+    return [(block_cols[r], group) for r, group in block_rows.items()]
+
+
+def _rref_exact_blocks(rows, ncols):
+    """:func:`rref_exact` of a dict-row system, one block at a time, on
+    dense rows of the block's width."""
+    found = []
+    for cols, group in _blocks(rows, ncols):
+        width = len(cols)
+        if width == 1:
+            # one column: its RREF is the unit row when any value is nonzero
+            if any(x for row in group for x in row.values()):
+                unit = [ZERO] * ncols
+                unit[cols[0]] = ONE
+                found.append((cols[0], tuple(unit)))
+            continue
+        where = dict(zip(cols, range(width)))
+        dense = []
+        for row in group:
+            d = [ZERO] * width
             for c, x in row.items():
-                dense[c] = x
-            row = dense
-        yield row
+                d[where[c]] = x
+            dense.append(d)
+        red, pivots = rref_exact(dense)
+        if width == ncols:
+            found.extend(zip(pivots, red))
+            continue
+        for p, r in zip(pivots, red):
+            g = [ZERO] * ncols
+            for c, x in zip(cols, r):
+                if x is not ZERO:
+                    g[c] = x
+            found.append((cols[p], tuple(g)))
+    found.sort(key=lambda pr: pr[0])
+    return tuple(r for _, r in found), tuple(p for p, _ in found)
+
+
+def _rref_float_blocks(rows, ncols):
+    """:func:`rref_float` of a dict-row system, one block at a time.
+
+    A row that holds the same value objects at the same columns as an
+    earlier row of its block is dropped, and each value object is converted
+    with ``complex`` once.  Every block is an array of its own width from
+    :func:`system_zeros`, float64 when the whole system is real
+    (:func:`real_if_real`), filled by one fancy-index assignment.  All
+    blocks are eliminated at the whole system's pivot threshold,
+    :data:`DEFAULT_TOL` times its largest row norm, so each rank decision
+    compares against the bound :func:`rref_float` would set for the whole
+    array, up to the order in which a row's squares are summed.
+    """
+    blocks, starts, at_col, objs = [], [], [], []
+    for cols, group in _blocks(rows, ncols):
+        # values are compared by identity, as hashing QQi costs more than the
+        # check saves; the system builders share equal value objects
+        kept = {tuple(sorted(zip(row, map(id, row.values())))): row for row in group}
+        blocks.append((cols, len(starts), len(starts) + len(kept)))
+        where = dict(zip(cols, range(len(cols))))
+        for row in kept.values():
+            starts.append(len(objs))
+            at_col += map(where.__getitem__, row)
+            objs += row.values()
+    starts.append(len(objs))  # row r holds the entries starts[r] to starts[r + 1]
+    ids = list(map(id, objs))
+    memo = {i: complex(x) for i, x in dict(zip(ids, objs)).items()}
+    values = real_if_real(list(map(memo.__getitem__, ids)))
+    with np.errstate(over="ignore"):
+        top = np.add.reduceat(np.abs(values) ** 2, starts[:-1]).max() if objs else 0.0
+    tol_abs = DEFAULT_TOL * _scale_of(top)
+    at_row = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    at_col = np.array(at_col, dtype=np.intp)
+    found = []
+    for cols, first, end in blocks:
+        start, stop = starts[first], starts[end]
+        if len(cols) == 1:
+            # one column: its RREF is the unit row when a modulus passes the threshold
+            rank = int(np.abs(values[start:stop]).max() > tol_abs)
+            red, pivots = np.ones((rank, 1), dtype=np.complex128), (0,) * rank
+        else:
+            arr = system_zeros((end - first, len(cols)), values.dtype)
+            arr[at_row[start:stop] - first, at_col[start:stop]] = values[start:stop]
+            red, pivots = _rref_at(arr, tol_abs)
+        found += ((cols[p], cols, row) for p, row in zip(pivots, red))
+    found.sort(key=lambda f: f[0])
+    out = np.zeros((len(found), ncols), dtype=np.complex128)
+    if len(blocks) == 1:
+        out[:, cols] = red
+    else:
+        for r, (_, cols, row) in enumerate(found):
+            out[r, cols] = row
+    return out, tuple(p for p, _, _ in found)
 
 
 class _ExactLane:
@@ -304,7 +443,9 @@ class _ExactLane:
 
     @staticmethod
     def rref(rows, ncols):
-        return rref_exact(_dense_rows(rows, ncols))
+        if _is_dict_system(rows):
+            return _rref_exact_blocks(rows, ncols)
+        return rref_exact(rows)
 
 
 class _FloatLane:
@@ -347,19 +488,18 @@ class _FloatLane:
 
     @staticmethod
     def rref(rows, ncols):
-        # an array, such as the broadcast derivation system, is on the lane;
-        # rref_float reduces it, or the array filled here, in place
-        arr = rows
-        if not isinstance(rows, np.ndarray):
-            arr = system_zeros((len(rows), ncols), np.complex128)
-            for r, row in enumerate(rows):
-                if isinstance(row, dict):
-                    for c, x in row.items():
-                        arr[r, c] = complex(x)
-                else:
+        if _is_dict_system(rows):
+            basis, pivots = _rref_float_blocks(rows, ncols)
+        else:
+            # rref_float reduces a writeable array of the caller, or the one
+            # filled here, in place
+            arr = rows
+            if not isinstance(rows, np.ndarray):
+                arr = system_zeros((len(rows), ncols), np.complex128)
+                for r, row in enumerate(rows):
                     arr[r] = row
-        arr = arr.reshape(-1, ncols) if arr.size else np.zeros((0, ncols), dtype=np.complex128)
-        basis, pivots = rref_float(arr)
+            arr = arr.reshape(-1, ncols) if arr.size else np.zeros((0, ncols), dtype=np.complex128)
+            basis, pivots = rref_float(arr)
         basis.setflags(write=False)
         return basis, pivots
 

@@ -39,12 +39,17 @@ def _basis_products(a: FiniteAlgebra):
 
 def _add_elementary(row, u, v, n, subtract=False):
     """Add (or subtract) the coefficients of p(u tensor v) against the P[a][b]
-    to the dict row; u and v are lists of nonzero (index, value) terms."""
+    to the dict row; u and v are lists of nonzero (index, value) terms.  A
+    coefficient of one is not multiplied, and a term whose column is new is
+    stored as it is."""
     for s, ua in u:
         for t, vb in v:
             k = s * n + t
-            x = row.get(k, ZERO)
-            row[k] = x - ua * vb if subtract else x + ua * vb
+            term = vb if ua is ONE else ua if vb is ONE else ua * vb
+            if subtract:
+                term = -term
+            x = row.get(k)
+            row[k] = term if x is None else x + term
 
 
 def quasi_additive_space(a: FiniteAlgebra, backend=EXACT) -> Subspace:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -358,16 +359,37 @@ def test_malformed_algebra_files_exit_2_without_traceback(tmp_path):
         assert proc.stderr.startswith("error:"), text[:80]
 
 
+def _one_block_algebra(n):
+    """e_i e_j = f_i g_j w with f . w = g . w = 0, so every triple product
+    vanishes.  For n = 11 its derivation system is one block of 1,331
+    distinct nonempty rows on all 121 columns."""
+    f = [Fraction(i + 1) for i in range(n)]
+    g = [Fraction((i + 1) ** 2) for i in range(n)]
+    rest = [Fraction(1)] * (n - 2)
+    # w0 and w1 solve f . w = g . w = 0 with w_k = 1 for k >= 2
+    sf, sg = -sum(f[2:]), -sum(g[2:])
+    det = f[0] * g[1] - f[1] * g[0]
+    w = [(sf * g[1] - f[1] * sg) / det, (f[0] * sg - g[0] * sf) / det] + rest
+    sc = [
+        [i, j, k, str(f[i] * g[j] * w[k]), "0"]
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    ]
+    return {"name": f"OneBlock{n}", "dim": n, "labels": [f"e{i}" for i in range(n)], "sc": sc}
+
+
 def test_float_system_that_cannot_be_mapped_is_named_without_traceback(tmp_path, capsys):
-    path = str(tmp_path / "m4.json")
-    assert cli.main(["construct", "matrix", "4", "-o", path]) == 0
-    capsys.readouterr()
+    # a block of 1 MiB or more is mapped on pages of its own; this algebra's
+    # one block is 1331 x 121 float64, 1.29 MB
+    path = tmp_path / "one-block.json"
+    path.write_text(json.dumps(_one_block_algebra(11)))
     refused = OSError(errno.ENOMEM, "Cannot allocate memory")
     with mock.patch("mmap.mmap", side_effect=refused):
-        assert cli.main(["classify", path, "--backend", "float"]) == 1
+        assert cli.main(["classify", str(path), "--backend", "float"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno 12]") and "Traceback" not in err
-    assert "(4096, 256)" in err and "0.00839 GB" in err and "--backend exact" in err
+    assert "(1331, 121)" in err and "0.00129 GB" in err and "--backend exact" in err
 
 
 BAD_INVOCATIONS = {

@@ -1,8 +1,11 @@
 """Derivation spaces against the brute-force oracle, plus frozen dimensions."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from amenalyzer import linalg
 from amenalyzer.algebra import (
     FiniteAlgebra,
     is_unital,
@@ -16,7 +19,7 @@ from amenalyzer.classify import Analysis
 from amenalyzer.corpus import corpus
 from amenalyzer.crosscheck import _rows_match
 from amenalyzer.derivations import (
-    _broadcast_derivation_rows,
+    _assemble_derivation_rows,
     antisymmetric_space,
     cyclic_subspace,
     derivation_space,
@@ -269,11 +272,32 @@ def test_float_backend_agrees_on_dims():
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_DIMS), ids=str)
-def test_broadcast_float_system_equals_oracle_matrix(name):
-    # both evaluate a - b - c per entry from the same doubles, so the
-    # arrays agree bit for bit, rows and columns in the same order
+def test_assembled_derivation_rows_equal_oracle_matrix(name):
+    # the dict rows, densified with complex(), against the oracle's a - b - c
+    # per entry, rows and columns in the same order; + 0.0 clears the sign
+    # of the oracle's zeros, as rref_float clears it in every output
     a = corpus()[name]
-    assert np.array_equal(_broadcast_derivation_rows(a.complex_sc), derivation_constraint_matrix(a))
+    n = a.dim
+    dense = np.zeros((n**3, n * n), dtype=np.complex128)
+    for r, row in enumerate(_assemble_derivation_rows(a)):
+        for c, x in row.items():
+            dense[r, c] = complex(x)
+    assert dense.tobytes() == (derivation_constraint_matrix(a) + 0.0).tobytes()
+
+
+def _block_dtypes(a):
+    """The dtypes of the block arrays the float lane eliminates for a's
+    derivation system."""
+    dtypes = []
+    eliminate = linalg._rref_at
+
+    def spy(arr, tol_abs):
+        dtypes.append(arr.dtype)
+        return eliminate(arr, tol_abs)
+
+    with mock.patch.object(linalg, "_rref_at", spy):
+        linalg._rref_float_blocks(_assemble_derivation_rows(a), a.dim * a.dim)
+    return dtypes
 
 
 def test_float_derivation_system_is_float64_exactly_for_a_real_tensor():
@@ -281,8 +305,9 @@ def test_float_derivation_system_is_float64_exactly_for_a_real_tensor():
     i = QQi(0, 1)
     rotated = change_basis(real, [[ONE, i, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]])
     assert rotated.complex_sc.imag.any()
-    assert _broadcast_derivation_rows(real.complex_sc).dtype == np.float64
-    assert _broadcast_derivation_rows(rotated.complex_sc).dtype == np.complex128
+    real_blocks, rotated_blocks = _block_dtypes(real), _block_dtypes(rotated)
+    assert real_blocks and set(real_blocks) == {np.dtype(np.float64)}
+    assert rotated_blocks and set(rotated_blocks) == {np.dtype(np.complex128)}
     assert derivation_space(rotated, FLOAT).dim == derivation_space(rotated, EXACT).dim == derivation_space(real, FLOAT).dim
 
 

@@ -6,16 +6,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amenalyzer import _kernels, linalg
 from amenalyzer.algebra import matrix_algebra, tensor_product, truncated_polynomial, upper_triangular
 from amenalyzer.corpus import corpus
-from amenalyzer.derivations import _broadcast_derivation_rows
 from amenalyzer.linalg import DEFAULT_TOL, matrix_scale, rref_float, system_zeros
 
-from oracles import reference_rref_inplace
+from oracles import derivation_constraint_matrix, reference_rref_inplace
 
 
 def _random_system(seed, shape=(30, 18)):
@@ -79,7 +78,8 @@ def sparse_matrix(draw, palette):
         side = draw(st.sampled_from([1 - 1e-6, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-6]))
         unit = draw(st.sampled_from(units))
         a[tuple(zeros[rng.integers(len(zeros))])] = side * tol_abs * unit
-    assert DEFAULT_TOL * matrix_scale(a) == tol_abs
+    # a planted square can still round a row's sum of squares up by one ulp
+    assume(DEFAULT_TOL * matrix_scale(a) == tol_abs)
     return a.astype(palette.dtype)
 
 
@@ -112,11 +112,22 @@ def _algebras():
     yield tensor_product(corpus()["S3"], truncated_polynomial(2), name="S3xTruncPoly2")
 
 
+_SYSTEMS = {}
+
+
+def _derivation_system(a):
+    """The whole n^3-by-n^2 derivation system of the oracle, built once per
+    algebra and handed out as a copy."""
+    if a.name not in _SYSTEMS:
+        _SYSTEMS[a.name] = derivation_constraint_matrix(a)
+    return _SYSTEMS[a.name].copy()
+
+
 @pytest.mark.parametrize("a", list(_algebras()), ids=lambda a: a.name)
 def test_kernel_equals_whole_row_reference_on_derivation_systems(a):
     # the reference divides by the pivot, so it is compared in complex128; the
     # float64 system is tied to this one bit for bit by the tests below
-    _assert_kernel_matches_reference(_broadcast_derivation_rows(a.complex_sc).astype(np.complex128))
+    _assert_kernel_matches_reference(_derivation_system(a))
 
 
 def _assert_float64_reduces_to_complex128_bits(a):
@@ -137,9 +148,9 @@ def test_rref_float_of_a_float64_matrix_has_the_bits_of_its_complex128_eliminati
 
 @pytest.mark.parametrize("a", list(_algebras()), ids=lambda a: a.name)
 def test_float64_derivation_systems_reduce_to_the_bits_of_their_complex128_elimination(a):
-    system = _broadcast_derivation_rows(a.complex_sc)
-    assert system.dtype == np.float64  # every corpus and ladder algebra is real
-    _assert_float64_reduces_to_complex128_bits(system)
+    system = _derivation_system(a)
+    assert not system.imag.any()  # every corpus and ladder algebra is real
+    _assert_float64_reduces_to_complex128_bits(np.ascontiguousarray(system.real))
 
 
 def _whole_array_scale(a):
@@ -155,7 +166,7 @@ def test_matrix_scale_by_row_blocks_equals_the_whole_array_formula(a, block):
 
 @pytest.mark.parametrize("a", list(_algebras()), ids=lambda a: a.name)
 def test_matrix_scale_of_derivation_systems_equals_the_whole_array_formula(a):
-    arr = _broadcast_derivation_rows(a.complex_sc)
+    arr = np.ascontiguousarray(_derivation_system(a).real)  # float64, as a real system's blocks are
     assert matrix_scale(arr) == _whole_array_scale(arr)
 
 

@@ -320,6 +320,75 @@ def test_dict_rows_equal_the_same_rows_given_dense(m, data):
                 assert np.array_equal(got.rows, want.rows)
 
 
+@st.composite
+def dict_row_system(draw):
+    """(rows, ncols): a sparse system of {column: QQi} dict rows.
+
+    Each column belongs to one of up to four blocks or to none, so some
+    columns are touched by no row, and a draw of one block gives the
+    one-block case.  Each row lies on the columns of one block; empty rows,
+    explicit zeros, repeats of a row and equal copies of one are planted.
+    """
+    ncols = draw(st.integers(1, 14))
+    nblocks = draw(st.integers(1, 4))
+    label = draw(st.lists(st.integers(0, nblocks), min_size=ncols, max_size=ncols))
+    blocks = [[c for c in range(ncols) if label[c] == b] for b in range(nblocks)]
+    blocks = [cols for cols in blocks if cols]
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        if not blocks or draw(st.integers(0, 7)) == 0:
+            rows.append({})
+            continue
+        cols = draw(st.sampled_from(blocks))
+        picked = draw(st.lists(st.sampled_from(cols), min_size=1, max_size=4, unique=True))
+        rows.append({c: draw(qqi_entry) for c in picked})
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        src = draw(st.sampled_from(rows))
+        # the same dict again, or an equal one with its entries in another order
+        row = src if draw(st.booleans()) else dict(reversed(list(src.items())))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows, ncols
+
+
+def _densified(rows, ncols):
+    dense = []
+    for row in rows:
+        d = [ZERO] * ncols
+        for c, x in row.items():
+            d[c] = x
+        dense.append(d)
+    return dense
+
+
+@given(system=dict_row_system())
+@settings(max_examples=200, deadline=None)
+def test_exact_blocks_give_the_rref_of_the_whole_system(system):
+    rows, ncols = system
+    want_rows, want_pivots = rref_exact(_densified(rows, ncols))
+    got = rowspace(rows, ncols, EXACT)
+    assert (got.rows, got.pivots) == (want_rows, want_pivots)
+    kernel, whole_kernel = nullspace(rows, ncols, EXACT), nullspace(_densified(rows, ncols), ncols, EXACT)
+    assert (kernel.rows, kernel.pivots) == (whole_kernel.rows, whole_kernel.pivots)
+
+
+@given(system=dict_row_system())
+@settings(max_examples=200, deadline=None)
+def test_float_blocks_match_the_rref_of_the_whole_system(system):
+    rows, ncols = system
+    whole = np.array([[complex(x) for x in row] for row in _densified(rows, ncols)], dtype=np.complex128)
+    want_rows, want_pivots = rref_float(whole.reshape(-1, ncols))
+    got = rowspace(rows, ncols, FLOAT)
+    assert got.pivots == want_pivots
+    bound = DEFAULT_TOL * max(1.0, float(np.abs(want_rows).max(initial=0.0)))
+    assert got.rows.shape == want_rows.shape
+    assert np.abs(got.rows - want_rows).max(initial=0.0) <= bound
+    kernel, whole_kernel = nullspace(rows, ncols, FLOAT), nullspace(_densified(rows, ncols), ncols, FLOAT)
+    assert kernel.pivots == whole_kernel.pivots
+    assert np.abs(kernel.rows - whole_kernel.rows).max(initial=0.0) <= DEFAULT_TOL * max(
+        1.0, float(np.abs(whole_kernel.rows).max(initial=0.0))
+    )
+
+
 @given(m=qqi_matrix_with_plants(), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_exact_membership_equals_rank_test(m, data):
