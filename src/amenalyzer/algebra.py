@@ -81,17 +81,9 @@ class FiniteAlgebra:
     def nz(self):
         """The nonzero structure constants: ``nz[i][j]`` is the tuple of
         (k, c) with c = sc[i][j][k] nonzero, k ascending, so that
-        e_i e_j = sum of c e_k.  Equal constants are one object, so rows
-        built from them can be compared by the identity of their values."""
-        shared = {}
-
-        def one(c):
-            # keyed by the parts' integers, which hash faster than a QQi
-            re, im = c.re, c.im
-            return shared.setdefault((re.numerator, re.denominator, im.numerator, im.denominator), c)
-
+        e_i e_j = sum of c e_k."""
         return tuple(
-            tuple(tuple((k, one(c)) for k, c in enumerate(row) if c) for row in plane)
+            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
             for plane in self.sc
         )
 

@@ -47,15 +47,13 @@ def _assemble_derivation_rows(a: FiniteAlgebra):
 
     The derivation identity evaluated at basis vectors reads: the pairing
     of D(e_i e_j) against e_l equals the pairing of D(e_i) against e_j e_l
-    plus the pairing of D(e_j) against e_l e_i.  Each constant object of
-    ``nz`` is negated once, so equal rows hold the same value objects, and a
-    term is stored as it is unless an earlier one holds its column; terms
-    that cancel leave no entry.
+    plus the pairing of D(e_j) against e_l e_i.  The constants of ``nz``
+    are negated once per algebra, and a term is stored as it is unless an
+    earlier one holds its column; terms that cancel leave no entry.
     """
     n = a.dim
     nz = a.nz
-    negated = {}  # one object per constant object, so equal rows share their values
-    neg = [[tuple((m, negated.setdefault(id(c), -c)) for m, c in terms) for terms in plane] for plane in nz]
+    neg = [[tuple((m, -c) for m, c in terms) for terms in plane] for plane in nz]
     rows = []
     for i in range(n):
         for j in range(n):

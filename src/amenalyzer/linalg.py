@@ -329,9 +329,6 @@ def _rref_exact_blocks(rows, ncols):
                 d[where[c]] = x
             dense.append(d)
         red, pivots = rref_exact(dense)
-        if width == ncols:
-            found.extend(zip(pivots, red))
-            continue
         for p, r in zip(pivots, red):
             g = [ZERO] * ncols
             for c, x in zip(cols, r):
@@ -345,24 +342,19 @@ def _rref_exact_blocks(rows, ncols):
 def _rref_float_blocks(rows, ncols):
     """:func:`rref_float` of a dict-row system, one block at a time.
 
-    A row that holds the same value objects at the same columns as an
-    earlier row of its block is dropped, and each value object is converted
-    with ``complex`` once.  Every block is an array of its own width from
-    :func:`system_zeros`, float64 when the whole system is real
-    (:func:`real_if_real`), filled by one fancy-index assignment.  All
-    blocks are eliminated at the whole system's pivot threshold,
-    :data:`DEFAULT_TOL` times its largest row norm, so each rank decision
-    compares against the bound :func:`rref_float` would set for the whole
-    array, up to the order in which a row's squares are summed.
+    Each value object is converted with ``complex`` once.  Every block is
+    an array of its own width from :func:`system_zeros`, float64 when the
+    whole system is real (:func:`real_if_real`), filled by one fancy-index
+    assignment.  All blocks are eliminated at the whole system's pivot
+    threshold, :data:`DEFAULT_TOL` times its largest row norm, so each rank
+    decision compares against the bound :func:`rref_float` would set for the
+    whole array, up to the order in which a row's squares are summed.
     """
     blocks, starts, at_col, objs = [], [], [], []
     for cols, group in _blocks(rows, ncols):
-        # values are compared by identity, as hashing QQi costs more than the
-        # check saves; the system builders share equal value objects
-        kept = {tuple(sorted(zip(row, map(id, row.values())))): row for row in group}
-        blocks.append((cols, len(starts), len(starts) + len(kept)))
+        blocks.append((cols, len(starts), len(starts) + len(group)))
         where = dict(zip(cols, range(len(cols))))
-        for row in kept.values():
+        for row in group:
             starts.append(len(objs))
             at_col += map(where.__getitem__, row)
             objs += row.values()
@@ -389,11 +381,8 @@ def _rref_float_blocks(rows, ncols):
         found += ((cols[p], cols, row) for p, row in zip(pivots, red))
     found.sort(key=lambda f: f[0])
     out = np.zeros((len(found), ncols), dtype=np.complex128)
-    if len(blocks) == 1:
-        out[:, cols] = red
-    else:
-        for r, (_, cols, row) in enumerate(found):
-            out[r, cols] = row
+    for r, (_, cols, row) in enumerate(found):
+        out[r, cols] = row
     return out, tuple(p for p, _, _ in found)
 
 

@@ -362,7 +362,7 @@ def test_malformed_algebra_files_exit_2_without_traceback(tmp_path):
 def _one_block_algebra(n):
     """e_i e_j = f_i g_j w with f . w = g . w = 0, so every triple product
     vanishes.  For n = 11 its derivation system is one block of 1,331
-    distinct nonempty rows on all 121 columns."""
+    nonempty rows on all 121 columns."""
     f = [Fraction(i + 1) for i in range(n)]
     g = [Fraction((i + 1) ** 2) for i in range(n)]
     rest = [Fraction(1)] * (n - 2)

@@ -132,8 +132,8 @@ def test_float_peak_memory_does_not_grow_with_unrelated_small_blocks():
 # One float derivation_space of M4 in a fresh process.  Its whole system
 # would be 4096 x 256 float64, 8 MiB, and eliminated whole in place it
 # raised peak RSS by about 9.6 MiB.  Split into its 157 blocks, the largest
-# 40 distinct rows x 16 columns, it rises by about 2.1 MiB, mostly the dict
-# rows and the RREF rows, so the bound is half the whole system.
+# 64 rows x 16 columns, it rises by about 2.2 MiB, mostly the dict rows and
+# the RREF rows, so the bound is half the whole system.
 _ONE_SYSTEM = """
 import resource
 from amenalyzer.algebra import matrix_algebra
