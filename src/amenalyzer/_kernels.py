@@ -45,8 +45,7 @@ def rref_inplace(a: np.ndarray, tol_abs: float):
     for col in range(ncols):
         if r >= nrows:
             break
-        col_abs = np.abs(a[r:, col])
-        p = r + int(np.argmax(col_abs))
+        p = r + int(np.abs(a[r:, col]).argmax())
         if abs(a[p, col]) <= tol_abs:
             a[r:, col] = 0.0
             continue
@@ -60,9 +59,10 @@ def rref_inplace(a: np.ndarray, tol_abs: float):
         prow[0] = 1.0
         factors = a[:, col].copy()
         factors[r] = 0.0
-        nz = np.flatnonzero(factors)
-        a[nz, col:] -= np.outer(factors[nz], prow)
-        a[nz, col] = 0.0
+        (nz,) = factors.nonzero()
+        if len(nz):
+            a[nz, col:] -= factors[nz, None] * prow
+            a[nz, col] = 0.0
         pivots.append(col)
         r += 1
     return r, tuple(pivots)

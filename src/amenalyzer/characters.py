@@ -245,12 +245,23 @@ def maximal_ideal(a: FiniteAlgebra, phi: Character) -> Subspace:
 
 
 def ideal_product_span(a: FiniteAlgebra, s: Subspace) -> Subspace:
-    """Span of all pairwise products of basis vectors of a subspace."""
-    vecs = s.basis_vectors()
-    if s.backend == EXACT:
-        rows = [a.multiply(u, v) for u in vecs for v in vecs]
-    else:
-        rows = [np.einsum("i,j,ijk->k", u, v, a.complex_sc) for u in vecs for v in vecs]
+    """Span of all pairwise products of basis vectors of a subspace, each
+    product u v read off ``nz`` as a dict row on the lane of the subspace."""
+    lane = LANES[s.backend]
+    vecs = [[(i, lane.coerce(x)) for i, x in enumerate(v) if not lane.is_zero(x)] for v in s.rows]
+    rows = []
+    for u in vecs:
+        for v in vecs:
+            row = {}
+            for i, x in u:
+                plane = a.nz[i]
+                for j, y in v:
+                    if plane[j]:
+                        xy = x * y
+                        for k, c in plane[j]:
+                            term = xy * lane.coerce(c)
+                            row[k] = row[k] + term if k in row else term
+            rows.append(row)
     return rowspace(rows, a.dim, s.backend)
 
 

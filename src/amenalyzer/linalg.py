@@ -13,28 +13,30 @@ place that knows the two backends, or lanes:
   positive integer, and converts back to ``QQi`` only at the end.
 * ``float``  - matrices are numpy complex128 arrays; rank decisions use the
   one fixed tolerance :data:`DEFAULT_TOL` (``1e-9``), relative to the
-  largest row norm.
-  :func:`rref_float` eliminates a writeable float64 or complex128 system
-  in the buffer it was built in, so each float system is held once.  The
-  blocks of a dict-row system are float64 when every value is real, half
-  the bytes of complex128, and are eliminated to the same bits; every row
-  a float ``Subspace`` holds is complex128 either way.
+  largest row norm.  A block is eliminated in float64 when every value of
+  its system is real, half the bytes of complex128, to the same bits; every
+  row a float ``Subspace`` holds is complex128 either way.
+  :func:`rref_float` is the dense elimination of a copy of a whole array,
+  the reference the block routine is tested against.
 
 Each lane is an ops object in :data:`LANES` holding its zero and one, scalar
 coercion, a zero test (``QQi.is_zero()`` exact, ``abs(x) <= bound`` float),
 its vector and matrix containers and its elimination.  :func:`nullspace`,
 :func:`rowspace` and :meth:`Subspace.contains` take ``QQi`` input on either
-backend, or complex input on the float one, and convert it once, at this
-door, to the lane of their backend; every algorithm above them is written
-once.  The system builders hand the first two each row as a {column: value}
-dict of its nonzeros.  Such a system is split into its independent blocks
-(:func:`_blocks`): two columns are linked when one row holds both, and
-each connected component is eliminated on its own, with the lane's one
-routine, on dense rows or an array of the block's width only.  The RREF of
-the whole is the union of the blocks' RREF rows, merged in pivot order, so
-no dict-row system is ever dense in full; in a basis of matrix units,
-monomials or semigroup elements the derivation system falls into hundreds
-of blocks.
+backend, or complex input on the float one, and convert it to the lane of
+their backend; every algorithm above them is written once.
+
+Every system reaches its lane's elimination by one door, :func:`_blocks`.
+A system is a list of rows, each a {column: value} dict of its nonzeros,
+as the system builders hand them over, or a dense row; or it is a 2-d
+array.  Each row is read as the dict of its nonzeros, and the system is
+split into its independent blocks: two columns are linked when one row
+holds both, and each connected component is eliminated on its own, with
+the lane's one routine, on dense rows or an array of the block's width
+only.  The RREF of the whole is the union of the blocks' RREF rows, merged
+in pivot order, so no system is ever dense in full; in a basis of matrix
+units, monomials or semigroup elements the derivation system falls into
+hundreds of blocks.  No routine here changes a caller's rows or array.
 
 Subspaces are always stored by their RREF basis, one row per basis vector.
 """
@@ -47,7 +49,7 @@ import mmap
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -165,53 +167,39 @@ def rref_exact(rows):
 
 
 def rref_float(arr):
-    """Float RREF with partial pivoting; see :mod:`amenalyzer._kernels`.
+    """Dense float RREF with partial pivoting; see :mod:`amenalyzer._kernels`.
 
     ``arr`` is a 2-d array, or a list of equal-length rows.  Returns (2-d
     complex128 array of nonzero rows, tuple of pivot columns).
     The pivot threshold is :data:`DEFAULT_TOL` times the largest row norm
     of the input.
 
-    A writeable, C-contiguous, 2-d float64 or complex128 array is
-    eliminated in place, in its own dtype, so a system is held once:
-    afterwards it holds the RREF rows.  For complex128 the rows returned
-    are a view of it; for float64 they are a complex128 copy of its first
-    rank rows, with the same bits the complex128 elimination of the same
-    matrix gives.  Any other input (a read-only array, another dtype, a
-    list) is first copied into :func:`system_zeros` and left as it is.
+    The input is copied into :func:`system_zeros` and left as it is; a
+    float64 copy is eliminated in float64, to the bits of complex128.  The
+    lanes eliminate each block of a system with the same kernel; this
+    eliminates the whole array, the reference the blocks are tested against.
     """
-    a = np.asarray(arr)
-    if a.dtype != np.float64:
-        a = np.asarray(arr, dtype=np.complex128)
-    # asarray hands back arr itself only for a float64 or complex128 array
-    if a is not arr or not (a.flags.c_contiguous and a.flags.writeable):
-        src = a
-        a = system_zeros(src.shape, src.dtype)
-        a[...] = src
+    src = np.asarray(arr)
+    if src.dtype != np.float64:
+        src = np.asarray(arr, dtype=np.complex128)
+    a = system_zeros(src.shape, src.dtype)
+    a[...] = src
     return _rref_at(a, DEFAULT_TOL * matrix_scale(a))
 
 
 def _rref_at(a, tol_abs):
-    """:func:`rref_float`'s elimination of a writeable, C-contiguous float64
-    or complex128 array, in place, at the pivot threshold ``tol_abs``; the
-    blocks of a dict-row system are each reduced here at the threshold of
-    the whole system."""
+    """The elimination of a writeable, C-contiguous float64 or complex128
+    array, in place, at the pivot threshold ``tol_abs``: the whole copy in
+    :func:`rref_float`, and each block of a system at the threshold of the
+    whole system."""
     rank, pivots = _kernels.rref_inplace(a, tol_abs)
     out = a[:rank]
     out[np.abs(out) <= tol_abs] = 0.0
+    # a pivot is 1.0 whatever the threshold; at a row norm of 1e9 it is 1.0
+    out[np.arange(rank), list(pivots)] = 1.0
     # the kernel may leave -0.0 parts; adding +0.0 makes every zero positive
     out += 0.0
     return np.asarray(out, dtype=np.complex128), pivots
-
-
-def real_if_real(values) -> np.ndarray:
-    """``values`` as a float64 array when every imaginary part is 0.0, else
-    as complex128.  This is where the float lane picks the dtype of a
-    dict-row system's blocks: a real system is held and eliminated in
-    float64, in half the bytes, and :func:`rref_float` returns the same bits
-    for it as for the complex128 system."""
-    a = np.asarray(values, dtype=np.complex128)
-    return a if a.imag.any() else a.real
 
 
 def matrix_scale(arr) -> float:
@@ -233,9 +221,9 @@ def _scale_of(top) -> float:
     """The row-norm scale of a system whose largest squared row norm is
     ``top``: its square root, floored at 1.  An infinite ``top`` raises
     ``OverflowError``."""
-    if not np.isfinite(top):
+    if not math.isfinite(top):
         raise OverflowError(f"a float system's squared row norm is {top}; the float lane cannot rank it")
-    return max(1.0, float(np.sqrt(top)))
+    return max(1.0, math.sqrt(top))
 
 
 def system_zeros(shape, dtype) -> np.ndarray:
@@ -266,23 +254,35 @@ def system_zeros(shape, dtype) -> np.ndarray:
 # the two lanes
 
 
-def _is_dict_system(rows) -> bool:
-    """Whether a builder handed the system over as {column: value} dict
-    rows; a dense row among them is read as the dict of its nonzeros."""
-    return isinstance(rows, list) and any(type(row) is dict for row in rows)
+def _dict_rows(rows):
+    """The rows of a system as {column: value} dicts of their nonzeros.
+
+    A dict row is taken as it is; a dense row is read entry by entry,
+    testing identity with ``ZERO`` first, since assembled rows share that
+    object.  A 2-d array's nonzeros are read in one ``np.nonzero`` call,
+    and its values become Python scalars.
+    """
+    if getattr(rows, "ndim", None) == 2:
+        at_row, at_col = np.nonzero(rows)
+        cols, values = at_col.tolist(), rows[at_row, at_col].tolist()
+        cuts = np.searchsorted(at_row, np.arange(len(rows) + 1)).tolist()
+        return [dict(zip(cols[s:e], values[s:e])) for s, e in zip(cuts, cuts[1:])]
+    return (
+        row if type(row) is dict else {c: x for c, x in enumerate(row) if x is not ZERO and x}
+        for row in rows
+    )
 
 
 def _blocks(rows, ncols):
-    """The independent blocks of a dict-row system: a list of (columns
-    ascending, the nonempty rows on them in input order).
+    """The independent blocks of a system: a list of (columns ascending,
+    the nonempty rows on them in input order, as :func:`_dict_rows`).
 
     Two columns are linked when one row holds both, and a union-find pass
     over the nonzeros gives the connected components of that graph.  The
     system is block-diagonal after a permutation, so its RREF is the union
     of the blocks' RREF rows.  Columns no row touches are in no block.
     """
-    dicts = (row if type(row) is dict else {c: x for c, x in enumerate(row) if x} for row in rows)
-    rows = [row for row in dicts if row]
+    rows = [row for row in _dict_rows(rows) if row]
     # every tree's root is its smallest column, so parent[c] <= c, and one
     # pass in column order then points every column at its root
     parent = list(range(ncols))
@@ -309,8 +309,8 @@ def _blocks(rows, ncols):
 
 
 def _rref_exact_blocks(rows, ncols):
-    """:func:`rref_exact` of a dict-row system, one block at a time, on
-    dense rows of the block's width."""
+    """:func:`rref_exact` of a system, one block at a time, on dense rows of
+    the block's width: the exact lane's elimination."""
     found = []
     for cols, group in _blocks(rows, ncols):
         width = len(cols)
@@ -340,44 +340,51 @@ def _rref_exact_blocks(rows, ncols):
 
 
 def _rref_float_blocks(rows, ncols):
-    """:func:`rref_float` of a dict-row system, one block at a time.
+    """:func:`rref_float` of a system, one block at a time: the float
+    lane's elimination.
 
     Each value object is converted with ``complex`` once.  Every block is
-    an array of its own width from :func:`system_zeros`, float64 when the
-    whole system is real (:func:`real_if_real`), filled by one fancy-index
-    assignment.  All blocks are eliminated at the whole system's pivot
-    threshold, :data:`DEFAULT_TOL` times its largest row norm, so each rank
-    decision compares against the bound :func:`rref_float` would set for the
-    whole array, up to the order in which a row's squares are summed.
+    an array of its own width from :func:`system_zeros`, filled by one
+    fancy-index assignment: float64 when every imaginary part of the system
+    is 0.0, half the bytes, eliminated to the bits of complex128.  All
+    blocks are eliminated at the whole system's pivot threshold,
+    :data:`DEFAULT_TOL` times its largest row norm, so each rank decision
+    compares against the bound :func:`rref_float` would set for the whole
+    array, up to the order in which a row's squares are summed.
     """
-    blocks, starts, at_col, objs = [], [], [], []
+    blocks, starts, at_row, at_col, objs = [], [], [], [], []
     for cols, group in _blocks(rows, ncols):
         blocks.append((cols, len(starts), len(starts) + len(group)))
         where = dict(zip(cols, range(len(cols))))
-        for row in group:
+        for r, row in enumerate(group):
             starts.append(len(objs))
+            at_row += repeat(r, len(row))  # the row within its block
             at_col += map(where.__getitem__, row)
             objs += row.values()
     starts.append(len(objs))  # row r holds the entries starts[r] to starts[r + 1]
     ids = list(map(id, objs))
     memo = {i: complex(x) for i, x in dict(zip(ids, objs)).items()}
-    values = real_if_real(list(map(memo.__getitem__, ids)))
+    values = np.asarray(list(map(memo.__getitem__, ids)), dtype=np.complex128)
+    if not values.imag.any():
+        values = values.real
+    moduli = np.abs(values)
     with np.errstate(over="ignore"):
-        top = np.add.reduceat(np.abs(values) ** 2, starts[:-1]).max() if objs else 0.0
+        top = np.add.reduceat(moduli**2, starts[:-1]).max() if objs else 0.0
     tol_abs = DEFAULT_TOL * _scale_of(top)
-    at_row = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    at_col = np.array(at_col, dtype=np.intp)
+    passes = (moduli > tol_abs).tobytes()  # one byte per entry, read by one-column blocks
+    del moduli
+    at_row, at_col = np.array(at_row, dtype=np.intp), np.array(at_col, dtype=np.intp)
     found = []
     for cols, first, end in blocks:
         start, stop = starts[first], starts[end]
         if len(cols) == 1:
             # one column: its RREF is the unit row when a modulus passes the threshold
-            rank = int(np.abs(values[start:stop]).max() > tol_abs)
-            red, pivots = np.ones((rank, 1), dtype=np.complex128), (0,) * rank
-        else:
-            arr = system_zeros((end - first, len(cols)), values.dtype)
-            arr[at_row[start:stop] - first, at_col[start:stop]] = values[start:stop]
-            red, pivots = _rref_at(arr, tol_abs)
+            if any(passes[start:stop]):
+                found.append((cols[0], cols, (1.0,)))
+            continue
+        arr = system_zeros((end - first, len(cols)), values.dtype)
+        arr[at_row[start:stop], at_col[start:stop]] = values[start:stop]
+        red, pivots = _rref_at(arr, tol_abs)
         found += ((cols[p], cols, row) for p, row in zip(pivots, red))
     found.sort(key=lambda f: f[0])
     out = np.zeros((len(found), ncols), dtype=np.complex128)
@@ -430,11 +437,7 @@ class _ExactLane:
     def rows_equal(r1, r2, bound) -> bool:
         return r1 == r2
 
-    @staticmethod
-    def rref(rows, ncols):
-        if _is_dict_system(rows):
-            return _rref_exact_blocks(rows, ncols)
-        return rref_exact(rows)
+    rref = staticmethod(_rref_exact_blocks)
 
 
 class _FloatLane:
@@ -477,18 +480,7 @@ class _FloatLane:
 
     @staticmethod
     def rref(rows, ncols):
-        if _is_dict_system(rows):
-            basis, pivots = _rref_float_blocks(rows, ncols)
-        else:
-            # rref_float reduces a writeable array of the caller, or the one
-            # filled here, in place
-            arr = rows
-            if not isinstance(rows, np.ndarray):
-                arr = system_zeros((len(rows), ncols), np.complex128)
-                for r, row in enumerate(rows):
-                    arr[r] = row
-            arr = arr.reshape(-1, ncols) if arr.size else np.zeros((0, ncols), dtype=np.complex128)
-            basis, pivots = rref_float(arr)
+        basis, pivots = _rref_float_blocks(rows, ncols)
         basis.setflags(write=False)
         return basis, pivots
 
@@ -556,9 +548,7 @@ class Subspace:
 
 
 def rowspace(rows, ncols, backend=EXACT) -> Subspace:
-    """Canonicalize a spanning set of row vectors into a Subspace; on the
-    float backend a writeable complex128 array of rows is reduced in place,
-    as in :func:`nullspace`."""
+    """Canonicalize a spanning set of row vectors into a Subspace."""
     basis, pivots = LANES[backend].rref(rows, ncols)
     return Subspace(ncols, basis, pivots, backend)
 
@@ -566,25 +556,23 @@ def rowspace(rows, ncols, backend=EXACT) -> Subspace:
 def nullspace(rows, ncols, backend=EXACT) -> Subspace:
     """Kernel {v : rows . v = 0} as a canonical Subspace of dimension ncols.
 
-    On the float backend a writeable complex128 array of rows is eliminated
-    in place (see :func:`rref_float`); its row space, and so the kernel, is
-    unchanged, but its entries are not.
+    Each free column f gives the dict row {f: one, p: -coef}, one entry per
+    pivot row p with a nonzero coef in column f.  A kernel vector lies on
+    its free column's block, so the vectors are canonicalized block by
+    block too.
     """
     lane = LANES[backend]
     red, pivots = lane.rref(rows, ncols)
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [lane.zero] * ncols
+    kernel = {f: {} for f in range(ncols)}
+    for p, row in zip(pivots, _dict_rows(red)):
+        # a pivot column is zero in every other row, so the row's other
+        # nonzeros are in free columns right of p
+        del kernel[p], row[p]
+        for f, coef in row.items():
+            kernel[f][p] = -coef
+    for f, v in kernel.items():
         v[f] = lane.one
-        for row, p in zip(red, pivots):
-            coef = row[f]
-            if not lane.is_zero(coef):
-                v[p] = -coef
-        basis.append(v)
-    return rowspace(basis, ncols, backend)
+    return rowspace(list(kernel.values()), ncols, backend)
 
 
 def _check_compatible(a: Subspace, b: Subspace):

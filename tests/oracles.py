@@ -12,7 +12,9 @@ whole rows, for the restricted update of ``_kernels.rref_inplace``;
 :func:`reference_radical_rows`, the trace form read off whole
 left-multiplication matrices, for the trace-vector ``radical``; and
 :func:`reference_validate`, associativity tested by ``multiply`` on dense
-vectors, for the sparse test of ``validate``.  :func:`change_basis`
+vectors, for the sparse test of ``validate``;
+:func:`reference_ideal_product_span`, the products of basis vectors by
+``multiply``, for the products read off ``nz``.  :func:`change_basis`
 rewrites an algebra on another basis, for invariance tests.
 """
 
@@ -259,6 +261,14 @@ def reference_radical_rows(a):
             row.append(tr)
         rows.append(row)
     return rows
+
+
+def reference_ideal_product_span(a, s):
+    """The canonical RREF (rows, pivots) of the span of the products u v of
+    the basis vectors of an exact subspace, each product by ``multiply``
+    and the span by :func:`reference_rref_exact`."""
+    vecs = s.basis_vectors()
+    return reference_rref_exact([a.multiply(u, v) for u in vecs for v in vecs])
 
 
 def _row_times(v, m):

@@ -8,6 +8,7 @@ from amenalyzer.algebra import (
     FiniteAlgebra,
     matrix_algebra,
     pointwise_algebra,
+    radical,
     tensor_product,
     truncated_polynomial,
     unitize,
@@ -29,10 +30,10 @@ from amenalyzer.characters import (
 )
 from amenalyzer.classify import Analysis, build_report, render_text
 from amenalyzer.corpus import corpus
-from amenalyzer.linalg import EXACT, FLOAT, rowspace
+from amenalyzer.linalg import DEFAULT_TOL, EXACT, FLOAT, rowspace
 from amenalyzer.scalars import ONE, ZERO
 
-from oracles import oracle_point_derivation_dim
+from oracles import oracle_point_derivation_dim, reference_ideal_product_span
 
 
 def char_values(search):
@@ -437,3 +438,19 @@ def test_a_candidate_that_fails_verification_leaves_the_search_uncertified(monke
     for backend in (EXACT, FLOAT):
         search = find_characters(corpus()["Pointwise2"], backend=backend)
         assert (search.characters, search.certified) == ((), False)
+
+
+@pytest.mark.parametrize("a", [*corpus().values(), pointwise_algebra(8)], ids=lambda a: a.name)
+def test_ideal_product_span_equals_the_span_of_multiply_products(a):
+    # the whole space, the radical and the kernel of every exact character
+    full = rowspace([a.basis_vector(i) for i in range(a.dim)], a.dim, EXACT)
+    chars = find_characters(a).characters
+    for s in [full, radical(a), *(maximal_ideal(a, ch) for ch in chars if ch.exact)]:
+        want_rows, want_pivots = reference_ideal_product_span(a, s)
+        got = ideal_product_span(a, s)
+        assert (got.rows, got.pivots) == (want_rows, want_pivots)
+        fl = ideal_product_span(a, rowspace(s.rows, a.dim, FLOAT))
+        want = np.array([[complex(x) for x in row] for row in want_rows], dtype=np.complex128)
+        assert fl.pivots == want_pivots
+        bound = DEFAULT_TOL * max(1.0, float(np.abs(want).max(initial=0.0)))
+        assert np.abs(fl.rows - want.reshape(-1, a.dim)).max(initial=0.0) <= bound

@@ -90,18 +90,19 @@ def test_kernel_equals_whole_row_reference(a):
     _assert_kernel_matches_reference(a)
 
 
-@given(a=sparse_matrix(_PALETTE))
+@given(a=st.one_of(sparse_matrix(_PALETTE), sparse_matrix(_REAL_PALETTE)))
 @settings(max_examples=200, deadline=None)
-def test_rref_float_copies_a_read_only_array_and_reduces_a_writeable_one_in_place(a):
+def test_rref_float_leaves_read_only_and_writeable_arrays_unchanged(a):
     frozen = a.copy()
     frozen.setflags(write=False)
     out, pivots = rref_float(frozen)
-    assert np.array_equal(frozen, a)
+    assert frozen.tobytes() == a.tobytes()
     writeable = a.copy()
-    in_place, in_place_pivots = rref_float(writeable)
-    assert in_place_pivots == pivots
-    assert in_place.tobytes() == out.tobytes()  # bit for bit, signs of zeros too
-    assert in_place.base is writeable
+    again, again_pivots = rref_float(writeable)
+    assert writeable.dtype == a.dtype and writeable.tobytes() == a.tobytes()
+    assert again_pivots == pivots
+    assert again.tobytes() == out.tobytes()  # bit for bit, signs of zeros too
+    assert not np.shares_memory(again, writeable)
 
 
 def _algebras():
@@ -133,9 +134,16 @@ def test_kernel_equals_whole_row_reference_on_derivation_systems(a):
 
 def _assert_float64_reduces_to_complex128_bits(a):
     want, want_pivots = rref_float(a.astype(np.complex128))
-    system = a.copy()
-    got, got_pivots = rref_float(system)
-    assert system.dtype == np.float64  # eliminated in its own dtype
+    dtypes = []
+    eliminate = linalg._rref_at
+
+    def spy(arr, tol_abs):
+        dtypes.append(arr.dtype)
+        return eliminate(arr, tol_abs)
+
+    with mock.patch.object(linalg, "_rref_at", spy):
+        got, got_pivots = rref_float(a)
+    assert dtypes == [np.float64]  # eliminated in its own dtype
     assert got.dtype == want.dtype == np.complex128
     assert got_pivots == want_pivots
     assert got.tobytes() == want.tobytes()  # bit for bit, signs of zeros too

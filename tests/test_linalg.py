@@ -1,12 +1,14 @@
 """Kernel, RREF, and subspace-lattice behaviour on both backends."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amenalyzer import _kernels, linalg
 from amenalyzer.linalg import (
     AmbientMismatch,
     DEFAULT_TOL,
@@ -185,33 +187,65 @@ def test_float_annihilator_and_intersect_leave_their_operands_rows_unchanged():
     assert np.array_equal(a.rows, before[0]) and np.array_equal(b.rows, before[1])
 
 
-def test_float_nullspace_reduces_a_writeable_complex128_caller_array_in_place():
+def test_float_nullspace_and_rowspace_leave_every_caller_array_unchanged():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
-    rows, pivots = rref_float(m.copy())
-    real = m.real.copy()
-    kernel = nullspace(m, 7, FLOAT)
-    assert kernel.dim == 7 - len(pivots)
-    assert np.array_equal(m[: len(pivots)], rows)  # m now holds its RREF
-    real_rows, real_pivots = rref_float(real.copy())
-    assert nullspace(real, 7, FLOAT).dim == 7 - len(real_pivots)
-    assert real.dtype == np.float64  # still float64, and now holding its RREF
-    assert np.array_equal(real[: len(real_pivots)], real_rows)
     frozen = m.real.copy()
     frozen.setflags(write=False)
-    for other in (m.real.astype(np.float32), np.arange(-14, 14).reshape(4, 7), frozen):
-        before = other.copy()
-        nullspace(other, 7, FLOAT)
-        assert other.dtype == before.dtype and np.array_equal(other, before)  # copied, not reduced
+    arrays = (m, m.real.copy(), m.real.astype(np.float32), np.arange(-14, 14).reshape(4, 7), frozen)
+    for arr in arrays:
+        before = arr.copy()
+        rank = len(rref_float(before)[1])
+        assert nullspace(arr, 7, FLOAT).dim == 7 - rank
+        assert arr.dtype == before.dtype and arr.tobytes() == before.tobytes()
+        assert rowspace(arr, 7, FLOAT).dim == rank
+        assert arr.dtype == before.dtype and arr.tobytes() == before.tobytes()
 
 
 def test_float_nullspace_residual_bound():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
-    kernel = nullspace(m.copy(), 9, FLOAT)  # m itself would be reduced in place
+    kernel = nullspace(m.copy(), 9, FLOAT)
     norm = max(np.linalg.norm(row) for row in m)
     for v in kernel.basis_vectors():
         assert np.abs(m @ v).max() <= DEFAULT_TOL * norm * 10
+
+
+def test_float_pivots_stay_one_when_the_threshold_reaches_one():
+    # a row norm of 1e9 puts the threshold at 1.0, the modulus of a pivot
+    big = QQi(0, 10**9)
+    for rows in ([{0: big}], [{0: ZERO, 1: big}], [[ZERO, big]]):
+        s = rowspace(rows, 2, FLOAT)
+        want = np.zeros((1, 2))
+        want[0, s.pivots[0]] = 1.0
+        assert np.array_equal(s.rows, want)
+        assert nullspace(rows, 2, FLOAT).dim == 1
+    rows, pivots = rref_float(np.array([[1e9j, 0.0]]))
+    assert pivots == (0,) and np.array_equal(rows, [[1.0, 0.0]])
+
+
+def test_kernel_of_a_system_with_no_nonzero_row_is_the_identity_without_elimination():
+    ncols = 900
+    calls = []
+
+    def spy(name, routine):
+        def counted(*args):
+            calls.append(name)
+            return routine(*args)
+
+        return counted
+
+    identity = tuple(tuple(ONE if c == r else ZERO for c in range(ncols)) for r in range(ncols))
+    with (
+        mock.patch.object(linalg, "rref_exact", spy("rref_exact", linalg.rref_exact)),
+        mock.patch.object(_kernels, "rref_inplace", spy("rref_inplace", _kernels.rref_inplace)),
+    ):
+        for rows in ([], [{}] * 3, [[ZERO] * ncols] * 2):
+            exact, fl = nullspace(rows, ncols, EXACT), nullspace(rows, ncols, FLOAT)
+            assert exact.pivots == fl.pivots == tuple(range(ncols))
+            assert exact.rows == identity
+            assert np.array_equal(fl.rows, np.eye(ncols))
+    assert calls == []
 
 
 def test_trivial_and_full_space_extremes():
@@ -286,7 +320,7 @@ def test_float_lane_converts_qqi_rows_at_the_door(m):
     pre = np.array([[complex(x) for x in r] for r in m], dtype=np.complex128).reshape(-1, cols)
     for solve in (nullspace, rowspace):
         got = solve(m, cols, FLOAT)
-        want = solve(pre.copy(), cols, FLOAT)  # a writeable array is reduced in place
+        want = solve(pre.copy(), cols, FLOAT)
         assert np.array_equal(got.rows, want.rows)
         assert got.pivots == want.pivots
 
@@ -360,33 +394,56 @@ def _densified(rows, ncols):
     return dense
 
 
+def _kernel_rows(red, pivots, ncols, zero, one):
+    """The kernel basis of an RREF, one dense row per free column."""
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
 @given(system=dict_row_system())
 @settings(max_examples=200, deadline=None)
 def test_exact_blocks_give_the_rref_of_the_whole_system(system):
     rows, ncols = system
-    want_rows, want_pivots = rref_exact(_densified(rows, ncols))
-    got = rowspace(rows, ncols, EXACT)
-    assert (got.rows, got.pivots) == (want_rows, want_pivots)
-    kernel, whole_kernel = nullspace(rows, ncols, EXACT), nullspace(_densified(rows, ncols), ncols, EXACT)
-    assert (kernel.rows, kernel.pivots) == (whole_kernel.rows, whole_kernel.pivots)
+    dense = _densified(rows, ncols)
+    want = rref_exact(dense)
+    want_kernel = rref_exact(_kernel_rows(*want, ncols, ZERO, ONE))
+    # the same system as dict rows, as dense rows and as a 2-d array
+    for form in (rows, dense, np.array(dense, dtype=object).reshape(-1, ncols)):
+        got = rowspace(form, ncols, EXACT)
+        assert (got.rows, got.pivots) == want
+        kernel = nullspace(form, ncols, EXACT)
+        assert (kernel.rows, kernel.pivots) == want_kernel
 
 
 @given(system=dict_row_system())
 @settings(max_examples=200, deadline=None)
 def test_float_blocks_match_the_rref_of_the_whole_system(system):
     rows, ncols = system
-    whole = np.array([[complex(x) for x in row] for row in _densified(rows, ncols)], dtype=np.complex128)
-    want_rows, want_pivots = rref_float(whole.reshape(-1, ncols))
-    got = rowspace(rows, ncols, FLOAT)
-    assert got.pivots == want_pivots
-    bound = DEFAULT_TOL * max(1.0, float(np.abs(want_rows).max(initial=0.0)))
-    assert got.rows.shape == want_rows.shape
-    assert np.abs(got.rows - want_rows).max(initial=0.0) <= bound
-    kernel, whole_kernel = nullspace(rows, ncols, FLOAT), nullspace(_densified(rows, ncols), ncols, FLOAT)
-    assert kernel.pivots == whole_kernel.pivots
-    assert np.abs(kernel.rows - whole_kernel.rows).max(initial=0.0) <= DEFAULT_TOL * max(
-        1.0, float(np.abs(whole_kernel.rows).max(initial=0.0))
-    )
+    dense = _densified(rows, ncols)
+    whole = np.array([[complex(x) for x in row] for row in dense], dtype=np.complex128).reshape(-1, ncols)
+    want_rows, want_pivots = rref_float(whole)
+    basis = np.array(_kernel_rows(want_rows, want_pivots, ncols, 0j, 1 + 0j), dtype=np.complex128)
+    kernel_rows, kernel_pivots = rref_float(basis.reshape(-1, ncols))
+    # the same system as dict rows, as dense rows and as a 2-d array
+    for form in (rows, dense, whole):
+        got = rowspace(form, ncols, FLOAT)
+        assert got.pivots == want_pivots
+        bound = DEFAULT_TOL * max(1.0, float(np.abs(want_rows).max(initial=0.0)))
+        assert got.rows.shape == want_rows.shape
+        assert np.abs(got.rows - want_rows).max(initial=0.0) <= bound
+        kernel = nullspace(form, ncols, FLOAT)
+        assert kernel.pivots == kernel_pivots
+        assert np.abs(kernel.rows - kernel_rows).max(initial=0.0) <= DEFAULT_TOL * max(
+            1.0, float(np.abs(kernel_rows).max(initial=0.0))
+        )
 
 
 @given(m=qqi_matrix_with_plants(), data=st.data())
