@@ -7,10 +7,11 @@ place that knows the two backends, or lanes:
 * ``exact``  - matrices are tuples of tuples of :class:`~amenalyzer.scalars.QQi`
   (complex numbers with rational parts); arithmetic never rounds, so RREF is
   a syntactically canonical form and subspace equality is entry equality.
-  :func:`rref_exact` eliminates on the nonzero entries of each row and drops
-  zero and duplicate rows itself, dense rows in and out.  Inside,
-  it works fraction-free on Gaussian integers (re, im), each row over one
-  positive integer, and converts back to ``QQi`` only at the end.
+  :func:`_exact_pivot_rows` eliminates the dict rows of one block as they
+  come and drops zero values and repeated rows itself.  It works
+  fraction-free on Gaussian integers (re, im), each row over one positive
+  integer; the lane converts back to dense ``QQi`` rows only at the end.
+  :func:`rref_exact` is the same elimination, of dense rows.
 * ``float``  - matrices are numpy complex128 arrays; rank decisions use the
   one fixed tolerance :data:`DEFAULT_TOL` (``1e-9``), relative to the
   largest row norm.  A block is eliminated in float64 when every value of
@@ -32,11 +33,12 @@ as the system builders hand them over, or a dense row; or it is a 2-d
 array.  Each row is read as the dict of its nonzeros, and the system is
 split into its independent blocks: two columns are linked when one row
 holds both, and each connected component is eliminated on its own, with
-the lane's one routine, on dense rows or an array of the block's width
-only.  The RREF of the whole is the union of the blocks' RREF rows, merged
-in pivot order, so no system is ever dense in full; in a basis of matrix
-units, monomials or semigroup elements the derivation system falls into
-hundreds of blocks.  No routine here changes a caller's rows or array.
+the lane's one routine: as its dict rows on the exact lane, as an array of
+the block's width only on the float lane.  The RREF of the whole is the
+union of the blocks' RREF rows, merged in pivot order, so no system is
+ever dense in full; in a basis of matrix units, monomials or semigroup
+elements the derivation system falls into hundreds of blocks.  No routine
+here changes a caller's rows or array.
 
 Subspaces are always stored by their RREF basis, one row per basis vector.
 """
@@ -100,41 +102,52 @@ def _eliminate(n, row, f, tail):
 
 
 def rref_exact(rows):
-    """Exact reduced row echelon form, computed fraction-free over Z[i].
+    """Exact reduced row echelon form of equal-length ``QQi`` rows.
 
-    ``rows`` is any iterable of equal-length ``QQi`` sequences.  Each row is
-    read into a {column: value} dict of its nonzeros; zero rows and exact
-    duplicates of an earlier row are dropped.  A kept row is cleared of
-    denominators and becomes a dict of Gaussian integers (re, im), divided
-    by its integer content.  It is reduced by the pivot row of its leading
-    column until it vanishes or leads in a new column.  There it is
+    ``rows`` is any iterable of dense rows; it is the exact lane's own
+    elimination, :func:`_rref_exact_blocks`, with ``ncols`` the length of a
+    row.  Returns (tuple of nonzero RREF rows, tuple of pivot columns), the
+    rows as dense tuples in pivot order.
+    """
+    rows = list(rows)
+    return _rref_exact_blocks(rows, len(rows[0]) if rows else 0)
+
+
+def _exact_pivot_rows(group):
+    """The fully reduced pivot rows of one block of {column: QQi} dict rows,
+    computed fraction-free over Z[i]: a dict {pivot column: (N, tail)}, the
+    RREF row being (N at the pivot, tail) / N, N a positive integer and the
+    tail {column: (re, im)} of Gaussian integers.
+
+    A row whose one entry is nonzero puts its column's unit vector in the
+    span: that column becomes a pivot with an empty tail, and is dropped
+    from every other row.  Each other row has its zero values dropped, is
+    cleared of denominators and divided by its integer content; a row equal
+    to an earlier one is then skipped.  It is reduced by the pivot row of its
+    leading column until it vanishes or leads in a new column.  There it is
     multiplied by the conjugate of its leading entry and becomes that
-    column's pivot row (N, tail): N is a positive integer, and the row is
-    (N at the pivot, tail) / N.  A row with leading entry f is reduced as
+    column's pivot row.  A row with leading entry f is reduced as
     N * row - f * tail, and back-substitution over the pivot columns, last
     to first, does the same in every row above, each result again divided
-    by its content.  Only the output is converted back to ``QQi``.
-
-    Returns (tuple of nonzero RREF rows, tuple of pivot columns), the rows
-    as dense tuples in pivot order.  The RREF of a row space is unique, so
-    the output is canonical whatever the row order or elimination order.
+    by its content.  The RREF of a row space is unique, so the result is
+    canonical whatever the row order or elimination order.
     """
-    ncols = 0
+    units = {c for row in group if len(row) == 1 for c, x in row.items() if x}
     seen = set()
-    # pivot column -> (N, the other nonzeros of its row), the row over N
     pivot_rows = {}
-    for row in rows:
-        ncols = len(row)
-        # assembled rows share the ZERO object, so test identity first
-        sparse = {c: x for c, x in enumerate(row) if x is not ZERO and x}
-        if not sparse:
+    for row in group:
+        if len(row) == 1:
             continue
-        key = tuple(sparse.items())
+        _, ints = gaussian_integers(row.values())
+        vec = {c: v for c, v in zip(row, ints) if (v[0] or v[1]) and c not in units}
+        if not vec:
+            continue
+        _, vec = _primitive(0, vec)
+        # the primitive row is canonical, and its items hash as ints in any order
+        key = frozenset(vec.items())
         if key in seen:
             continue
         seen.add(key)
-        _, ints = gaussian_integers(sparse.values())
-        _, vec = _primitive(0, dict(zip(sparse, ints)))
         while vec:
             lead = min(vec)
             pivot = pivot_rows.get(lead)
@@ -155,15 +168,8 @@ def rref_exact(rows):
             f = upper.pop(p, None)
             if f is not None:
                 pivot_rows[q] = _primitive(n * m, _eliminate(n, upper, f, tail))
-    out = []
-    for p in pivots:
-        n, tail = pivot_rows[p]
-        dense = [ZERO] * ncols
-        dense[p] = ONE
-        for c, (a, b) in tail.items():
-            dense[c] = QQi(Fraction(a, n), Fraction(b, n))
-        out.append(tuple(dense))
-    return tuple(out), tuple(pivots)
+    pivot_rows.update((c, (1, {})) for c in units)
+    return pivot_rows
 
 
 def rref_float(arr):
@@ -191,12 +197,14 @@ def _rref_at(a, tol_abs):
     """The elimination of a writeable, C-contiguous float64 or complex128
     array, in place, at the pivot threshold ``tol_abs``: the whole copy in
     :func:`rref_float`, and each block of a system at the threshold of the
-    whole system."""
+    whole system.
+
+    The rows come out with 1.0 at each pivot, so their entries are ratios
+    to a pivot whatever the input's scale: entries of modulus at most
+    :data:`DEFAULT_TOL`, not ``tol_abs``, are cleared to zero."""
     rank, pivots = _kernels.rref_inplace(a, tol_abs)
     out = a[:rank]
-    out[np.abs(out) <= tol_abs] = 0.0
-    # a pivot is 1.0 whatever the threshold; at a row norm of 1e9 it is 1.0
-    out[np.arange(rank), list(pivots)] = 1.0
+    out[np.abs(out) <= DEFAULT_TOL] = 0.0
     # the kernel may leave -0.0 parts; adding +0.0 makes every zero positive
     out += 0.0
     return np.asarray(out, dtype=np.complex128), pivots
@@ -309,34 +317,23 @@ def _blocks(rows, ncols):
 
 
 def _rref_exact_blocks(rows, ncols):
-    """:func:`rref_exact` of a system, one block at a time, on dense rows of
-    the block's width: the exact lane's elimination."""
-    found = []
-    for cols, group in _blocks(rows, ncols):
-        width = len(cols)
-        if width == 1:
-            # one column: its RREF is the unit row when any value is nonzero
-            if any(x for row in group for x in row.values()):
-                unit = [ZERO] * ncols
-                unit[cols[0]] = ONE
-                found.append((cols[0], tuple(unit)))
-            continue
-        where = dict(zip(cols, range(width)))
-        dense = []
-        for row in group:
-            d = [ZERO] * width
-            for c, x in row.items():
-                d[where[c]] = x
-            dense.append(d)
-        red, pivots = rref_exact(dense)
-        for p, r in zip(pivots, red):
-            g = [ZERO] * ncols
-            for c, x in zip(cols, r):
-                if x is not ZERO:
-                    g[c] = x
-            found.append((cols[p], tuple(g)))
-    found.sort(key=lambda pr: pr[0])
-    return tuple(r for _, r in found), tuple(p for p, _ in found)
+    """The exact lane's elimination: :func:`_exact_pivot_rows` of each
+    block of a system, the pivot rows of all blocks then made dense rows of
+    ``QQi`` in pivot order, once.  Returns (tuple of rows, tuple of pivot
+    columns), as :func:`rref_exact`."""
+    pivot_rows = {}
+    for _, group in _blocks(rows, ncols):
+        pivot_rows.update(_exact_pivot_rows(group))
+    pivots = sorted(pivot_rows)
+    out = []
+    for p in pivots:
+        n, tail = pivot_rows[p]
+        dense = [ZERO] * ncols
+        dense[p] = ONE
+        for c, (a, b) in tail.items():
+            dense[c] = QQi(Fraction(a, n), Fraction(b, n))
+        out.append(tuple(dense))
+    return tuple(out), tuple(pivots)
 
 
 def _rref_float_blocks(rows, ncols):

@@ -15,7 +15,7 @@ from amenalyzer.algebra import (
     upper_triangular,
     zero_algebra,
 )
-from amenalyzer.classify import Analysis
+from amenalyzer.classify import Analysis, build_report
 from amenalyzer.corpus import corpus
 from amenalyzer.crosscheck import _rows_match
 from amenalyzer.derivations import (
@@ -32,7 +32,7 @@ from amenalyzer.derivations import (
     flatten_map,
     unflatten_map,
 )
-from amenalyzer.linalg import EXACT, FLOAT, subspace_intersect, subspace_leq
+from amenalyzer.linalg import DEFAULT_TOL, EXACT, FLOAT, nullspace, subspace_intersect, subspace_leq
 from amenalyzer.scalars import ONE, ZERO, QQi, qq
 
 from oracles import (
@@ -359,3 +359,22 @@ def test_float_system_whose_row_norm_overflows_raises():
     assert derivation_space(a, EXACT).dim == 0
     with pytest.raises(OverflowError):
         derivation_space(a, FLOAT)
+
+
+def test_float_spaces_of_a_rescaled_basis_equal_the_exact_ones():
+    # M2 on (E00, 30 E01, 900 E10, 27000 E11): RREF rows of Z hold ratios
+    # 27000 apart, far below the threshold the system's row norms set
+    scales = [1, 30, 900, 27000]
+    p = [[qq(s) if i == j else ZERO for j in range(4)] for i, s in enumerate(scales)]
+    a = change_basis(matrix_algebra(2), p)
+    rows = _assemble_derivation_rows(a)
+    want = nullspace(rows, 16, EXACT)
+    dense = [[row.get(c, ZERO) for c in range(16)] for row in rows]
+    for form in (rows, dense, derivation_constraint_matrix(a)):
+        got = nullspace(form, 16, FLOAT)
+        assert got.pivots == want.pivots
+        assert np.abs(got.rows - np.array(want.rows, dtype=complex)).max() <= DEFAULT_TOL * 27000
+    exact, fl = (build_report(Analysis(a, backend)) for backend in (EXACT, FLOAT))
+    assert fl["dims"] == exact["dims"]
+    assert fl["flags"] == exact["flags"]
+    assert exact["flags"]["weakly_amenable"] and exact["flags"]["cyclically_amenable"]

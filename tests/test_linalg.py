@@ -224,6 +224,18 @@ def test_float_pivots_stay_one_when_the_threshold_reaches_one():
     assert pivots == (0,) and np.array_equal(rows, [[1.0, 0.0]])
 
 
+def test_float_rref_keeps_small_ratios_of_a_large_row():
+    # a row norm of 1e6 puts the pivot threshold at 1e-3; the normalized row is (1, 1e-4)
+    m = np.array([[1e6, 100.0]])
+    for rows in ([{0: qq(10**6), 1: qq(100)}], [[qq(10**6), qq(100)]], m):
+        s = rowspace(rows, 2, FLOAT)
+        assert s.pivots == (0,) and abs(s.rows[0, 1] - 1e-4) <= 1e-16
+        kernel = nullspace(rows, 2, FLOAT)
+        assert kernel.pivots == (0,)
+        (v,) = kernel.rows
+        assert np.abs(m @ v).max() <= DEFAULT_TOL * 1e6 * np.linalg.norm(v)
+
+
 def test_kernel_of_a_system_with_no_nonzero_row_is_the_identity_without_elimination():
     ncols = 900
     calls = []
@@ -236,8 +248,10 @@ def test_kernel_of_a_system_with_no_nonzero_row_is_the_identity_without_eliminat
         return counted
 
     identity = tuple(tuple(ONE if c == r else ZERO for c in range(ncols)) for r in range(ncols))
+    # the exact core turns a one-entry row into a unit pivot as it is, and
+    # converts every other row to Gaussian integers before eliminating it
     with (
-        mock.patch.object(linalg, "rref_exact", spy("rref_exact", linalg.rref_exact)),
+        mock.patch.object(linalg, "gaussian_integers", spy("gaussian_integers", linalg.gaussian_integers)),
         mock.patch.object(_kernels, "rref_inplace", spy("rref_inplace", _kernels.rref_inplace)),
     ):
         for rows in ([], [{}] * 3, [[ZERO] * ncols] * 2):
@@ -245,7 +259,11 @@ def test_kernel_of_a_system_with_no_nonzero_row_is_the_identity_without_eliminat
             assert exact.pivots == fl.pivots == tuple(range(ncols))
             assert exact.rows == identity
             assert np.array_equal(fl.rows, np.eye(ncols))
-    assert calls == []
+        assert calls == []
+        # the spies see the elimination of a row with two nonzeros
+        for backend in (EXACT, FLOAT):
+            rowspace([{0: ONE, 1: ONE}], ncols, backend)
+    assert calls == ["gaussian_integers", "rref_inplace"]
 
 
 def test_trivial_and_full_space_extremes():
@@ -413,8 +431,8 @@ def _kernel_rows(red, pivots, ncols, zero, one):
 def test_exact_blocks_give_the_rref_of_the_whole_system(system):
     rows, ncols = system
     dense = _densified(rows, ncols)
-    want = rref_exact(dense)
-    want_kernel = rref_exact(_kernel_rows(*want, ncols, ZERO, ONE))
+    want = reference_rref_exact(dense)
+    want_kernel = reference_rref_exact(_kernel_rows(*want, ncols, ZERO, ONE))
     # the same system as dict rows, as dense rows and as a 2-d array
     for form in (rows, dense, np.array(dense, dtype=object).reshape(-1, ncols)):
         got = rowspace(form, ncols, EXACT)
