@@ -88,6 +88,18 @@ class FiniteAlgebra:
         )
 
     @cached_property
+    def integer_nz(self):
+        """``nz`` on Gaussian integers over one denominator: (D, planes),
+        ``planes[i][j]`` the tuple of (k, (re, im)) with c = (re + im i) / D
+        for each (k, c) of ``nz[i][j]``, D the least common denominator of
+        every part."""
+        d, ints = gaussian_integers(c for plane in self.nz for terms in plane for _, c in terms)
+        ints = iter(ints)
+        return d, tuple(
+            tuple(tuple((k, next(ints)) for k, _ in terms) for terms in plane) for plane in self.nz
+        )
+
+    @cached_property
     def complex_sc(self):
         """The structure tensor as a read-only (n, n, n) complex128 array."""
         n = self.dim
@@ -190,9 +202,7 @@ def validate(a: FiniteAlgebra) -> ValidationReport:
     n = a.dim
     # the constants as Gaussian integers over one denominator D, so both
     # sides of each triple below are compared scaled by D^2
-    _, ints = gaussian_integers(c for plane in a.nz for terms in plane for _, c in terms)
-    ints = iter(ints)
-    nz = [[[(k, next(ints)) for k, _ in terms] for terms in plane] for plane in a.nz]
+    _, nz = a.integer_nz
     for i in range(n):
         for j in range(n):
             for l in range(n):
@@ -577,7 +587,22 @@ def radical(a: FiniteAlgebra, backend=EXACT) -> Subspace:
         for j in range(n)
     ]
     rows.append(dict(enumerate(tau)))
-    return nullspace(rows, n, backend)
+    return nullspace([_unit_scaled(row) for row in rows], n, backend)
+
+
+def _unit_scaled(row):
+    """The nonzeros of the dict row divided by the one of largest modulus,
+    compared exactly, so that entry is one.
+
+    The kernel is unchanged.  The entries of the trace-form rows are
+    products of two constants, so their moduli span the square of the
+    constants' spread, and on the float lane one large row would otherwise
+    set a pivot threshold that drops the true pivot of a small one."""
+    row = {k: x for k, x in row.items() if x}
+    if not row:
+        return row
+    inv = max(row.values(), key=lambda x: x.re * x.re + x.im * x.im).inverse()
+    return {k: x * inv for k, x in row.items()}
 
 
 def commutator_span(a: FiniteAlgebra) -> Subspace:
@@ -603,11 +628,11 @@ def ideal_closure(a: FiniteAlgebra, s: Subspace) -> Subspace:
     """
     nz = a.nz
     n = a.dim
-    current, fresh = s, s.rows
+    current, fresh = s, s.basis
     while True:
-        rows = [{c: x for c, x in enumerate(v) if not x.is_zero()} for v in current.rows]
+        rows = list(current.basis)
         for v in fresh:
-            terms = [(j, x) for j, x in enumerate(v) if not x.is_zero()]
+            terms = v.items()
             for i in range(n):
                 left, right = {}, {}
                 for j, x in terms:
@@ -619,7 +644,7 @@ def ideal_closure(a: FiniteAlgebra, s: Subspace) -> Subspace:
         if bigger.dim == current.dim:
             return bigger
         old = set(current.pivots)
-        fresh = [v for v, p in zip(bigger.rows, bigger.pivots) if p not in old]
+        fresh = [v for v, p in zip(bigger.basis, bigger.pivots) if p not in old]
         current = bigger
 
 
@@ -640,14 +665,14 @@ def quotient_map(a: FiniteAlgebra, ideal: Subspace):
         _, w = ideal.reduce(v)
         return [w[f] for f in free]
 
-    proj_rows = [project(a.basis_vector(i)) for i in range(n)]
+    proj_rows = [project({i: ONE}) for i in range(n)]
     proj = [[proj_rows[i][t] for i in range(n)] for t in range(m)]
     if m == 0:
         return None, proj
     terms = {}
     for p in range(m):
         for q in range(m):
-            cls = project(a.basis_product(free[p], free[q]))
+            cls = project(dict(a.nz[free[p]][free[q]]))
             terms.update(((p, q, t), x) for t, x in enumerate(cls) if x)
     quotient = _make(f"{a.name}/I", m, terms, [f"q{t}" for t in range(m)])
     return quotient, proj

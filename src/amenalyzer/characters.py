@@ -12,6 +12,7 @@ exact, and the algebra holds it as ``FiniteAlgebra.character_reduction``.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from .linalg import (
     rowspace,
     subspace_equal,
 )
-from .scalars import ONE, ZERO, QQi
+from .scalars import ONE, ZERO, QQi, gaussian_integers
 
 DEFAULT_SEED = 1729
 RATIONALIZE_DENOM_BOUND = 10**6
@@ -69,15 +70,34 @@ class CharacterSearch:
     attempts: int
 
 
-def _mult_defects(a: FiniteAlgebra, values, lane):
+def _mult_defects(a: FiniteAlgebra, values):
     """phi(e_i) phi(e_j) - phi(e_i e_j) for every basis pair (i, j), in
-    order, on the lane of the values."""
+    order, for complex128 values."""
     for i, plane in enumerate(a.nz):
         for j, terms in enumerate(plane):
-            acc = lane.zero
+            acc = 0j
             for k, c in terms:
-                acc = acc + lane.coerce(c) * values[k]
+                acc = acc + complex(c) * values[k]
             yield values[i] * values[j] - acc
+
+
+def _is_multiplicative(a: FiniteAlgebra, values) -> bool:
+    """Whether exact ``QQi`` values satisfy phi(e_i) phi(e_j) = phi(e_i e_j)
+    for every basis pair, tested on Gaussian integers: with the values p/E
+    and the constants c/D (:attr:`FiniteAlgebra.integer_nz`), each
+    equation reads D p_i p_j = E sum_k c_ijk p_k."""
+    d, planes = a.integer_nz
+    e, p = gaussian_integers(values)
+    for (ar, ai), plane in zip(p, planes):
+        for (br, bi), terms in zip(p, plane):
+            sr = si = 0
+            for k, (cr, ci) in terms:
+                xr, xi = p[k]
+                sr += cr * xr - ci * xi
+                si += cr * xi + ci * xr
+            if d * (ar * br - ai * bi) != e * sr or d * (ar * bi + ai * br) != e * si:
+                return False
+    return True
 
 
 def _rationalize(values: np.ndarray):
@@ -96,7 +116,7 @@ def _verify_vector(a: FiniteAlgebra, values, want_exact=True) -> Character | Non
     if want_exact and all(isinstance(v, QQi) for v in values):
         if all(v.is_zero() for v in values):
             return None
-        if not any(_mult_defects(a, values, LANES[EXACT])):
+        if _is_multiplicative(a, values):
             return Character(tuple(values), True)
         return None
     arr = np.array([complex(v) for v in values], dtype=np.complex128)
@@ -105,13 +125,13 @@ def _verify_vector(a: FiniteAlgebra, values, want_exact=True) -> Character | Non
     if not 0.0 < top < np.inf:
         return None
     # numpy's max, unlike max(), keeps a NaN, and the test fails on one
-    res = float(np.abs(list(_mult_defects(a, arr, LANES[FLOAT]))).max())
+    res = float(np.abs(list(_mult_defects(a, arr))).max())
     scale = max(1.0, top**2)
     if not res <= DEFAULT_TOL * scale * 100:
         return None
     if want_exact:
         rat = _rationalize(arr)
-        if rat is not None and not any(_mult_defects(a, rat, LANES[EXACT])):
+        if rat is not None and _is_multiplicative(a, rat):
             return Character(rat, True)
     return Character(tuple(complex(v) for v in arr), False)
 
@@ -134,7 +154,8 @@ def _semisimple_commutative_characters(c_alg: FiniteAlgebra, rng):
     attempts = 0
     for attempt in range(3):
         attempts = attempt + 1
-        coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        coeffs = np.array([rng.gauss(0.0, 1.0) for _ in range(k)])
+        coeffs = coeffs + 1j * np.array([rng.gauss(0.0, 1.0) for _ in range(k)])
         r = np.tensordot(coeffs, lt, axes=1)
         eigvals, eigvecs = np.linalg.eig(r)
         sep = DEFAULT_TOL * 1e3 * max(1.0, float(np.abs(eigvals).max()))
@@ -165,7 +186,9 @@ def find_characters(a: FiniteAlgebra, *, seed=None, backend=EXACT) -> CharacterS
     point.  With the exact backend, characters whose entries round to small
     rationals are re-verified exactly and kept in exact form.
     """
-    rng = np.random.default_rng(resolve_seed(seed))
+    # the stdlib generator: importing numpy.random pulls in secrets, hmac,
+    # base64 and the cython runtime, megabytes of memory for a few draws
+    rng = random.Random(resolve_seed(seed))
     reduction = a.character_reduction
     if reduction is None:
         found, certified, attempts = [], True, 0
@@ -248,7 +271,7 @@ def ideal_product_span(a: FiniteAlgebra, s: Subspace) -> Subspace:
     """Span of all pairwise products of basis vectors of a subspace, each
     product u v read off ``nz`` as a dict row on the lane of the subspace."""
     lane = LANES[s.backend]
-    vecs = [[(i, lane.coerce(x)) for i, x in enumerate(v) if not lane.is_zero(x)] for v in s.rows]
+    vecs = [list(row.items()) for row in s.nonzeros()]
     rows = []
     for u in vecs:
         for v in vecs:
@@ -318,7 +341,7 @@ def unital_characterization(an, phi: Character) -> bool:
     phi are exactly the functionals killing the unit and the square of ker phi."""
     _, u = an.unital
     _, msq = an.ideal_square(phi)
-    expected = nullspace(list(msq.rows) + [list(u)], an.algebra.dim, EXACT)
+    expected = nullspace(list(msq.basis) + [list(u)], an.algebra.dim, EXACT)
     return subspace_equal(expected, an.pd_space(phi))
 
 

@@ -127,9 +127,9 @@ class Analysis:
         ):
             if getattr(self, flag):
                 continue
-            w = next((v for v in larger.basis_vectors() if not smaller.contains(v)), None)
+            w = next((k for k, v in enumerate(larger.basis) if not smaller.contains(v)), None)
             if w is not None:
-                out[flag] = unflatten_map(w, self.algebra.dim)
+                out[flag] = unflatten_map(larger.rows[w], self.algebra.dim)
         return out
 
     # characters and point derivations

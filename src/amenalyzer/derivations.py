@@ -24,7 +24,6 @@ from .linalg import (
     LANES,
     Subspace,
     lane_of,
-    matvec_exact,
     nullspace,
     rowspace,
     subspace_leq,
@@ -113,19 +112,40 @@ def cyclic_subspace(a: FiniteAlgebra, z: Subspace) -> Subspace:
     sum_k c_k (z_k[i][j] + z_k[j][i]) = 0 for every i <= j: dim Z unknowns
     and n(n+1)/2 equations.  The combinations spanned by the kernel are
     canonicalized to RREF, so on the exact backend the rows are those of
-    the intersection of Z with the antisymmetric matrices.
+    the intersection of Z with the antisymmetric matrices.  The exact lane
+    builds the equations and the combinations from the nonzeros of Z's
+    rows; the float lane from its array, by one fancy-index sum and one
+    product.
     """
     if z.dim == 0:
         return z
     n = a.dim
-    eqs = [[row[ij] + row[ji] for row in z.rows] for ij, ji in _symmetric_pairs(n)]
-    coeffs = nullspace(eqs, z.dim, z.backend)
     if z.backend == FLOAT:
-        combos = np.asarray(coeffs.rows) @ np.asarray(z.rows)
-    else:
-        columns = list(zip(*z.rows))
-        combos = [matvec_exact(columns, c) for c in coeffs.rows]
-    return rowspace(combos, n * n, z.backend)
+        ij, ji = np.array(_symmetric_pairs(n)).T
+        eqs = (z.basis[:, ij] + z.basis[:, ji]).T
+        coeffs = nullspace(eqs, z.dim, FLOAT)
+        return rowspace(coeffs.basis @ z.basis, n * n, FLOAT)
+    # the entry (i, j) of row k adds z_k[i][j] to equation {i, j} at k; a
+    # diagonal entry is both z_k[i][j] and z_k[j][i]
+    eqs = {}
+    for k, row in enumerate(z.basis):
+        for c, x in row.items():
+            i, j = divmod(c, n)
+            eq = eqs.setdefault((i, j) if i <= j else (j, i), {})
+            if i == j:
+                x = x + x
+            y = eq.get(k)
+            eq[k] = x if y is None else y + x
+    coeffs = nullspace(list(eqs.values()), z.dim, EXACT)
+    combos = []
+    for coef_row in coeffs.basis:
+        combo = {}
+        for k, coef in coef_row.items():
+            for c, x in z.basis[k].items():
+                y = combo.get(c)
+                combo[c] = coef * x if y is None else y + coef * x
+        combos.append(combo)
+    return rowspace(combos, n * n, EXACT)
 
 
 def t_operator_rank(z: Subspace, zc: Subspace) -> int:

@@ -4,14 +4,17 @@ Everything downstream reduces to row-reduced echelon forms, kernels, and a
 small lattice of subspaces of coordinate space.  This module is the one
 place that knows the two backends, or lanes:
 
-* ``exact``  - matrices are tuples of tuples of :class:`~amenalyzer.scalars.QQi`
-  (complex numbers with rational parts); arithmetic never rounds, so RREF is
-  a syntactically canonical form and subspace equality is entry equality.
+* ``exact``  - values are :class:`~amenalyzer.scalars.QQi` (complex numbers
+  with rational parts); arithmetic never rounds, so RREF is a syntactically
+  canonical form and subspace equality is entry equality.
   :func:`_exact_pivot_rows` eliminates the dict rows of one block as they
   come and drops zero values and repeated rows itself.  It works
   fraction-free on Gaussian integers (re, im), each row over one positive
-  integer; the lane converts back to dense ``QQi`` rows only at the end.
-  :func:`rref_exact` is the same elimination, of dense rows.
+  integer; the lane converts back to ``QQi`` only at the end, into the
+  {column: QQi} dicts of the RREF rows' nonzeros.  A ``Subspace`` keeps
+  those dicts, and its reductions and membership tests read only them.
+  :func:`rref_exact` is the same elimination, of dense rows, with dense
+  rows out.
 * ``float``  - matrices are numpy complex128 arrays; rank decisions use the
   one fixed tolerance :data:`DEFAULT_TOL` (``1e-9``), relative to the
   largest row norm.  A block is eliminated in float64 when every value of
@@ -22,7 +25,8 @@ place that knows the two backends, or lanes:
 
 Each lane is an ops object in :data:`LANES` holding its zero and one, scalar
 coercion, a zero test (``QQi.is_zero()`` exact, ``abs(x) <= bound`` float),
-its vector and matrix containers and its elimination.  :func:`nullspace`,
+its vector and matrix containers, its elimination, and the reduction of a
+vector against a ``Subspace`` basis.  :func:`nullspace`,
 :func:`rowspace` and :meth:`Subspace.contains` take ``QQi`` input on either
 backend, or complex input on the float one, and convert it to the lane of
 their backend; every algorithm above them is written once.
@@ -40,7 +44,9 @@ ever dense in full; in a basis of matrix units, monomials or semigroup
 elements the derivation system falls into hundreds of blocks.  No routine
 here changes a caller's rows or array.
 
-Subspaces are always stored by their RREF basis, one row per basis vector.
+Subspaces are always stored by their RREF basis, one row per basis vector,
+in the lane's form: {column: QQi} dicts on the exact lane, a complex128
+array on the float lane.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ import mmap
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -110,7 +117,9 @@ def rref_exact(rows):
     rows as dense tuples in pivot order.
     """
     rows = list(rows)
-    return _rref_exact_blocks(rows, len(rows[0]) if rows else 0)
+    ncols = len(rows[0]) if rows else 0
+    basis, pivots = _rref_exact_blocks(rows, ncols)
+    return _ExactLane.dense(basis, ncols), pivots
 
 
 def _exact_pivot_rows(group):
@@ -318,9 +327,10 @@ def _blocks(rows, ncols):
 
 def _rref_exact_blocks(rows, ncols):
     """The exact lane's elimination: :func:`_exact_pivot_rows` of each
-    block of a system, the pivot rows of all blocks then made dense rows of
-    ``QQi`` in pivot order, once.  Returns (tuple of rows, tuple of pivot
-    columns), as :func:`rref_exact`."""
+    block of a system, the pivot rows of all blocks then made ``QQi`` rows
+    in pivot order, once.  Returns (tuple of rows, tuple of pivot columns),
+    each row the {column: QQi} dict of its nonzeros in column order, so its
+    pivot, whose value is ``ONE``, comes first."""
     pivot_rows = {}
     for _, group in _blocks(rows, ncols):
         pivot_rows.update(_exact_pivot_rows(group))
@@ -328,11 +338,11 @@ def _rref_exact_blocks(rows, ncols):
     out = []
     for p in pivots:
         n, tail = pivot_rows[p]
-        dense = [ZERO] * ncols
-        dense[p] = ONE
-        for c, (a, b) in tail.items():
-            dense[c] = QQi(Fraction(a, n), Fraction(b, n))
-        out.append(tuple(dense))
+        row = {p: ONE}
+        for c in sorted(tail):
+            a, b = tail[c]
+            row[c] = QQi(Fraction(a, n), Fraction(b, n))
+        out.append(row)
     return tuple(out), tuple(pivots)
 
 
@@ -390,6 +400,14 @@ def _rref_float_blocks(rows, ncols):
     return out, tuple(p for p, _, _ in found)
 
 
+def _densified(row, ncols):
+    """A {column: QQi} dict row as a dense list of length ``ncols``."""
+    dense = [ZERO] * ncols
+    for c, x in row.items():
+        dense[c] = x
+    return dense
+
+
 class _ExactLane:
     """Exact arithmetic over Q(i): entries are QQi and zero means zero."""
 
@@ -427,12 +445,51 @@ class _ExactLane:
         return acc
 
     @staticmethod
-    def sub_multiple(v, coef, row):
-        return [a if b.is_zero() else a - coef * b for a, b in zip(v, row)]
-
-    @staticmethod
     def rows_equal(r1, r2, bound) -> bool:
         return r1 == r2
+
+    @staticmethod
+    def dense(basis, ncols):
+        """The dict rows as dense tuples of length ``ncols``."""
+        return tuple(tuple(_densified(row, ncols)) for row in basis)
+
+    @staticmethod
+    def _remainder(s, vec):
+        """(coefficients, remainder) of a vector against the dict rows of
+        ``s``, the remainder as the {column: QQi} dict of its nonzeros.
+        Only the nonzeros of the vector and of each row are visited; the
+        pivot of a row, first in its dict, is ``ONE``, so subtracting the
+        row clears the vector's pivot entry, which is popped instead."""
+        if type(vec) is dict:
+            v = {c: x for c, x in vec.items() if x}
+        else:
+            if len(vec) != s.ambient:
+                raise AmbientMismatch(f"vector of length {len(vec)} in ambient {s.ambient}")
+            v = {c: x for c, x in enumerate(vec) if x}
+        coeffs = []
+        for row, p in zip(s.basis, s.pivots):
+            coef = v.pop(p, None)
+            if coef is None:
+                coeffs.append(ZERO)
+                continue
+            coeffs.append(coef)
+            for c, x in islice(row.items(), 1, None):
+                y = v.get(c)
+                y = -(coef * x) if y is None else y - coef * x
+                if y:
+                    v[c] = y
+                else:
+                    del v[c]
+        return coeffs, v
+
+    @staticmethod
+    def reduce(s, vec):
+        coeffs, rest = _ExactLane._remainder(s, vec)
+        return coeffs, _densified(rest, s.ambient)
+
+    @staticmethod
+    def contains(s, vec) -> bool:
+        return not _ExactLane._remainder(s, vec)[1]
 
     rref = staticmethod(_rref_exact_blocks)
 
@@ -467,13 +524,34 @@ class _FloatLane:
         return complex(np.dot(np.asarray(u, dtype=np.complex128), np.asarray(v, dtype=np.complex128)))
 
     @staticmethod
-    def sub_multiple(v, coef, row):
-        return v - coef * row
-
-    @staticmethod
     def rows_equal(r1, r2, bound) -> bool:
         diff = np.abs(np.asarray(r1) - np.asarray(r2))
         return bool(diff.max() <= bound) if diff.size else True
+
+    @staticmethod
+    def dense(basis, ncols):
+        return basis
+
+    @staticmethod
+    def reduce(s, vec):
+        v = np.array(vec, dtype=np.complex128)
+        if len(v) != s.ambient:
+            raise AmbientMismatch(f"vector of length {len(v)} in ambient {s.ambient}")
+        coeffs = []
+        for row, p in zip(s.basis, s.pivots):
+            coef = v[p]
+            coeffs.append(coef)
+            if not abs(coef) <= 0.0:
+                v = v - coef * row
+        return coeffs, v
+
+    @staticmethod
+    def contains(s, vec) -> bool:
+        """The remainder vanishes within :data:`DEFAULT_TOL` times the
+        largest modulus of the vector, floored at 1."""
+        v = np.array(vec, dtype=np.complex128)
+        _, rest = _FloatLane.reduce(s, v)
+        return bool((np.abs(rest) <= DEFAULT_TOL * _FloatLane.scale(v)).all())
 
     @staticmethod
     def rref(rows, ncols):
@@ -500,48 +578,50 @@ def lane_of(*parts):
 class Subspace:
     """A linear subspace of coordinate space in canonical RREF form.
 
-    Two subspaces are compared as sets with :func:`subspace_equal`; ``==``
-    is identity.
+    ``basis`` holds the RREF rows, one per basis vector, in the lane's own
+    form: on the exact lane a tuple of {column: QQi} dicts of their
+    nonzeros, pivot first, shared and never changed; on the float lane a
+    read-only complex128 array.  ``rows`` is the same rows as dense
+    vectors, made on first use.  Two subspaces are compared as sets with
+    :func:`subspace_equal`; ``==`` is identity.
     """
 
     ambient: int
-    rows: tuple | np.ndarray
+    basis: tuple | np.ndarray
     pivots: tuple
     backend: str
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.basis)
+
+    @cached_property
+    def rows(self):
+        return LANES[self.backend].dense(self.basis, self.ambient)
 
     def reduce(self, vec):
         """Reduce a vector against the RREF basis: (coefficients, remainder).
 
         One coefficient per basis row, read at its pivot as the rows are
         subtracted in order, so vec = sum(coef * row) + remainder and the
-        remainder vanishes on every pivot column.
+        remainder vanishes on every pivot column.  The remainder is a dense
+        vector of the lane; on the exact lane ``vec`` may also be a
+        {column: QQi} dict of its nonzeros.
         """
-        lane = LANES[self.backend]
-        v = lane.vector(vec)
-        if len(v) != self.ambient:
-            raise AmbientMismatch(f"vector of length {len(v)} in ambient {self.ambient}")
-        coeffs = []
-        for row, p in zip(self.rows, self.pivots):
-            coef = v[p]
-            coeffs.append(coef)
-            if not lane.is_zero(coef):
-                v = lane.sub_multiple(v, coef, row)
-        return coeffs, v
+        return LANES[self.backend].reduce(self, vec)
 
     def contains(self, vec) -> bool:
         """Membership test: the remainder of the reduction is zero."""
-        lane = LANES[self.backend]
-        v = lane.vector(vec)
-        _, rest = self.reduce(v)
-        bound = DEFAULT_TOL * lane.scale(v)
-        return all(lane.is_zero(x, bound) for x in rest)
+        return LANES[self.backend].contains(self, vec)
 
     def basis_vectors(self):
         return list(self.rows)
+
+    def nonzeros(self):
+        """Each basis row as the {column: value} dict of its nonzeros: on
+        the exact lane the rows themselves, which callers must not change;
+        on the float lane Python complex values read off the array."""
+        return list(_dict_rows(self.basis))
 
 
 def rowspace(rows, ncols, backend=EXACT) -> Subspace:
@@ -564,9 +644,10 @@ def nullspace(rows, ncols, backend=EXACT) -> Subspace:
     for p, row in zip(pivots, _dict_rows(red)):
         # a pivot column is zero in every other row, so the row's other
         # nonzeros are in free columns right of p
-        del kernel[p], row[p]
+        del kernel[p]
         for f, coef in row.items():
-            kernel[f][p] = -coef
+            if f != p:
+                kernel[f][p] = -coef
     for f, v in kernel.items():
         v[f] = lane.one
     return rowspace(list(kernel.values()), ncols, backend)
@@ -581,20 +662,20 @@ def _check_compatible(a: Subspace, b: Subspace):
 
 def annihilator(s: Subspace) -> Subspace:
     """Functionals vanishing on the subspace, via the kernel of its basis."""
-    return nullspace(s.rows, s.ambient, s.backend)
+    return nullspace(s.basis, s.ambient, s.backend)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection via the kernel of the stacked annihilator systems."""
     _check_compatible(a, b)
-    stacked = list(annihilator(a).rows) + list(annihilator(b).rows)
+    stacked = list(annihilator(a).basis) + list(annihilator(b).basis)
     return nullspace(stacked, a.ambient, a.backend)
 
 
 def subspace_leq(a: Subspace, b: Subspace) -> bool:
     """True when every basis vector of ``a`` lies in ``b``."""
     _check_compatible(a, b)
-    return all(b.contains(v) for v in a.basis_vectors())
+    return all(b.contains(v) for v in a.basis)
 
 
 def subspace_equal(a: Subspace, b: Subspace) -> bool:
@@ -617,7 +698,3 @@ def solve_exact(rows, rhs):
     for row, p in zip(red, pivots):
         x[p] = row[n]
     return x
-
-
-def matvec_exact(rows, v):
-    return [_ExactLane.dot(row, v) for row in rows]

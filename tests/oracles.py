@@ -14,7 +14,10 @@ left-multiplication matrices, for the trace-vector ``radical``; and
 :func:`reference_validate`, associativity tested by ``multiply`` on dense
 vectors, for the sparse test of ``validate``;
 :func:`reference_ideal_product_span`, the products of basis vectors by
-``multiply``, for the products read off ``nz``.  :func:`change_basis`
+``multiply``, for the products read off ``nz``;
+:func:`reference_reduce`, the reduction of a dense vector by whole dense
+rows, for the sparse exact ``Subspace.reduce``; and :func:`matvec_exact`,
+dense exact products of rows with a vector.  :func:`change_basis`
 rewrites an algebra on another basis, for invariance tests.
 """
 
@@ -269,6 +272,32 @@ def reference_ideal_product_span(a, s):
     and the span by :func:`reference_rref_exact`."""
     vecs = s.basis_vectors()
     return reference_rref_exact([a.multiply(u, v) for u in vecs for v in vecs])
+
+
+def reference_reduce(s, vec):
+    """(coefficients, remainder) of a dense QQi vector against the dense
+    RREF rows of an exact subspace: each row is subtracted, times the
+    vector's entry at its pivot, from the whole vector."""
+    v = list(vec)
+    coeffs = []
+    for row, p in zip(s.rows, s.pivots):
+        coef = v[p]
+        coeffs.append(coef)
+        if not coef.is_zero():
+            v = [x - coef * y for x, y in zip(v, row)]
+    return coeffs, v
+
+
+def matvec_exact(rows, v):
+    """The exact products of dense QQi rows with the vector v."""
+    out = []
+    for row in rows:
+        acc = ZERO
+        for x, y in zip(row, v):
+            if not (x.is_zero() or y.is_zero()):
+                acc = acc + x * y
+        out.append(acc)
+    return out
 
 
 def _row_times(v, m):

@@ -35,7 +35,7 @@ from amenalyzer.corpus import corpus
 from amenalyzer.linalg import EXACT, FLOAT, nullspace
 from amenalyzer.scalars import ONE, ZERO, QQi, qq
 
-from oracles import oracle_product_span_dim, reference_radical_rows, reference_validate
+from oracles import change_basis, oracle_product_span_dim, reference_radical_rows, reference_validate
 
 
 @pytest.mark.parametrize(
@@ -298,6 +298,18 @@ def test_radical_is_an_ideal():
                 ej = a.basis_vector(j)
                 assert rad.contains(a.multiply(list(v), ej))
                 assert rad.contains(a.multiply(ej, list(v)))
+
+
+@pytest.mark.parametrize("a", [matrix_algebra(2), pointwise_algebra(4)], ids=lambda a: a.name)
+def test_radical_of_a_basis_scaled_by_powers_of_100_is_zero_on_both_lanes(a):
+    # on f_i = 100^i e_i the trace-form entries span the square of the
+    # constants' spread; a large row must not set a small row's pivot threshold
+    p = [[QQi(100**i) if i == j else ZERO for j in range(a.dim)] for i in range(a.dim)]
+    scaled = change_basis(a, p)
+    for backend in (EXACT, FLOAT):
+        assert radical(scaled, backend).dim == 0
+        report = build_report(Analysis(scaled, backend))
+        assert report["dims"]["radical"] == 0 and report["predicates"]["semisimple"]
 
 
 RADICAL_ALGEBRAS = dict(

@@ -1,5 +1,9 @@
 """Character search, point-derivation spaces, and the rank-one bridge."""
 
+import subprocess
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -31,9 +35,9 @@ from amenalyzer.characters import (
 from amenalyzer.classify import Analysis, build_report, render_text
 from amenalyzer.corpus import corpus
 from amenalyzer.linalg import DEFAULT_TOL, EXACT, FLOAT, rowspace
-from amenalyzer.scalars import ONE, ZERO
+from amenalyzer.scalars import ONE, ZERO, QQi, qq
 
-from oracles import oracle_point_derivation_dim, reference_ideal_product_span
+from oracles import change_basis, oracle_point_derivation_dim, reference_ideal_product_span
 
 
 def char_values(search):
@@ -408,12 +412,12 @@ class _ZeroDraws:
     """A generator whose every draw is 0: every random combination of the
     multiplication matrices is the zero matrix, whose eigenvalues all tie."""
 
-    def standard_normal(self, size):
-        return np.zeros(size)
+    def gauss(self, mu=0.0, sigma=1.0):
+        return 0.0
 
 
 def test_unseparated_eigenvalues_leave_the_point_flags_conditional(monkeypatch, capsys):
-    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _ZeroDraws())
+    monkeypatch.setattr(characters.random, "Random", lambda seed=None: _ZeroDraws())
     a = corpus()["Pointwise2"]
     search = find_characters(a)
     assert (search.characters, search.certified, search.attempts) == ((), False, 3)
@@ -454,3 +458,72 @@ def test_ideal_product_span_equals_the_span_of_multiply_products(a):
         assert fl.pivots == want_pivots
         bound = DEFAULT_TOL * max(1.0, float(np.abs(want).max(initial=0.0)))
         assert np.abs(fl.rows - want.reshape(-1, a.dim)).max(initial=0.0) <= bound
+
+
+def _multiplicative_by_multiply(a, phi):
+    """phi(e_i) phi(e_j) = phi(e_i e_j) for every basis pair, each product
+    by ``multiply`` and each side in QQi arithmetic."""
+    for i in range(a.dim):
+        for j in range(a.dim):
+            rhs = ZERO
+            for x, y in zip(a.multiply(a.basis_vector(i), a.basis_vector(j)), phi):
+                rhs = rhs + x * y
+            if phi[i] * phi[j] != rhs:
+                return False
+    return True
+
+
+# constants with denominators and imaginary parts: Pointwise3 on the basis
+# (e0 / 3, (2 + i) e1, 5/7 e2), whose characters take the values 1/3, 2 + i, 5/7
+_SCALED_POINTWISE = change_basis(
+    pointwise_algebra(3),
+    [[qq(Fraction(1, 3)), ZERO, ZERO], [ZERO, qq(2, 1), ZERO], [ZERO, ZERO, qq(Fraction(5, 7))]],
+)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [*corpus().values(), truncated_polynomial(4), unitize(zero_algebra(2)), _SCALED_POINTWISE],
+    ids=lambda a: a.name,
+)
+def test_the_integer_character_check_refuses_a_perturbed_character(a):
+    # candidates from the float search, rationalized, so no candidate has
+    # passed the integer check; -i turns the value 2 + i of _SCALED_POINTWISE
+    # into 2, which only the imaginary part of its equation refuses
+    floats = find_characters(a, backend=FLOAT).characters
+    rationalized = [characters._rationalize(ch.values_complex()) for ch in floats]
+    # Z3's two irrational characters round to rationals that are not characters
+    candidates = [r for r in rationalized if r is not None and _multiplicative_by_multiply(a, r)]
+    assert len(candidates) == len(floats) - 2 * (a.name == "Z3")
+    refused = 0
+    for phi in rationalized:
+        want = phi in candidates
+        assert _verify_vector(a, list(phi)) == (Character(phi, True) if want else None)
+    for phi in candidates:
+        for t in range(a.dim):
+            for delta in (ONE, QQi(Fraction(1, 3), 1), QQi(0, -1)):
+                mutated = list(phi)
+                mutated[t] = mutated[t] + delta
+                want = _multiplicative_by_multiply(a, mutated)
+                assert (_verify_vector(a, mutated) is not None) == want
+                refused += not want
+    assert refused or not candidates
+
+
+def test_classify_leaves_numpy_random_unimported():
+    # the eig combination is drawn from the stdlib generator; numpy.random
+    # would pull in secrets, hmac and the cython runtime
+    code = "\n".join(
+        [
+            "import sys",
+            "from amenalyzer import cli",
+            "from amenalyzer.characters import find_characters",
+            "from amenalyzer.corpus import corpus",
+            "assert len(find_characters(corpus()['Pointwise4']).characters) == 4",
+            "assert cli.main(['classify', 'builtin:Z3', '--json', '--backend', 'float']) == 0",
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))",
+        ]
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -208,5 +208,5 @@ def test_no_function_takes_a_tolerance():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
                 assert "tol" not in [x.arg for x in args], f"{path.name}:{node.lineno} {node.name}"
-    assert [f.name for f in dataclasses.fields(Subspace)] == ["ambient", "rows", "pivots", "backend"]
+    assert [f.name for f in dataclasses.fields(Subspace)] == ["ambient", "basis", "pivots", "backend"]
     assert not hasattr(Analysis(algebra.truncated_polynomial(2)), "tol")

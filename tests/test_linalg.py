@@ -15,7 +15,6 @@ from amenalyzer.linalg import (
     EXACT,
     FLOAT,
     annihilator,
-    matvec_exact,
     nullspace,
     rowspace,
     rref_exact,
@@ -26,7 +25,7 @@ from amenalyzer.linalg import (
 )
 from amenalyzer.scalars import ONE, ZERO, QQi, qq
 
-from oracles import reference_rref_exact
+from oracles import matvec_exact, reference_reduce, reference_rref_exact
 
 
 def exact_rows(int_rows):
@@ -478,3 +477,26 @@ def test_exact_membership_equals_rank_test(m, data):
         v = [x + y for x, y in zip(v, data.draw(st.lists(qqi_entry, min_size=cols, max_size=cols)))]
     inside = rowspace(list(s.rows) + [v], cols).dim == s.dim
     assert s.contains(v) == inside
+
+
+@given(system=dict_row_system(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_exact_sparse_reduce_equals_the_dense_reference(system, data):
+    rows, ncols = system
+    s = rowspace(rows, ncols)
+    # a combination of the basis rows, plus maybe an arbitrary vector
+    v = [ZERO] * ncols
+    for row in s.rows:
+        c = data.draw(qqi_entry)
+        v = [x + c * y for x, y in zip(v, row)]
+    if data.draw(st.booleans()):
+        v = [x + y for x, y in zip(v, data.draw(st.lists(qqi_entry, min_size=ncols, max_size=ncols)))]
+    want_coeffs, want_rest = reference_reduce(s, v)
+    as_dict = {c: x for c, x in enumerate(v) if not x.is_zero()}
+    for vec in (v, tuple(v), as_dict):
+        coeffs, rest = s.reduce(vec)
+        assert coeffs == want_coeffs
+        assert rest == want_rest
+        assert s.contains(vec) == all(x.is_zero() for x in want_rest)
+    assert all(type(row) is dict and next(iter(row)) == p for row, p in zip(s.basis, s.pivots))
+    assert s.rows == tuple(tuple(row.get(c, ZERO) for c in range(ncols)) for row in s.basis)
