@@ -81,9 +81,10 @@ class FiniteAlgebra:
     def nz(self):
         """The nonzero structure constants: ``nz[i][j]`` is the tuple of
         (k, c) with c = sc[i][j][k] nonzero, k ascending, so that
-        e_i e_j = sum of c e_k."""
+        e_i e_j = sum of c e_k.  The constructors fill zeros with the
+        ``ZERO`` object, which is tested by identity first."""
         return tuple(
-            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
+            tuple(tuple((k, c) for k, c in enumerate(row) if c is not ZERO and c) for row in plane)
             for plane in self.sc
         )
 
@@ -202,7 +203,7 @@ def validate(a: FiniteAlgebra) -> ValidationReport:
     n = a.dim
     # the constants as Gaussian integers over one denominator D, so both
     # sides of each triple below are compared scaled by D^2
-    _, nz = a.integer_nz
+    d, nz = a.integer_nz
     for i in range(n):
         for j in range(n):
             for l in range(n):
@@ -218,14 +219,19 @@ def validate(a: FiniteAlgebra) -> ValidationReport:
                         )
                     )
     if a.unit is not None:
-        u = list(a.unit)
+        if len(a.unit) != n:
+            raise AlgebraFormatError(f"{a.name}: vectors of length {len(a.unit)},{n} in dimension {n}")
+        # u e_j = sum_i u_i c_ij and e_j u = sum_i u_i c_ji; with the unit over
+        # its own denominator d_u, both are compared to e_j scaled by D d_u
+        du, ints = gaussian_integers(a.unit)
+        u = [(i, x) for i, x in enumerate(ints) if x[0] or x[1]]
         for j in range(n):
-            ej = a.basis_vector(j)
-            if a.multiply(u, ej) != ej:
+            ej = {j: (d * du, 0)}
+            if _combination((x, nz[i][j]) for i, x in u) != ej:
                 issues.append(
                     ValidationIssue("unit", (j,), f"u*e{j} != e{j}")
                 )
-            if a.multiply(ej, u) != ej:
+            if _combination((x, nz[j][i]) for i, x in u) != ej:
                 issues.append(
                     ValidationIssue("unit", (j,), f"e{j}*u != e{j}")
                 )

@@ -11,8 +11,13 @@ place that knows the two backends, or lanes:
   come and drops zero values and repeated rows itself.  It works
   fraction-free on Gaussian integers (re, im), each row over one positive
   integer; the lane converts back to ``QQi`` only at the end, into the
-  {column: QQi} dicts of the RREF rows' nonzeros.  A ``Subspace`` keeps
-  those dicts, and its reductions and membership tests read only them.
+  {column: QQi} dicts of the RREF rows' nonzeros.  A block at least
+  :data:`_SELECT_WIDTH` columns wide with more distinct rows than columns,
+  such as the one block of the derivation system in a dense basis, is not
+  eliminated a redundant row at a time: the rows independent modulo a prime
+  are eliminated, and the others are checked exactly to lie in their span,
+  with a fallback to all rows.  A ``Subspace`` keeps the RREF dicts, and its
+  reductions and membership tests read only them.
   :func:`rref_exact` is the same elimination, of dense rows, with dense
   rows out.
 * ``float``  - matrices are numpy complex128 arrays; rank decisions use the
@@ -68,6 +73,16 @@ from .scalars import ONE, ZERO, QQi, gaussian_integers
 DEFAULT_TOL = 1e-9  # the float lane's one tolerance; every float zero test reads it
 _SCALE_BLOCK = 1 << 13  # entries of a row block in matrix_scale: 64 KiB of float64
 _OWN_PAGES = 1 << 20  # bytes from which system_zeros maps a system on pages of its own
+# Columns from which a tall exact block's rows are chosen mod p.  Timed block
+# by block on the tall blocks of one pass of each exact workload: narrower
+# than 16, choosing was slower on all three (ladder-exact 9.5 -> 12.4 ms over
+# 44 blocks, crosscheck-corpus 15.1 -> 16.9 ms over 69, dense-gauss 17.7 ->
+# 19.4 ms over 59); from 16 it broke even on the sparse blocks of the first
+# two (1.1 and 4.8 ms either way) and was 2.9x faster on dense-gauss's six
+# blocks of 16 and 25 columns (124 -> 43 ms).
+_SELECT_WIDTH = 16
+_P = 2147483629  # a prime = 1 (mod 4) below 2^31, for choosing rows in _independent_mod_p
+_I_MOD_P = 1518275076  # a square root of -1 mod _P, the image of i
 
 EXACT = "exact"
 FLOAT = "float"
@@ -122,28 +137,34 @@ def rref_exact(rows):
     return _ExactLane.dense(basis, ncols), pivots
 
 
-def _exact_pivot_rows(group):
-    """The fully reduced pivot rows of one block of {column: QQi} dict rows,
-    computed fraction-free over Z[i]: a dict {pivot column: (N, tail)}, the
-    RREF row being (N at the pivot, tail) / N, N a positive integer and the
-    tail {column: (re, im)} of Gaussian integers.
+def _exact_pivot_rows(group, cols):
+    """The fully reduced pivot rows of one block of {column: QQi} dict rows
+    on the columns ``cols``, computed fraction-free over Z[i]: a dict
+    {pivot column: (N, tail)}, the RREF row being (N at the pivot, tail) /
+    N, N a positive integer and the tail {column: (re, im)} of Gaussian
+    integers.
 
     A row whose one entry is nonzero puts its column's unit vector in the
     span: that column becomes a pivot with an empty tail, and is dropped
     from every other row.  Each other row has its zero values dropped, is
     cleared of denominators and divided by its integer content; a row equal
-    to an earlier one is then skipped.  It is reduced by the pivot row of its
-    leading column until it vanishes or leads in a new column.  There it is
-    multiplied by the conjugate of its leading entry and becomes that
-    column's pivot row.  A row with leading entry f is reduced as
-    N * row - f * tail, and back-substitution over the pivot columns, last
-    to first, does the same in every row above, each result again divided
-    by its content.  The RREF of a row space is unique, so the result is
-    canonical whatever the row order or elimination order.
+    to an earlier one is then skipped.  The rows left go to
+    :func:`_fraction_free_rref`.
+
+    A block at least :data:`_SELECT_WIDTH` columns wide with more rows left
+    than columns, such as the one block of the derivation system in a dense
+    basis, is not eliminated a redundant row at a time.
+    :func:`_independent_mod_p` chooses a maximal set of rows independent
+    modulo a prime, and only those are eliminated.  Rows independent mod p
+    are independent over Z[i], so when their pivots fill the block every
+    row is in their span.  Otherwise each other row is checked exactly
+    (:func:`_all_in_span`); if one is outside, the prime was unlucky and all
+    rows are eliminated.  The prime only chooses rows: the result is the
+    RREF of all of them either way.
     """
     units = {c for row in group if len(row) == 1 for c, x in row.items() if x}
     seen = set()
-    pivot_rows = {}
+    vecs = []
     for row in group:
         if len(row) == 1:
             continue
@@ -154,9 +175,97 @@ def _exact_pivot_rows(group):
         _, vec = _primitive(0, vec)
         # the primitive row is canonical, and its items hash as ints in any order
         key = frozenset(vec.items())
-        if key in seen:
+        if key not in seen:
+            seen.add(key)
+            vecs.append(vec)
+    width = len(cols)
+    if width < _SELECT_WIDTH or len(vecs) <= width:
+        pivot_rows = _fraction_free_rref(vecs)
+    else:
+        chosen = set(_independent_mod_p(vecs, cols))
+        # the core changes the rows it is given, and a fallback needs them whole
+        pivot_rows = _fraction_free_rref([dict(vecs[r]) for r in sorted(chosen)])
+        if len(pivot_rows) + len(units) < width and not _all_in_span(
+            (vec for r, vec in enumerate(vecs) if r not in chosen), pivot_rows
+        ):
+            pivot_rows = _fraction_free_rref(vecs)
+    pivot_rows.update((c, (1, {})) for c in units)
+    return pivot_rows
+
+
+def _independent_mod_p(vecs, cols):
+    """Indices of a maximal set of rows of ``vecs`` independent modulo
+    :data:`_P`, with i mapped to :data:`_I_MOD_P`: the rows that take a
+    pivot in one column-by-column elimination of an int64 array.
+
+    Each part is reduced mod p as a Python int, so parts of any size are
+    safe; residues are below 2^31, so every product is below 2^62 and no
+    int64 step overflows.  A nonzero minor mod p is nonzero over Z[i]
+    (the map is a ring map), so the rows chosen are independent over Q(i);
+    their number is the rank mod p, at most the rank.
+    """
+    where = dict(zip(cols, range(len(cols))))
+    at_row, at_col, values = [], [], []
+    for r, vec in enumerate(vecs):
+        at_row += repeat(r, len(vec))
+        at_col += map(where.__getitem__, vec)
+        values += [(a + b * _I_MOD_P) % _P for a, b in vec.values()]
+    a = np.zeros((len(vecs), len(cols)), dtype=np.int64)
+    a[at_row, at_col] = values
+    chosen = []
+    for j in range(len(cols)):
+        hits = np.flatnonzero(a[:, j])
+        if not hits.size:
             continue
-        seen.add(key)
+        k = hits[0]
+        chosen.append(int(k))
+        pivot = a[k, j:] * pow(int(a[k, j]), -1, _P) % _P
+        # every row left is zero left of j; a chosen row is cleared, so it takes no other pivot
+        a[k] = 0
+        hits = hits[1:]
+        a[hits, j:] = (a[hits, j:] - a[hits, j, None] * pivot) % _P
+    return chosen
+
+
+def _all_in_span(vecs, pivot_rows):
+    """Whether every {column: (re, im)} row of ``vecs`` lies in the span of
+    the RREF rows (N at p, tail) / N of ``pivot_rows``, decided exactly.
+
+    The RREF row of pivot p is 1 there and 0 at every other pivot, so the
+    only candidate combination for a row v is the sum of v[p] * row_p.
+    With L the lcm of the N, v is in the span iff, at every free column f,
+    L * v[f] = sum of v[p] * tail_p[f] * (L / N_p).
+    """
+    lcm = math.lcm(*(n for n, _ in pivot_rows.values()))
+    scaled = {p: (lcm // n, tail) for p, (n, tail) in pivot_rows.items()}
+    for vec in vecs:
+        rest = {c: (lcm * a, lcm * b) for c, (a, b) in vec.items() if c not in scaled}
+        for p, (a, b) in vec.items():
+            pivot = scaled.get(p)
+            if pivot is not None:
+                m, tail = pivot
+                rest = _eliminate(1, rest, (m * a, m * b), tail)
+        if rest:
+            return False
+    return True
+
+
+def _fraction_free_rref(vecs):
+    """The fraction-free core of :func:`_exact_pivot_rows`: the fully
+    reduced pivot rows {pivot column: (N, tail)} of the primitive
+    {column: (re, im)} rows ``vecs``, which it changes.
+
+    Each row is reduced by the pivot row of its leading column until it
+    vanishes or leads in a new column.  There it is multiplied by the
+    conjugate of its leading entry and becomes that column's pivot row.  A
+    row with leading entry f is reduced as N * row - f * tail, and
+    back-substitution over the pivot columns, last to first, does the same
+    in every row above, each result again divided by its content.  The RREF
+    of a row space is unique, so the result is canonical whatever the row
+    order or elimination order.
+    """
+    pivot_rows = {}
+    for vec in vecs:
         while vec:
             lead = min(vec)
             pivot = pivot_rows.get(lead)
@@ -177,7 +286,6 @@ def _exact_pivot_rows(group):
             f = upper.pop(p, None)
             if f is not None:
                 pivot_rows[q] = _primitive(n * m, _eliminate(n, upper, f, tail))
-    pivot_rows.update((c, (1, {})) for c in units)
     return pivot_rows
 
 
@@ -332,8 +440,8 @@ def _rref_exact_blocks(rows, ncols):
     each row the {column: QQi} dict of its nonzeros in column order, so its
     pivot, whose value is ``ONE``, comes first."""
     pivot_rows = {}
-    for _, group in _blocks(rows, ncols):
-        pivot_rows.update(_exact_pivot_rows(group))
+    for cols, group in _blocks(rows, ncols):
+        pivot_rows.update(_exact_pivot_rows(group, cols))
     pivots = sorted(pivot_rows)
     out = []
     for p in pivots:

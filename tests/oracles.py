@@ -11,8 +11,8 @@ dense Gauss-Jordan elimination, for the sparse ``rref_exact``;
 whole rows, for the restricted update of ``_kernels.rref_inplace``;
 :func:`reference_radical_rows`, the trace form read off whole
 left-multiplication matrices, for the trace-vector ``radical``; and
-:func:`reference_validate`, associativity tested by ``multiply`` on dense
-vectors, for the sparse test of ``validate``;
+:func:`reference_validate`, associativity and the declared unit tested by
+``multiply`` on dense vectors, for the sparse tests of ``validate``;
 :func:`reference_ideal_product_span`, the products of basis vectors by
 ``multiply``, for the products read off ``nz``;
 :func:`reference_reduce`, the reduction of a dense vector by whole dense
@@ -217,10 +217,11 @@ def reference_rref_inplace(a, tol_abs):
 
 
 def reference_validate(a):
-    """The associativity issues of ``validate``, in its order.
+    """The associativity and unit issues of ``validate``, in its order.
 
-    Both sides of every triple are evaluated with ``multiply`` on dense
-    coordinate vectors and compared entry by entry.
+    Both sides of every triple, and u e_j and e_j u for a declared unit u,
+    are evaluated with ``multiply`` on dense coordinate vectors and
+    compared entry by entry.
     """
     issues = []
     n = a.dim
@@ -237,6 +238,14 @@ def reference_validate(a):
                             f"(e{i}*e{j})*e{l} != e{i}*(e{j}*e{l})",
                         )
                     )
+    if a.unit is not None:
+        u = list(a.unit)
+        for j in range(n):
+            ej = a.basis_vector(j)
+            if a.multiply(u, ej) != ej:
+                issues.append(ValidationIssue("unit", (j,), f"u*e{j} != e{j}"))
+            if a.multiply(ej, u) != ej:
+                issues.append(ValidationIssue("unit", (j,), f"e{j}*u != e{j}"))
     return tuple(issues)
 
 

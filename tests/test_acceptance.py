@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from amenalyzer.algebra import tensor_product, unitize
+from amenalyzer.algebra import direct_sum, pointwise_algebra, tensor_product, truncated_polynomial, unitize
 from amenalyzer.classify import Analysis, build_report
 from amenalyzer.corpus import corpus
 from amenalyzer.derivations import is_cyclic, rank_one_dual_map, vanishes_on_diameter, pairing_with_unit_vanishes
@@ -307,8 +307,8 @@ def _base_invariants(a):
     return _invariants(build_report(Analysis(a)))
 
 
-@given(
-    ap=st.sampled_from(_SMALL_CORPUS).flatmap(
+def _algebra_and_basis(algebras):
+    return st.sampled_from(algebras).flatmap(
         lambda a: st.tuples(
             st.just(a),
             st.lists(
@@ -318,10 +318,30 @@ def _base_invariants(a):
             ),
         )
     )
-)
-@settings(max_examples=150, deadline=None)
-def test_build_report_is_invariant_under_change_of_basis(ap):
-    a, p = ap
+
+
+def _assert_invariant_under_change_of_basis(a, p):
     b = change_basis(a, p)
     assume(b is not None)
     assert _invariants(build_report(Analysis(b))) == _base_invariants(a)
+
+
+@given(ap=_algebra_and_basis(_SMALL_CORPUS))
+@settings(max_examples=150, deadline=None)
+def test_build_report_is_invariant_under_change_of_basis(ap):
+    _assert_invariant_under_change_of_basis(*ap)
+
+
+# n = 5, the dense-gauss bases of that size: a dense basis gives one derivation
+# block of 25 columns and 125 rows, whose rows are chosen mod p
+_DIM_5 = [
+    truncated_polynomial(5),
+    pointwise_algebra(5),
+    direct_sum(corpus()["M2"], corpus()["C1"], name="M2+C1"),
+]
+
+
+@given(ap=_algebra_and_basis(_DIM_5))
+@settings(max_examples=6, deadline=None)
+def test_build_report_is_invariant_under_change_of_basis_at_n5(ap):
+    _assert_invariant_under_change_of_basis(*ap)

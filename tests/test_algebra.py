@@ -93,10 +93,40 @@ def _perturbed(a, i, j, k, value):
 def _assert_validate_matches_reference(a):
     issues = validate(a).issues
     expected = reference_validate(a)
-    # associativity issues come first, in the reference's triple order
+    # associativity issues come first, in the reference's triple order, then unit issues
     assert issues[: len(expected)] == expected
-    assert all(i.kind != "associativity" for i in issues[len(expected) :])
+    assert all(i.kind not in ("associativity", "unit") for i in issues[len(expected) :])
     return expected
+
+
+def _left_unit_only():
+    # e0 e0 = e0 and e0 e1 = e1, so e0 is a left unit, but e1 e0 = 0
+    return from_json_dict(
+        {
+            "name": "LeftUnit",
+            "dim": 2,
+            "labels": ["e", "f"],
+            "sc": [[0, 0, 0, "1", "0"], [0, 1, 1, "1", "0"]],
+            "unit": ["1", "0"],
+        }
+    )
+
+
+# M2 on a basis with complex entries: a unit over its own denominator,
+# declared as it is, halved, and moved off the identity
+_M2_COMPLEX = change_basis(matrix_algebra(2), [
+    [QQi(1, 1), ONE, ZERO, ZERO],
+    [ZERO, qq(2), QQi(0, -1), ZERO],
+    [ONE, ZERO, qq(3), ONE],
+    [ZERO, ZERO, ONE, QQi(1, -2)],
+])
+_DECLARED_UNITS = (
+    _left_unit_only(),
+    _M2_COMPLEX,
+    replace(_M2_COMPLEX, name="M2~P:unit/2", unit=tuple(x * qq(Fraction(1, 2)) for x in _M2_COMPLEX.unit)),
+    replace(_M2_COMPLEX, name="M2~P:unit+f0", unit=(_M2_COMPLEX.unit[0] + ONE, *_M2_COMPLEX.unit[1:])),
+    replace(truncated_polynomial(4), name="TruncPoly4:unit=x", unit=(ZERO, ONE, ZERO, ZERO)),
+)
 
 
 _LADDER = (
@@ -115,7 +145,7 @@ _LADDER = (
 
 @pytest.mark.parametrize(
     "a",
-    [*corpus().values(), *_LADDER, _broken_algebra()]
+    [*corpus().values(), *_LADDER, _broken_algebra(), *_DECLARED_UNITS]
     + [
         _perturbed(truncated_polynomial(12), 1, 1, 2, qq(Fraction(1, 2))),
         _perturbed(matrix_algebra(4), 1, 4, 0, QQi(1, -1)),

@@ -1,5 +1,6 @@
 """Kernel, RREF, and subspace-lattice behaviour on both backends."""
 
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -500,3 +501,112 @@ def test_exact_sparse_reduce_equals_the_dense_reference(system, data):
         assert s.contains(vec) == all(x.is_zero() for x in want_rest)
     assert all(type(row) is dict and next(iter(row)) == p for row, p in zip(s.basis, s.pivots))
     assert s.rows == tuple(tuple(row.get(c, ZERO) for c in range(ncols)) for row in s.basis)
+
+
+# ---------------------------------------------------------------------------
+# wide tall exact blocks: rows chosen mod p, the rest checked exactly
+
+
+def _random_qqi(rng):
+    return QQi(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+
+def _combination(coeffs, rows):
+    out = [ZERO] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [x + c * y for x, y in zip(out, row)]
+    return out
+
+
+@st.composite
+def wide_tall_block(draw):
+    """(rows, width): more rows than columns on one block at least
+    ``_SELECT_WIDTH`` wide, spanned by ``rank`` base rows; ``rank`` equal to
+    the width is the full-rank case.  The rows are the base rows, random
+    Gaussian-rational combinations of them, repeats and scaled copies, in a
+    random order."""
+    width = draw(st.integers(linalg._SELECT_WIDTH, linalg._SELECT_WIDTH + 4))
+    rank = draw(st.sampled_from([1, 2, width // 2, width - 1, width]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    # the first base row is nonzero everywhere, so the rows form one block
+    base = [[x if x else ONE for x in (_random_qqi(rng) for _ in range(width))]]
+    base += [[_random_qqi(rng) for _ in range(width)] for _ in range(rank - 1)]
+    rows = base + [
+        _combination([_random_qqi(rng) for _ in base], base) for _ in range(width + 1 - rank + draw(st.integers(0, 6)))
+    ]
+    for _ in range(draw(st.integers(0, 4))):
+        src = rng.choice(rows)
+        scale = _random_qqi(rng) or ONE
+        rows.append(list(src) if rng.random() < 0.5 else [scale * x for x in src])
+    rng.shuffle(rows)
+    return rows, width
+
+
+def _spy_core():
+    """A spy on the fraction-free core: the number of rows of each call."""
+    sizes = []
+    core = linalg._fraction_free_rref
+
+    def counted(vecs):
+        sizes.append(len(vecs))
+        return core(vecs)
+
+    return sizes, counted
+
+
+@given(block=wide_tall_block())
+@settings(max_examples=30, deadline=None)
+def test_a_wide_tall_block_gives_the_rref_of_all_its_rows(block):
+    rows, width = block
+    sizes, counted = _spy_core()
+    with mock.patch.object(linalg, "_fraction_free_rref", counted):
+        basis, pivots = linalg._rref_exact_blocks(rows, width)
+    # the exact check accepts the rows chosen mod p, with no fallback: for
+    # random rows the rank mod a prime near 2^31 drops with odds of order 1/p
+    assert len(sizes) == 1
+    assert (linalg._ExactLane.dense(basis, width), pivots) == reference_rref_exact(rows)
+
+
+def test_a_chosen_set_missing_a_needed_row_is_refused_and_all_rows_are_eliminated():
+    rng = random.Random(7)
+    width = linalg._SELECT_WIDTH
+    base = [[_random_qqi(rng) or ONE for _ in range(width)] for _ in range(10)]
+    rows = base + [_combination([_random_qqi(rng) for _ in base], base) for _ in range(width)]
+    select = linalg._independent_mod_p
+    sizes, counted = _spy_core()
+    with mock.patch.object(linalg, "_independent_mod_p", lambda vecs, cols: select(vecs, cols)[:-1]), \
+         mock.patch.object(linalg, "_fraction_free_rref", counted):
+        basis, pivots = linalg._rref_exact_blocks(rows, width)
+    # the 9 rows left are refused by the exact check, and the core runs on all 26
+    assert sizes == [9, len(rows)]
+    assert len(pivots) == 10
+    assert (linalg._ExactLane.dense(basis, width), pivots) == reference_rref_exact(rows)
+
+
+@pytest.mark.parametrize("twin", ["minor p", "i as its image"])
+def test_an_unlucky_prime_still_gives_the_exact_rref(twin):
+    """Two rows that are equal mod p but independent over Q(i): the rank
+    mod p is one below the rank, and the check sends the block to the core
+    on all rows."""
+    width = linalg._SELECT_WIDTH
+
+    def row(entries):
+        out = [ZERO] * width
+        for c, x in entries.items():
+            out[c] = x
+        return out
+
+    if twin == "minor p":
+        # the minor [[1, 1], [1, 1 + p]] of the first two columns is p
+        first, second = row({0: ONE, 1: ONE}), row({0: ONE, 1: qq(1 + linalg._P)})
+    else:
+        # i and its image mod p: the minor [[1, i], [1, s]] is s - i
+        first, second = row({0: ONE, 1: QQi(0, 1)}), row({0: ONE, 1: qq(linalg._I_MOD_P)})
+    chain = [row({k: ONE, k + 1: qq(k + 2)}) for k in range(1, width - 1)]
+    rows = [first, second, *chain, [x + y for x, y in zip(first, chain[1])]]
+    sizes, counted = _spy_core()
+    with mock.patch.object(linalg, "_fraction_free_rref", counted):
+        basis, pivots = linalg._rref_exact_blocks(rows, width)
+    assert sizes == [width - 1, len(rows)]
+    assert pivots == tuple(range(width))
+    assert (linalg._ExactLane.dense(basis, width), pivots) == reference_rref_exact(rows)
