@@ -24,7 +24,6 @@ from .linalg import (
     Subspace,
     nullspace,
     rowspace,
-    solve_exact,
 )
 from .scalars import MAX_MAGNITUDE, ONE, ZERO, QQi, gaussian_integers, parse_part, pair_str, parse_pair
 
@@ -296,18 +295,31 @@ def product_span(a: FiniteAlgebra, backend=EXACT) -> Subspace:
 
 
 def find_unit(a: FiniteAlgebra):
-    """Solve the two-sided unit system; returns coordinates or None."""
+    """Solve the two-sided unit system; returns coordinates or None.
+
+    u e_j = e_j and e_j u = e_j read, at each coordinate k, sum_i u_i c_ij^k
+    = [j = k] and sum_i u_i c_ji^k = [j = k]: one dict row per equation,
+    read off ``nz``, with the right-hand side in column n.  The system is
+    inconsistent when n is a pivot; otherwise the free coordinates are set
+    to zero, so the answer is deterministic.
+    """
     n = a.dim
-    rows = []
-    rhs = []
+    eqs = {}
+    for i, plane in enumerate(a.nz):
+        for j, terms in enumerate(plane):
+            for k, c in terms:
+                eqs.setdefault((j, k, 0), {})[i] = c  # u_i e_i e_j at k
+                eqs.setdefault((i, k, 1), {})[j] = c  # e_i u_j e_j at k
     for j in range(n):
-        for k in range(n):
-            rows.append([a.sc[i][j][k] for i in range(n)])
-            rhs.append(ONE if j == k else ZERO)
-            rows.append([a.sc[j][i][k] for i in range(n)])
-            rhs.append(ONE if j == k else ZERO)
-    sol = solve_exact(rows, rhs)
-    return tuple(sol) if sol is not None else None
+        for side in (0, 1):
+            eqs.setdefault((j, j, side), {})[n] = ONE
+    s = rowspace(list(eqs.values()), n + 1, EXACT)
+    if n in s.pivots:
+        return None
+    x = [ZERO] * n
+    for row, p in zip(s.basis, s.pivots):
+        x[p] = row.get(n, ZERO)
+    return tuple(x)
 
 
 def is_unital(a: FiniteAlgebra):

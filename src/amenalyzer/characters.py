@@ -271,7 +271,7 @@ def ideal_product_span(a: FiniteAlgebra, s: Subspace) -> Subspace:
     """Span of all pairwise products of basis vectors of a subspace, each
     product u v read off ``nz`` as a dict row on the lane of the subspace."""
     lane = LANES[s.backend]
-    vecs = [list(row.items()) for row in s.nonzeros()]
+    vecs = [list(row.items()) for row in s.basis]
     rows = []
     for u in vecs:
         for v in vecs:

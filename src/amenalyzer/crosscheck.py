@@ -70,7 +70,7 @@ def _rows_match(s1, s2) -> bool:
     """Coordinatewise basis equality, entry-exact or entry-close by backend."""
     if s1.dim != s2.dim or s1.backend != s2.backend:
         return False
-    return LANES[s1.backend].rows_equal(s1.basis, s2.basis, DEFAULT_TOL * 100)
+    return LANES[s1.backend].rows_equal(s1.rows, s2.rows, DEFAULT_TOL * 100)
 
 
 def _nonzero_pd_basis(an: Analysis):

@@ -14,13 +14,10 @@ elements it falls into hundreds of blocks.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .algebra import FiniteAlgebra, is_unital
 from .linalg import (
     DEFAULT_TOL,
     EXACT,
-    FLOAT,
     LANES,
     Subspace,
     lane_of,
@@ -112,19 +109,12 @@ def cyclic_subspace(a: FiniteAlgebra, z: Subspace) -> Subspace:
     sum_k c_k (z_k[i][j] + z_k[j][i]) = 0 for every i <= j: dim Z unknowns
     and n(n+1)/2 equations.  The combinations spanned by the kernel are
     canonicalized to RREF, so on the exact backend the rows are those of
-    the intersection of Z with the antisymmetric matrices.  The exact lane
-    builds the equations and the combinations from the nonzeros of Z's
-    rows; the float lane from its array, by one fancy-index sum and one
-    product.
+    the intersection of Z with the antisymmetric matrices.  Both lanes
+    build the equations and the combinations from the nonzeros of Z's rows.
     """
     if z.dim == 0:
         return z
     n = a.dim
-    if z.backend == FLOAT:
-        ij, ji = np.array(_symmetric_pairs(n)).T
-        eqs = (z.basis[:, ij] + z.basis[:, ji]).T
-        coeffs = nullspace(eqs, z.dim, FLOAT)
-        return rowspace(coeffs.basis @ z.basis, n * n, FLOAT)
     # the entry (i, j) of row k adds z_k[i][j] to equation {i, j} at k; a
     # diagonal entry is both z_k[i][j] and z_k[j][i]
     eqs = {}
@@ -136,7 +126,7 @@ def cyclic_subspace(a: FiniteAlgebra, z: Subspace) -> Subspace:
                 x = x + x
             y = eq.get(k)
             eq[k] = x if y is None else y + x
-    coeffs = nullspace(list(eqs.values()), z.dim, EXACT)
+    coeffs = nullspace(list(eqs.values()), z.dim, z.backend)
     combos = []
     for coef_row in coeffs.basis:
         combo = {}
@@ -145,7 +135,7 @@ def cyclic_subspace(a: FiniteAlgebra, z: Subspace) -> Subspace:
                 y = combo.get(c)
                 combo[c] = coef * x if y is None else y + coef * x
         combos.append(combo)
-    return rowspace(combos, n * n, EXACT)
+    return rowspace(combos, n * n, z.backend)
 
 
 def t_operator_rank(z: Subspace, zc: Subspace) -> int:

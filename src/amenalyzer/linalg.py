@@ -16,22 +16,22 @@ place that knows the two backends, or lanes:
   such as the one block of the derivation system in a dense basis, is not
   eliminated a redundant row at a time: the rows independent modulo a prime
   are eliminated, and the others are checked exactly to lie in their span,
-  with a fallback to all rows.  A ``Subspace`` keeps the RREF dicts, and its
-  reductions and membership tests read only them.
+  with a fallback to all rows.
   :func:`rref_exact` is the same elimination, of dense rows, with dense
   rows out.
-* ``float``  - matrices are numpy complex128 arrays; rank decisions use the
-  one fixed tolerance :data:`DEFAULT_TOL` (``1e-9``), relative to the
-  largest row norm.  A block is eliminated in float64 when every value of
-  its system is real, half the bytes of complex128, to the same bits; every
-  row a float ``Subspace`` holds is complex128 either way.
+* ``float``  - each block is eliminated as a numpy complex128 array; rank
+  decisions use the one fixed tolerance :data:`DEFAULT_TOL` (``1e-9``),
+  relative to the largest row norm.  A block is eliminated in float64 when
+  every value of its system is real, half the bytes of complex128, to the
+  same bits; its RREF rows come out as {column: complex} dicts of their
+  nonzeros either way.
   :func:`rref_float` is the dense elimination of a copy of a whole array,
   the reference the block routine is tested against.
 
 Each lane is an ops object in :data:`LANES` holding its zero and one, scalar
 coercion, a zero test (``QQi.is_zero()`` exact, ``abs(x) <= bound`` float),
-its vector and matrix containers, its elimination, and the reduction of a
-vector against a ``Subspace`` basis.  :func:`nullspace`,
+its vector and matrix containers, its elimination and its dense form of a
+basis.  :func:`nullspace`,
 :func:`rowspace` and :meth:`Subspace.contains` take ``QQi`` input on either
 backend, or complex input on the float one, and convert it to the lane of
 their backend; every algorithm above them is written once.
@@ -50,8 +50,12 @@ elements the derivation system falls into hundreds of blocks.  No routine
 here changes a caller's rows or array.
 
 Subspaces are always stored by their RREF basis, one row per basis vector,
-in the lane's form: {column: QQi} dicts on the exact lane, a complex128
-array on the float lane.
+in one form on both lanes: the {column: value} dict of the row's nonzeros,
+pivot first, with ``QQi`` values on the exact lane and Python ``complex``
+values on the float lane.  One routine reduces a vector against those rows
+and tests membership on either lane; the lanes differ only in their
+arithmetic and their zero test.  The dense rows, QQi tuples or a read-only
+complex128 array, are made only when a caller reads ``Subspace.rows``.
 """
 
 from __future__ import annotations
@@ -465,7 +469,10 @@ def _rref_float_blocks(rows, ncols):
     blocks are eliminated at the whole system's pivot threshold,
     :data:`DEFAULT_TOL` times its largest row norm, so each rank decision
     compares against the bound :func:`rref_float` would set for the whole
-    array, up to the order in which a row's squares are summed.
+    array, up to the order in which a row's squares are summed.  Returns
+    (tuple of rows, tuple of pivot columns), each row the {column: complex}
+    dict of its nonzeros in column order, pivot first, as on the exact lane;
+    no array wider than a block is made.
     """
     blocks, starts, at_row, at_col, objs = [], [], [], [], []
     for cols, group in _blocks(rows, ncols):
@@ -489,28 +496,26 @@ def _rref_float_blocks(rows, ncols):
     passes = (moduli > tol_abs).tobytes()  # one byte per entry, read by one-column blocks
     del moduli
     at_row, at_col = np.array(at_row, dtype=np.intp), np.array(at_col, dtype=np.intp)
-    found = []
+    found = {}
     for cols, first, end in blocks:
         start, stop = starts[first], starts[end]
         if len(cols) == 1:
             # one column: its RREF is the unit row when a modulus passes the threshold
             if any(passes[start:stop]):
-                found.append((cols[0], cols, (1.0,)))
+                found[cols[0]] = {cols[0]: _FloatLane.one}
             continue
         arr = system_zeros((end - first, len(cols)), values.dtype)
         arr[at_row[start:stop], at_col[start:stop]] = values[start:stop]
         red, pivots = _rref_at(arr, tol_abs)
-        found += ((cols[p], cols, row) for p, row in zip(pivots, red))
-    found.sort(key=lambda f: f[0])
-    out = np.zeros((len(found), ncols), dtype=np.complex128)
-    for r, (_, cols, row) in enumerate(found):
-        out[r, cols] = row
-    return out, tuple(p for p, _, _ in found)
+        for row, p in zip(_dict_rows(red), pivots):
+            found[cols[p]] = {cols[c]: x for c, x in row.items()}
+    pivots = sorted(found)
+    return tuple(map(found.__getitem__, pivots)), tuple(pivots)
 
 
-def _densified(row, ncols):
-    """A {column: QQi} dict row as a dense list of length ``ncols``."""
-    dense = [ZERO] * ncols
+def _densified(row, ncols, zero=ZERO):
+    """A {column: value} dict row as a dense list of length ``ncols``."""
+    dense = [zero] * ncols
     for c, x in row.items():
         dense[c] = x
     return dense
@@ -561,44 +566,6 @@ class _ExactLane:
         """The dict rows as dense tuples of length ``ncols``."""
         return tuple(tuple(_densified(row, ncols)) for row in basis)
 
-    @staticmethod
-    def _remainder(s, vec):
-        """(coefficients, remainder) of a vector against the dict rows of
-        ``s``, the remainder as the {column: QQi} dict of its nonzeros.
-        Only the nonzeros of the vector and of each row are visited; the
-        pivot of a row, first in its dict, is ``ONE``, so subtracting the
-        row clears the vector's pivot entry, which is popped instead."""
-        if type(vec) is dict:
-            v = {c: x for c, x in vec.items() if x}
-        else:
-            if len(vec) != s.ambient:
-                raise AmbientMismatch(f"vector of length {len(vec)} in ambient {s.ambient}")
-            v = {c: x for c, x in enumerate(vec) if x}
-        coeffs = []
-        for row, p in zip(s.basis, s.pivots):
-            coef = v.pop(p, None)
-            if coef is None:
-                coeffs.append(ZERO)
-                continue
-            coeffs.append(coef)
-            for c, x in islice(row.items(), 1, None):
-                y = v.get(c)
-                y = -(coef * x) if y is None else y - coef * x
-                if y:
-                    v[c] = y
-                else:
-                    del v[c]
-        return coeffs, v
-
-    @staticmethod
-    def reduce(s, vec):
-        coeffs, rest = _ExactLane._remainder(s, vec)
-        return coeffs, _densified(rest, s.ambient)
-
-    @staticmethod
-    def contains(s, vec) -> bool:
-        return not _ExactLane._remainder(s, vec)[1]
-
     rref = staticmethod(_rref_exact_blocks)
 
 
@@ -638,34 +605,14 @@ class _FloatLane:
 
     @staticmethod
     def dense(basis, ncols):
-        return basis
+        """The dict rows as a read-only complex128 array of ``ncols`` columns."""
+        out = np.zeros((len(basis), ncols), dtype=np.complex128)
+        for r, row in enumerate(basis):
+            out[r, list(row)] = list(row.values())
+        out.setflags(write=False)
+        return out
 
-    @staticmethod
-    def reduce(s, vec):
-        v = np.array(vec, dtype=np.complex128)
-        if len(v) != s.ambient:
-            raise AmbientMismatch(f"vector of length {len(v)} in ambient {s.ambient}")
-        coeffs = []
-        for row, p in zip(s.basis, s.pivots):
-            coef = v[p]
-            coeffs.append(coef)
-            if not abs(coef) <= 0.0:
-                v = v - coef * row
-        return coeffs, v
-
-    @staticmethod
-    def contains(s, vec) -> bool:
-        """The remainder vanishes within :data:`DEFAULT_TOL` times the
-        largest modulus of the vector, floored at 1."""
-        v = np.array(vec, dtype=np.complex128)
-        _, rest = _FloatLane.reduce(s, v)
-        return bool((np.abs(rest) <= DEFAULT_TOL * _FloatLane.scale(v)).all())
-
-    @staticmethod
-    def rref(rows, ncols):
-        basis, pivots = _rref_float_blocks(rows, ncols)
-        basis.setflags(write=False)
-        return basis, pivots
+    rref = staticmethod(_rref_float_blocks)
 
 
 LANES = {EXACT: _ExactLane, FLOAT: _FloatLane}
@@ -686,16 +633,18 @@ def lane_of(*parts):
 class Subspace:
     """A linear subspace of coordinate space in canonical RREF form.
 
-    ``basis`` holds the RREF rows, one per basis vector, in the lane's own
-    form: on the exact lane a tuple of {column: QQi} dicts of their
-    nonzeros, pivot first, shared and never changed; on the float lane a
-    read-only complex128 array.  ``rows`` is the same rows as dense
-    vectors, made on first use.  Two subspaces are compared as sets with
-    :func:`subspace_equal`; ``==`` is identity.
+    ``basis`` holds the RREF rows, one per basis vector, on either lane as
+    a tuple of {column: value} dicts of their nonzeros in column order,
+    pivot first, its value the lane's one; the values are ``QQi`` on the
+    exact lane and Python ``complex`` on the float lane.  The rows are
+    shared and never changed.  ``rows`` is the same rows as dense vectors,
+    made on first use: tuples of ``QQi`` on the exact lane, a read-only
+    complex128 array on the float lane.  Two subspaces are compared as sets
+    with :func:`subspace_equal`; ``==`` is identity.
     """
 
     ambient: int
-    basis: tuple | np.ndarray
+    basis: tuple
     pivots: tuple
     backend: str
 
@@ -707,29 +656,68 @@ class Subspace:
     def rows(self):
         return LANES[self.backend].dense(self.basis, self.ambient)
 
+    def _entries(self, vec):
+        """A dense vector or a {column: value} dict as the dict of its
+        nonzeros, each value converted to the lane of the subspace."""
+        coerce = LANES[self.backend].coerce
+        if type(vec) is dict:
+            return {c: coerce(x) for c, x in vec.items() if x}
+        if len(vec) != self.ambient:
+            raise AmbientMismatch(f"vector of length {len(vec)} in ambient {self.ambient}")
+        return {c: coerce(x) for c, x in enumerate(vec) if x}
+
+    @cached_property
+    def _row_at(self):
+        """The index in ``basis`` of each pivot column's row."""
+        return {p: r for r, p in enumerate(self.pivots)}
+
+    def _remainder(self, v):
+        """(coefficients, remainder) of the dict ``v`` of a vector's
+        nonzeros, which it changes into the remainder's.  An RREF row is
+        zero at every other pivot, so the coefficient of a row is the
+        vector's entry at its pivot, and only the rows whose pivot entry is
+        nonzero are subtracted, in pivot order; each visits only its own
+        nonzeros.  The pivot of a row, first in its dict, is one, so the
+        subtraction clears the vector's pivot entry, which is popped
+        instead.  An entry that cancels to an exact zero is dropped."""
+        row_at = self._row_at
+        coeffs = [LANES[self.backend].zero] * len(self.basis)
+        for p in sorted(c for c in v if c in row_at):
+            r = row_at[p]
+            coef = coeffs[r] = v.pop(p)
+            for c, x in islice(self.basis[r].items(), 1, None):
+                y = v.get(c)
+                y = -(coef * x) if y is None else y - coef * x
+                if y:
+                    v[c] = y
+                else:
+                    del v[c]
+        return coeffs, v
+
     def reduce(self, vec):
         """Reduce a vector against the RREF basis: (coefficients, remainder).
 
         One coefficient per basis row, read at its pivot as the rows are
         subtracted in order, so vec = sum(coef * row) + remainder and the
-        remainder vanishes on every pivot column.  The remainder is a dense
-        vector of the lane; on the exact lane ``vec`` may also be a
-        {column: QQi} dict of its nonzeros.
+        remainder vanishes on every pivot column.  ``vec`` is a dense vector
+        or a {column: value} dict of its nonzeros; the remainder is a dense
+        vector of the lane.
         """
-        return LANES[self.backend].reduce(self, vec)
+        lane = LANES[self.backend]
+        coeffs, rest = self._remainder(self._entries(vec))
+        return coeffs, lane.vector(_densified(rest, self.ambient, lane.zero))
 
     def contains(self, vec) -> bool:
-        """Membership test: the remainder of the reduction is zero."""
-        return LANES[self.backend].contains(self, vec)
+        """Membership test: every entry of the remainder is zero by the
+        lane's zero test; on the float lane within :data:`DEFAULT_TOL` times
+        the largest modulus of the vector, floored at 1."""
+        lane = LANES[self.backend]
+        v = self._entries(vec)
+        bound = DEFAULT_TOL * lane.scale(list(v.values()))
+        return all(lane.is_zero(x, bound) for x in self._remainder(v)[1].values())
 
     def basis_vectors(self):
         return list(self.rows)
-
-    def nonzeros(self):
-        """Each basis row as the {column: value} dict of its nonzeros: on
-        the exact lane the rows themselves, which callers must not change;
-        on the float lane Python complex values read off the array."""
-        return list(_dict_rows(self.basis))
 
 
 def rowspace(rows, ncols, backend=EXACT) -> Subspace:
@@ -749,7 +737,7 @@ def nullspace(rows, ncols, backend=EXACT) -> Subspace:
     lane = LANES[backend]
     red, pivots = lane.rref(rows, ncols)
     kernel = {f: {} for f in range(ncols)}
-    for p, row in zip(pivots, _dict_rows(red)):
+    for p, row in zip(pivots, red):
         # a pivot column is zero in every other row, so the row's other
         # nonzeros are in free columns right of p
         del kernel[p]
@@ -789,20 +777,3 @@ def subspace_leq(a: Subspace, b: Subspace) -> bool:
 def subspace_equal(a: Subspace, b: Subspace) -> bool:
     """Dimension equality plus mutual containment (never dimension alone)."""
     return a.dim == b.dim and subspace_leq(a, b) and subspace_leq(b, a)
-
-
-def solve_exact(rows, rhs):
-    """One exact solution of ``rows . x = rhs`` or None if inconsistent.
-
-    Free coordinates are set to zero, so the answer is deterministic.
-    """
-    n = len(rows[0]) if rows else 0
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    red, pivots = rref_exact(aug)
-    for row, p in zip(red, pivots):
-        if p == n:
-            return None
-    x = [ZERO] * n
-    for row, p in zip(red, pivots):
-        x[p] = row[n]
-    return x

@@ -15,8 +15,9 @@ left-multiplication matrices, for the trace-vector ``radical``; and
 ``multiply`` on dense vectors, for the sparse tests of ``validate``;
 :func:`reference_ideal_product_span`, the products of basis vectors by
 ``multiply``, for the products read off ``nz``;
-:func:`reference_reduce`, the reduction of a dense vector by whole dense
-rows, for the sparse exact ``Subspace.reduce``; and :func:`matvec_exact`,
+:func:`reference_reduce` and :func:`reference_reduce_float`, the
+reduction of a dense vector by whole dense rows, for the sparse
+``Subspace.reduce`` of each lane; and :func:`matvec_exact`,
 dense exact products of rows with a vector.  :func:`change_basis`
 rewrites an algebra on another basis, for invariance tests.
 """
@@ -294,6 +295,20 @@ def reference_reduce(s, vec):
         coeffs.append(coef)
         if not coef.is_zero():
             v = [x - coef * y for x, y in zip(v, row)]
+    return coeffs, v
+
+
+def reference_reduce_float(s, vec):
+    """(coefficients, remainder) of a vector against the dense complex128
+    RREF rows of a float subspace: each row is subtracted, times the
+    vector's entry at its pivot, from the whole complex128 vector."""
+    v = np.array(vec, dtype=np.complex128)
+    coeffs = []
+    for row, p in zip(s.rows, s.pivots):
+        coef = v[p]
+        coeffs.append(coef)
+        if not abs(coef) <= 0.0:
+            v = v - coef * row
     return coeffs, v
 
 

@@ -26,7 +26,7 @@ from amenalyzer.linalg import (
 )
 from amenalyzer.scalars import ONE, ZERO, QQi, qq
 
-from oracles import matvec_exact, reference_reduce, reference_rref_exact
+from oracles import matvec_exact, reference_reduce, reference_reduce_float, reference_rref_exact
 
 
 def exact_rows(int_rows):
@@ -501,6 +501,41 @@ def test_exact_sparse_reduce_equals_the_dense_reference(system, data):
         assert s.contains(vec) == all(x.is_zero() for x in want_rest)
     assert all(type(row) is dict and next(iter(row)) == p for row, p in zip(s.basis, s.pivots))
     assert s.rows == tuple(tuple(row.get(c, ZERO) for c in range(ncols)) for row in s.basis)
+
+
+@given(system=dict_row_system(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_float_sparse_reduce_equals_the_dense_reference(system, data):
+    rows, ncols = system
+    s = rowspace(rows, ncols, FLOAT)
+    # a combination of the basis rows, plus maybe an arbitrary vector
+    v = np.zeros(ncols, dtype=np.complex128)
+    for row in s.rows:
+        v = v + complex(data.draw(qqi_entry)) * row
+    if data.draw(st.booleans()):
+        v = v + np.array([complex(x) for x in data.draw(st.lists(qqi_entry, min_size=ncols, max_size=ncols))])
+    want_coeffs, want_rest = reference_reduce_float(s, v)
+    bound = DEFAULT_TOL * max(1.0, float(np.abs(v).max(initial=0.0)))
+    as_dict = {c: complex(x) for c, x in enumerate(v) if x}
+    for vec in (v.tolist(), v, as_dict):
+        coeffs, rest = s.reduce(vec)
+        assert len(coeffs) == len(want_coeffs)
+        assert np.abs(np.array(coeffs, dtype=np.complex128) - want_coeffs).max(initial=0.0) <= bound
+        assert rest.dtype == np.complex128 and rest.shape == (ncols,)
+        assert np.abs(rest - want_rest).max(initial=0.0) <= bound
+        assert s.contains(vec) == bool((np.abs(want_rest) <= bound).all())
+    # one storage form on both lanes: pivot-first dicts of the lane's scalars, densified by rows
+    for sub, scalar, one in ((s, complex, 1 + 0j), (rowspace(rows, ncols, EXACT), QQi, ONE)):
+        assert type(sub.basis) is tuple
+        for row, p in zip(sub.basis, sub.pivots):
+            assert type(row) is dict and list(row) == sorted(row) and next(iter(row)) == p
+            assert row[p] == one and all(type(x) is scalar and x for x in row.values())
+    assert not s.rows.flags.writeable
+    dense = np.zeros((s.dim, ncols), dtype=np.complex128)
+    for r, row in enumerate(s.basis):
+        for c, x in row.items():
+            dense[r, c] = x
+    assert s.rows.dtype == np.complex128 and s.rows.tobytes() == dense.tobytes()
 
 
 # ---------------------------------------------------------------------------
