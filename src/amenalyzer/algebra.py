@@ -15,13 +15,16 @@ import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
     EXACT,
+    LANES,
     Subspace,
+    _gaussian_items,
     nullspace,
     rowspace,
 )
@@ -93,10 +96,17 @@ class FiniteAlgebra:
         ``planes[i][j]`` the tuple of (k, (re, im)) with c = (re + im i) / D
         for each (k, c) of ``nz[i][j]``, D the least common denominator of
         every part."""
-        d, ints = gaussian_integers(c for plane in self.nz for terms in plane for _, c in terms)
-        ints = iter(ints)
+        return self.pair_nz(gaussian_integers)
+
+    def pair_nz(self, pairs):
+        """``nz`` with its constants read as pairs by ``pairs``, which maps
+        values to (D, [(re, im), ...]) as a lane's ``pairs`` does: (D,
+        planes), ``planes[i][j]`` the tuple of (k, (re, im)) for each (k, c)
+        of ``nz[i][j]``."""
+        d, values = pairs(c for plane in self.nz for terms in plane for _, c in terms)
+        values = iter(values)
         return d, tuple(
-            tuple(tuple((k, next(ints)) for k, _ in terms) for terms in plane) for plane in self.nz
+            tuple(tuple((k, next(values)) for k, _ in terms) for terms in plane) for plane in self.nz
         )
 
     @cached_property
@@ -273,13 +283,26 @@ def validate(a: FiniteAlgebra) -> ValidationReport:
 
 def idempotent_span_issues(a: FiniteAlgebra) -> list:
     """The issues of a declared idempotent span: each vector that is not
-    idempotent, then vectors that do not span the algebra."""
-    issues = [
-        ValidationIssue("idempotent", (idx,), "declared vector is not idempotent")
-        for idx, v in enumerate(a.idempotent_span)
-        if a.multiply(list(v), list(v)) != list(v)
-    ]
-    if rowspace(list(a.idempotent_span), a.dim, EXACT).dim != a.dim:
+    idempotent, then vectors that do not span the algebra.
+
+    Each vector v is read once as Gaussian integers p over its own
+    denominator E; with the constants c / D of ``integer_nz``, v v = v
+    reads sum_ij p_i p_j c_ij = E D p.  The span is the rank of the p."""
+    n = a.dim
+    d, nz = a.integer_nz
+    issues, rows = [], []
+    for idx, v in enumerate(a.idempotent_span):
+        if len(v) != n:
+            raise AlgebraFormatError(f"{a.name}: vectors of length {len(v)},{len(v)} in dimension {n}")
+        e, ints = gaussian_integers(v)
+        p = [(i, x) for i, x in enumerate(ints) if x[0] or x[1]]
+        square = _combination(
+            ((xr * yr - xi * yi, xr * yi + xi * yr), nz[i][j]) for i, (xr, xi) in p for j, (yr, yi) in p
+        )
+        if square != {i: (e * d * xr, e * d * xi) for i, (xr, xi) in p}:
+            issues.append(ValidationIssue("idempotent", (idx,), "declared vector is not idempotent"))
+        rows.append(dict(p))
+    if rowspace(rows, n, EXACT).dim != n:
         issues.append(ValidationIssue("idempotent", (), "declared idempotents do not span the algebra"))
     return issues
 
@@ -289,9 +312,11 @@ def idempotent_span_issues(a: FiniteAlgebra) -> list:
 
 
 def product_span(a: FiniteAlgebra, backend=EXACT) -> Subspace:
-    """Span of all products of basis vectors, one row per pair (i, j)."""
-    rows = [dict(terms) for plane in a.nz for terms in plane]
-    return rowspace(rows, a.dim, backend)
+    """Span of all products of basis vectors, one row per pair (i, j), on
+    the Gaussian integers of ``integer_nz``."""
+    d, nz = a.integer_nz
+    rows = [dict(terms) for plane in nz for terms in plane]
+    return rowspace(LANES[backend].pair_system(rows, repeat(d)), a.dim, backend)
 
 
 def find_unit(a: FiniteAlgebra):
@@ -590,79 +615,74 @@ def radical(a: FiniteAlgebra, backend=EXACT) -> Subspace:
     on the unitization for every basis vector b of the unitization; valid
     in characteristic zero.  The trace of left multiplication by e_s is
     tau_s = sum_t sc#[s][t][t], so the entry for e_k and b_j is
-    sum_s sc#[k][j][s] tau_s.  Both are read off ``a.nz``: e_s 1# = e_s
-    adds no diagonal term, so tau_s is the trace on A itself, and the row
-    of b = 1# is tau.
+    sum_s sc#[k][j][s] tau_s.  Both are read off the Gaussian integers of
+    ``integer_nz``, over D and D^2: e_s 1# = e_s adds no diagonal term, so
+    tau_s is the trace on A itself, and the row of b = 1# is tau.  Each
+    row, its zeros dropped, is then taken over its largest entry
+    (:func:`_over_largest`).
     """
     n = a.dim
-    nz = a.nz
-    tau = [
-        sum((c for t, terms in enumerate(plane) for k, c in terms if k == t), ZERO)
-        for plane in nz
-    ]
-    rows = [
-        {k: sum((c * tau[s] for s, c in nz[k][j]), ZERO) for k in range(n) if nz[k][j]}
-        for j in range(n)
-    ]
-    rows.append(dict(enumerate(tau)))
-    return nullspace([_unit_scaled(row) for row in rows], n, backend)
+    _, nz = a.integer_nz
+    tau = _combination(
+        ((1, 0), [(s, c)]) for s, plane in enumerate(nz) for t, terms in enumerate(plane) for k, c in terms if k == t
+    )
+    rows = [_combination((tau[s], [(k, c)]) for k in range(n) for s, c in nz[k][j] if s in tau) for j in range(n)]
+    rows.append(tau)
+    dens, rows = zip(*map(_over_largest, rows))
+    return nullspace(LANES[backend].pair_system(list(rows), dens), n, backend)
 
 
-def _unit_scaled(row):
-    """The nonzeros of the dict row divided by the one of largest modulus,
-    compared exactly, so that entry is one.
+def _over_largest(row):
+    """(|m|^2, the row times the conjugate of m): a {column: (re, im)} row
+    of nonzero Gaussian integers divided by its entry m of largest modulus,
+    so that entry is one; the first such entry when moduli tie.
 
-    The kernel is unchanged.  The entries of the trace-form rows are
+    The entries of a row share one denominator, which cancels.  The kernel
+    is unchanged, and the exact lane takes the row up to scale.  On the
+    float lane the division matters: the entries of the trace-form rows are
     products of two constants, so their moduli span the square of the
-    constants' spread, and on the float lane one large row would otherwise
-    set a pivot threshold that drops the true pivot of a small one."""
-    row = {k: x for k, x in row.items() if x}
+    constants' spread, and one large row would otherwise set a pivot
+    threshold that drops the true pivot of a small one."""
     if not row:
-        return row
-    inv = max(row.values(), key=lambda x: x.re * x.re + x.im * x.im).inverse()
-    return {k: x * inv for k, x in row.items()}
+        return 1, row
+    mr, mi = max(row.values(), key=lambda x: x[0] * x[0] + x[1] * x[1])
+    return mr * mr + mi * mi, {k: (a * mr + b * mi, b * mr - a * mi) for k, (a, b) in row.items()}
 
 
 def commutator_span(a: FiniteAlgebra) -> Subspace:
+    """Span of the commutators e_i e_j - e_j e_i, on the Gaussian integers
+    of ``integer_nz``."""
     n = a.dim
-    nz = a.nz
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = dict(nz[i][j])
-            for k, c in nz[j][i]:
-                row[k] = row.get(k, ZERO) - c
-            rows.append(row)
+    _, nz = a.integer_nz
+    rows = [_combination((((1, 0), nz[i][j]), ((-1, 0), nz[j][i]))) for i in range(n) for j in range(i + 1, n)]
     return rowspace(rows, n, EXACT)
 
 
 def ideal_closure(a: FiniteAlgebra, s: Subspace) -> Subspace:
     """Smallest two-sided ideal containing the subspace.
 
-    Each round adds e_i v and v e_i, read off ``nz``, for every basis vector
-    e_i and every row v the last round added: the rows at the new pivots
-    and the span before them span the new space, so the products of the
-    older rows already lie in it.
+    Each round adds e_i v and v e_i, read off ``integer_nz``, for every
+    basis vector e_i and every row v the last round added: the rows at the
+    new pivots and the span before them span the new space, so the products
+    of the older rows already lie in it.  Each row of a space is read once
+    as Gaussian integers over its own denominator.
     """
-    nz = a.nz
+    _, nz = a.integer_nz
     n = a.dim
-    current, fresh = s, s.basis
+    current = s
+    fresh = basis = [list(_gaussian_items(row)) for row in s.basis]
     while True:
-        rows = list(current.basis)
+        rows = [dict(v) for v in basis]
         for v in fresh:
-            terms = v.items()
             for i in range(n):
-                left, right = {}, {}
-                for j, x in terms:
-                    for row, products in ((left, nz[i][j]), (right, nz[j][i])):
-                        for k, c in products:
-                            row[k] = row[k] + x * c if k in row else x * c
-                rows += (left, right)
+                rows.append(_combination((x, nz[i][j]) for j, x in v))
+                rows.append(_combination((x, nz[j][i]) for j, x in v))
         bigger = rowspace(rows, n, EXACT)
         if bigger.dim == current.dim:
             return bigger
         old = set(current.pivots)
-        fresh = [v for v, p in zip(bigger.basis, bigger.pivots) if p not in old]
+        basis = [list(_gaussian_items(row)) for row in bigger.basis]
+        fresh = [v for v, p in zip(basis, bigger.pivots) if p not in old]
         current = bigger
 
 

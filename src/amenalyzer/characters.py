@@ -269,23 +269,38 @@ def maximal_ideal(a: FiniteAlgebra, phi: Character) -> Subspace:
 
 def ideal_product_span(a: FiniteAlgebra, s: Subspace) -> Subspace:
     """Span of all pairwise products of basis vectors of a subspace, each
-    product u v read off ``nz`` as a dict row on the lane of the subspace."""
+    product u v read off the constants as pairs (re, im) on the lane of the
+    subspace (``pairs``).  On the exact lane they are Gaussian integers:
+    each row of the subspace is read once over its own denominator, and the
+    row of u v is over the product of those two and the constants' one.  On
+    the float lane they are the parts of the complex values over 1, and
+    the pair arithmetic rounds as complex arithmetic does."""
     lane = LANES[s.backend]
-    vecs = [list(row.items()) for row in s.basis]
-    rows = []
-    for u in vecs:
-        for v in vecs:
+    d, planes = a.pair_nz(lane.pairs)
+    vecs = []
+    for row in s.basis:
+        e, values = lane.pairs(row.values())
+        vecs.append((e, list(zip(row, values))))
+    rows, dens = [], []
+    for eu, u in vecs:
+        for ev, v in vecs:
             row = {}
-            for i, x in u:
-                plane = a.nz[i]
-                for j, y in v:
-                    if plane[j]:
-                        xy = x * y
-                        for k, c in plane[j]:
-                            term = xy * lane.coerce(c)
-                            row[k] = row[k] + term if k in row else term
+            for i, (xr, xi) in u:
+                plane = planes[i]
+                for j, (yr, yi) in v:
+                    terms = plane[j]
+                    if terms:
+                        pr = xr * yr - xi * yi
+                        pi = xr * yi + xi * yr
+                        for k, (cr, ci) in terms:
+                            re = pr * cr - pi * ci
+                            im = pr * ci + pi * cr
+                            y = row.get(k)
+                            # a sum that cancels keeps its column, as the complex sum did
+                            row[k] = (re, im) if y is None else (y[0] + re, y[1] + im)
             rows.append(row)
-    return rowspace(rows, a.dim, s.backend)
+            dens.append(eu * ev * d)
+    return rowspace(lane.pair_system(rows, dens), a.dim, s.backend)
 
 
 def _rank_one_map(d, phi: Character, lane):

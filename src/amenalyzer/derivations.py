@@ -6,13 +6,16 @@ flattened row-major into coordinate vectors of length n*n, so spaces of
 dual maps are ordinary subspaces and the lattice operations apply.
 
 Z is the kernel of the n^3-by-n^2 derivation system.  Both lanes build it
-once, as one {column: value} dict row per basis triple, and
+once, as one {column: (re, im)} dict row of Gaussian integers per basis
+triple, read off ``FiniteAlgebra.integer_nz``, and
 :mod:`amenalyzer.linalg` splits it into its independent blocks, so no lane
 holds it dense: in a basis of matrix units, monomials or semigroup
 elements it falls into hundreds of blocks.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .algebra import FiniteAlgebra, is_unital
 from .linalg import (
@@ -25,7 +28,7 @@ from .linalg import (
     rowspace,
     subspace_leq,
 )
-from .scalars import ONE, ZERO
+from .scalars import ONE
 
 
 def flatten_map(m, n):
@@ -38,18 +41,20 @@ def unflatten_map(v, n):
 
 
 def _assemble_derivation_rows(a: FiniteAlgebra):
-    """One linear constraint per basis triple (i, j, l), as a {column: QQi}
-    dict of its terms; both lanes build the system from these rows.
+    """(D, rows): one linear constraint per basis triple (i, j, l), as a
+    {column: (re, im)} dict of its terms, Gaussian integers over D, the
+    denominator of :attr:`FiniteAlgebra.integer_nz`; both lanes build the
+    system from these rows.
 
     The derivation identity evaluated at basis vectors reads: the pairing
     of D(e_i e_j) against e_l equals the pairing of D(e_i) against e_j e_l
-    plus the pairing of D(e_j) against e_l e_i.  The constants of ``nz``
-    are negated once per algebra, and a term is stored as it is unless an
-    earlier one holds its column; terms that cancel leave no entry.
+    plus the pairing of D(e_j) against e_l e_i.  The constants are negated
+    once per algebra, and a term is stored as it is unless an earlier one
+    holds its column; terms that cancel leave no entry.
     """
     n = a.dim
-    nz = a.nz
-    neg = [[tuple((m, -c) for m, c in terms) for terms in plane] for plane in nz]
+    d, nz = a.integer_nz
+    neg = [[tuple((m, (-cr, -ci)) for m, (cr, ci) in terms) for terms in plane] for plane in nz]
     rows = []
     for i in range(n):
         for j in range(n):
@@ -63,32 +68,38 @@ def _assemble_derivation_rows(a: FiniteAlgebra):
                         if x is None:
                             row[col] = c
                         else:
-                            x = x + c
-                            if x:
-                                row[col] = x
+                            re = x[0] + c[0]
+                            im = x[1] + c[1]
+                            if re or im:
+                                row[col] = (re, im)
                             else:
                                 del row[col]
                 rows.append(row)
-    return rows
+    return d, rows
 
 
 def derivation_space(a: FiniteAlgebra, backend=EXACT) -> Subspace:
     """Kernel of the n^3-by-n^2 derivation system, inside C^(n*n), solved
     block by block (see :mod:`amenalyzer.linalg`)."""
-    return nullspace(_assemble_derivation_rows(a), a.dim * a.dim, backend)
+    d, rows = _assemble_derivation_rows(a)
+    return nullspace(LANES[backend].pair_system(rows, repeat(d)), a.dim * a.dim, backend)
 
 
 def inner_space(a: FiniteAlgebra, backend=EXACT) -> Subspace:
-    """Image of F -> (i,j) |-> F(e_i e_j - e_j e_i), one row per dual basis F."""
+    """Image of F -> (i,j) |-> F(e_i e_j - e_j e_i), one row per dual basis
+    F, on the Gaussian integers of ``integer_nz``."""
     n = a.dim
+    d, nz = a.integer_nz
     rows = [{} for _ in range(n)]
-    for i, plane in enumerate(a.nz):
+    for i, plane in enumerate(nz):
         for j, terms in enumerate(plane):
-            for k, c in terms:
+            for k, (cr, ci) in terms:
                 row = rows[k]
-                row[i * n + j] = row.get(i * n + j, ZERO) + c
-                row[j * n + i] = row.get(j * n + i, ZERO) - c
-    return rowspace(rows, n * n, backend)
+                x = row.get(i * n + j, (0, 0))
+                row[i * n + j] = (x[0] + cr, x[1] + ci)
+                x = row.get(j * n + i, (0, 0))
+                row[j * n + i] = (x[0] - cr, x[1] - ci)
+    return rowspace(LANES[backend].pair_system(rows, repeat(d)), n * n, backend)
 
 
 def _symmetric_pairs(n):

@@ -8,10 +8,15 @@ place that knows the two backends, or lanes:
   with rational parts); arithmetic never rounds, so RREF is a syntactically
   canonical form and subspace equality is entry equality.
   :func:`_exact_pivot_rows` eliminates the dict rows of one block as they
-  come and drops zero values and repeated rows itself.  It works
-  fraction-free on Gaussian integers (re, im), each row over one positive
-  integer; the lane converts back to ``QQi`` only at the end, into the
-  {column: QQi} dicts of the RREF rows' nonzeros.  A block at least
+  come and drops zero values and repeated rows itself.  Its one form of a
+  row is Gaussian integers: {column: (re, im)} Python-int pairs, (0, 0)
+  being zero, the row taken up to a nonzero scale, since scaling a row
+  leaves its row space unchanged.  The system builders hand their rows over
+  in that form; a {column: QQi} row from any other caller is cleared of its
+  denominators there, once.  The core works fraction-free on those
+  integers, each row over one positive integer; the lane converts back to
+  ``QQi`` only at the end, into the {column: QQi} dicts of the RREF rows'
+  nonzeros.  A block at least
   :data:`_SELECT_WIDTH` columns wide with more distinct rows than columns,
   such as the one block of the derivation system in a dense basis, is not
   eliminated a redundant row at a time: the rows independent modulo a prime
@@ -36,6 +41,18 @@ basis.  :func:`nullspace`,
 backend, or complex input on the float one, and convert it to the lane of
 their backend; every algorithm above them is written once.
 
+The system builders compute on pairs (re, im) over a positive integer
+denominator, one row at a time, and hand each lane its own form of them:
+a lane reads values as pairs (``pairs``) and takes a system of pair rows
+(``pair_system``).  On the exact lane the pairs are Gaussian integers, and
+the rows go to the door as they are, whatever their denominators.  On the
+float lane the pairs of exact data are Gaussian integers too, and a row
+over D becomes {column: complex(re / D, im / D)}: int true division rounds
+correctly, so each value has the bits ``complex(QQi)`` gives the same
+number.  Float data, such as a float subspace's rows, is read as the parts
+of ``complex(x)`` over 1, and arithmetic on those pairs rounds as complex
+arithmetic does.
+
 Every system reaches its lane's elimination by one door, :func:`_blocks`.
 A system is a list of rows, each a {column: value} dict of its nonzeros,
 as the system builders hand them over, or a dense row; or it is a 2-d
@@ -47,7 +64,8 @@ the block's width only on the float lane.  The RREF of the whole is the
 union of the blocks' RREF rows, merged in pivot order, so no system is
 ever dense in full; in a basis of matrix units, monomials or semigroup
 elements the derivation system falls into hundreds of blocks.  No routine
-here changes a caller's rows or array.
+here changes a caller's rows or array, but the float lane's
+``pair_system``, which converts a builder's own rows in place.
 
 Subspaces are always stored by their RREF basis, one row per basis vector,
 in one form on both lanes: the {column: value} dict of the row's nonzeros,
@@ -141,18 +159,35 @@ def rref_exact(rows):
     return _ExactLane.dense(basis, ncols), pivots
 
 
-def _exact_pivot_rows(group, cols):
-    """The fully reduced pivot rows of one block of {column: QQi} dict rows
-    on the columns ``cols``, computed fraction-free over Z[i]: a dict
-    {pivot column: (N, tail)}, the RREF row being (N at the pivot, tail) /
-    N, N a positive integer and the tail {column: (re, im)} of Gaussian
-    integers.
+def _nonzero(x) -> bool:
+    """Whether a value of an exact row, a ``QQi`` or a Gaussian-integer
+    pair (re, im), is nonzero."""
+    return bool(x[0] or x[1]) if type(x) is tuple else bool(x)
 
-    A row whose one entry is nonzero puts its column's unit vector in the
-    span: that column becomes a pivot with an empty tail, and is dropped
-    from every other row.  Each other row has its zero values dropped, is
-    cleared of denominators and divided by its integer content; a row equal
-    to an earlier one is then skipped.  The rows left go to
+
+def _gaussian_items(row):
+    """The (column, (re, im)) Gaussian-integer items of a nonempty exact
+    row: a row of integer pairs as it is, a row of ``QQi`` values cleared
+    of its denominators."""
+    if type(next(iter(row.values()))) is tuple:
+        return row.items()
+    return zip(row, gaussian_integers(row.values())[1])
+
+
+def _exact_pivot_rows(group, cols):
+    """The fully reduced pivot rows of one block of dict rows on the
+    columns ``cols``, computed fraction-free over Z[i]: a dict {pivot
+    column: (N, tail)}, the RREF row being (N at the pivot, tail) / N, N a
+    positive integer and the tail {column: (re, im)} of Gaussian integers.
+
+    The rows are Gaussian-integer pairs, or ``QQi`` values, which are
+    cleared of denominators (:func:`_gaussian_items`); a pair is zero when
+    both parts are, so (0, 0) is zero here as ``ZERO`` is.  A row
+    whose one entry is nonzero puts its column's unit vector in the span:
+    that column becomes a pivot with an empty tail, and is dropped from
+    every other row.  Each other row has its zero values dropped and is
+    divided by its integer content; a row equal to an earlier one is then
+    skipped.  The rows given are left as they are.  The rows left go to
     :func:`_fraction_free_rref`.
 
     A block at least :data:`_SELECT_WIDTH` columns wide with more rows left
@@ -166,14 +201,13 @@ def _exact_pivot_rows(group, cols):
     rows are eliminated.  The prime only chooses rows: the result is the
     RREF of all of them either way.
     """
-    units = {c for row in group if len(row) == 1 for c, x in row.items() if x}
+    units = {c for row in group if len(row) == 1 for c, x in row.items() if _nonzero(x)}
     seen = set()
     vecs = []
     for row in group:
         if len(row) == 1:
             continue
-        _, ints = gaussian_integers(row.values())
-        vec = {c: v for c, v in zip(row, ints) if (v[0] or v[1]) and c not in units}
+        vec = {c: v for c, v in _gaussian_items(row) if (v[0] or v[1]) and c not in units}
         if not vec:
             continue
         _, vec = _primitive(0, vec)
@@ -568,6 +602,19 @@ class _ExactLane:
 
     rref = staticmethod(_rref_exact_blocks)
 
+    @staticmethod
+    def pairs(values):
+        """The values as (D, [(re, im), ...]), Gaussian integers over their
+        least common denominator D."""
+        return gaussian_integers(values)
+
+    @staticmethod
+    def pair_system(rows, denominators):
+        """{column: (re, im)} rows of Gaussian integers, row r over
+        ``denominators[r]``, as the door takes them: the rows themselves,
+        since a row's denominator only scales it."""
+        return rows
+
 
 class _FloatLane:
     """complex128 arithmetic: a value is zero when its modulus is within a bound."""
@@ -613,6 +660,34 @@ class _FloatLane:
         return out
 
     rref = staticmethod(_rref_float_blocks)
+
+    @staticmethod
+    def pairs(values):
+        """The values as (1, [(re, im), ...]), the parts of ``complex(x)``:
+        arithmetic on the pairs then rounds as complex arithmetic does."""
+        return 1, [(z.real, z.imag) for z in map(complex, values)]
+
+    @staticmethod
+    def pair_system(rows, denominators):
+        """A builder's own list of {column: (re, im)} rows, row r over
+        ``denominators[r]``, with each value replaced in place by
+        complex(re / D, im / D), so no second copy of the system is made.
+        On Gaussian integers each part is one correctly rounded int true
+        division, the bits ``complex(QQi)`` gives the same number; a float
+        pair over 1 keeps its bits.  One complex is made per pair object
+        and run of rows over one denominator, so rows that share a
+        constant share its value; every pair is alive until its row is
+        converted, so no two of them share an id."""
+        memo, last = {}, None
+        for row, d in zip(rows, denominators):
+            if d != last:
+                memo, last = {}, d
+            for c, x in row.items():
+                z = memo.get(id(x))
+                if z is None:
+                    z = memo[id(x)] = complex(x[0] / d, x[1] / d)
+                row[c] = z
+        return rows
 
 
 LANES = {EXACT: _ExactLane, FLOAT: _FloatLane}

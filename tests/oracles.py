@@ -20,6 +20,13 @@ reduction of a dense vector by whole dense rows, for the sparse
 ``Subspace.reduce`` of each lane; and :func:`matvec_exact`,
 dense exact products of rows with a vector.  :func:`change_basis`
 rewrites an algebra on another basis, for invariance tests.
+
+The ``qqi_*`` functions are the system builders the package had before
+its builders read the Gaussian integers of ``FiniteAlgebra.integer_nz``:
+the same rows, in the same order and with the same columns, built in
+``QQi`` arithmetic off ``nz`` (or in complex arithmetic, for a float
+subspace), for tests that the integer rows span the same space and that
+the float lane reads them to the same bits.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from amenalyzer.algebra import FiniteAlgebra, ValidationIssue, unitize
+from amenalyzer.linalg import EXACT, LANES, rowspace
 from amenalyzer.scalars import ONE, ZERO
 
 
@@ -367,3 +375,153 @@ def change_basis(a, p):
             else tuple(_row_times(v, q) for v in a.idempotent_span)
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# the QQi system builders
+
+
+def qqi_derivation_rows(a):
+    """One {column: QQi} row per basis triple (i, j, l): the pairing of
+    D(e_i e_j) against e_l minus those of D(e_i) against e_j e_l and of
+    D(e_j) against e_l e_i; terms that cancel leave no entry."""
+    n = a.dim
+    nz = a.nz
+    neg = [[tuple((m, -c) for m, c in terms) for terms in plane] for plane in nz]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            head = nz[i][j]
+            for l in range(n):
+                row = {k * n + l: c for k, c in head}
+                for base, terms in ((i * n, neg[j][l]), (j * n, neg[l][i])):
+                    for m, c in terms:
+                        col = base + m
+                        x = row.get(col)
+                        if x is None:
+                            row[col] = c
+                        else:
+                            x = x + c
+                            if x:
+                                row[col] = x
+                            else:
+                                del row[col]
+                rows.append(row)
+    return rows
+
+
+def qqi_inner_rows(a):
+    """Row k holds c_ij^k at (i, j) and -c_ij^k at (j, i), summed."""
+    n = a.dim
+    rows = [{} for _ in range(n)]
+    for i, plane in enumerate(a.nz):
+        for j, terms in enumerate(plane):
+            for k, c in terms:
+                row = rows[k]
+                row[i * n + j] = row.get(i * n + j, ZERO) + c
+                row[j * n + i] = row.get(j * n + i, ZERO) - c
+    return rows
+
+
+def qqi_product_rows(a):
+    """e_i e_j as a dict row, one per pair (i, j)."""
+    return [dict(terms) for plane in a.nz for terms in plane]
+
+
+def _unit_scaled(row):
+    """The nonzeros of the dict row divided by the one of largest modulus."""
+    row = {k: x for k, x in row.items() if x}
+    if not row:
+        return row
+    inv = max(row.values(), key=lambda x: x.re * x.re + x.im * x.im).inverse()
+    return {k: x * inv for k, x in row.items()}
+
+
+def qqi_radical_rows(a):
+    """The trace-form rows of ``radical`` read off ``nz``, each divided by
+    its entry of largest modulus: row j holds sum_s c_kj^s tau_s at k, and
+    the last row is tau."""
+    n = a.dim
+    nz = a.nz
+    tau = [
+        sum((c for t, terms in enumerate(plane) for k, c in terms if k == t), ZERO)
+        for plane in nz
+    ]
+    rows = [
+        {k: sum((c * tau[s] for s, c in nz[k][j]), ZERO) for k in range(n) if nz[k][j]}
+        for j in range(n)
+    ]
+    rows.append(dict(enumerate(tau)))
+    return [_unit_scaled(row) for row in rows]
+
+
+def qqi_commutator_rows(a):
+    """e_i e_j - e_j e_i as a dict row, one per pair i < j."""
+    n = a.dim
+    nz = a.nz
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = dict(nz[i][j])
+            for k, c in nz[j][i]:
+                row[k] = row.get(k, ZERO) - c
+            rows.append(row)
+    return rows
+
+
+def qqi_ideal_closure(a, s):
+    """The ideal generated by an exact subspace: each round adds e_i v and
+    v e_i for the rows v the last round added, in QQi arithmetic."""
+    nz = a.nz
+    n = a.dim
+    current, fresh = s, s.basis
+    while True:
+        rows = list(current.basis)
+        for v in fresh:
+            for i in range(n):
+                left, right = {}, {}
+                for j, x in v.items():
+                    for row, products in ((left, nz[i][j]), (right, nz[j][i])):
+                        for k, c in products:
+                            row[k] = row[k] + x * c if k in row else x * c
+                rows += (left, right)
+        bigger = rowspace(rows, n, EXACT)
+        if bigger.dim == current.dim:
+            return bigger
+        old = set(current.pivots)
+        fresh = [v for v, p in zip(bigger.basis, bigger.pivots) if p not in old]
+        current = bigger
+
+
+def qqi_ideal_product_rows(a, s):
+    """The product u v of every pair of basis rows of a subspace, in the
+    arithmetic of its lane: QQi, or complex with each constant complex(c)."""
+    lane = LANES[s.backend]
+    vecs = [list(row.items()) for row in s.basis]
+    rows = []
+    for u in vecs:
+        for v in vecs:
+            row = {}
+            for i, x in u:
+                plane = a.nz[i]
+                for j, y in v:
+                    if plane[j]:
+                        xy = x * y
+                        for k, c in plane[j]:
+                            term = xy * lane.coerce(c)
+                            row[k] = row[k] + term if k in row else term
+            rows.append(row)
+    return rows
+
+
+def qqi_idempotent_span_issues(a):
+    """The idempotent issues of ``validate``, each square by ``multiply``
+    and the span by the rank of the vectors."""
+    issues = [
+        ValidationIssue("idempotent", (idx,), "declared vector is not idempotent")
+        for idx, v in enumerate(a.idempotent_span)
+        if a.multiply(list(v), list(v)) != list(v)
+    ]
+    if rowspace(list(a.idempotent_span), a.dim, EXACT).dim != a.dim:
+        issues.append(ValidationIssue("idempotent", (), "declared idempotents do not span the algebra"))
+    return issues

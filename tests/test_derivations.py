@@ -1,5 +1,6 @@
 """Derivation spaces against the brute-force oracle, plus frozen dimensions."""
 
+from itertools import repeat
 from unittest import mock
 
 import numpy as np
@@ -32,7 +33,7 @@ from amenalyzer.derivations import (
     flatten_map,
     unflatten_map,
 )
-from amenalyzer.linalg import DEFAULT_TOL, EXACT, FLOAT, nullspace, subspace_intersect, subspace_leq
+from amenalyzer.linalg import DEFAULT_TOL, EXACT, FLOAT, LANES, nullspace, subspace_intersect, subspace_leq
 from amenalyzer.scalars import ONE, ZERO, QQi, qq
 
 from oracles import (
@@ -41,6 +42,7 @@ from oracles import (
     oracle_cyclic_dim,
     oracle_derivation_dim,
     oracle_inner_dim,
+    qqi_derivation_rows,
 )
 
 # dimensions computed by the SVD-rank oracle in oracles.py and frozen here
@@ -273,15 +275,16 @@ def test_float_backend_agrees_on_dims():
 
 @pytest.mark.parametrize("name", sorted(FROZEN_DIMS), ids=str)
 def test_assembled_derivation_rows_equal_oracle_matrix(name):
-    # the dict rows, densified with complex(), against the oracle's a - b - c
-    # per entry, rows and columns in the same order; + 0.0 clears the sign
-    # of the oracle's zeros, as rref_float clears it in every output
+    # the dict rows, as the float lane reads them, against the oracle's
+    # a - b - c per entry, rows and columns in the same order; + 0.0 clears
+    # the sign of the oracle's zeros, as rref_float clears it in every output
     a = corpus()[name]
     n = a.dim
+    d, rows = _assemble_derivation_rows(a)
     dense = np.zeros((n**3, n * n), dtype=np.complex128)
-    for r, row in enumerate(_assemble_derivation_rows(a)):
+    for r, row in enumerate(LANES[FLOAT].pair_system(rows, repeat(d))):
         for c, x in row.items():
-            dense[r, c] = complex(x)
+            dense[r, c] = x
     assert dense.tobytes() == (derivation_constraint_matrix(a) + 0.0).tobytes()
 
 
@@ -296,7 +299,7 @@ def _block_dtypes(a):
         return eliminate(arr, tol_abs)
 
     with mock.patch.object(linalg, "_rref_at", spy):
-        linalg._rref_float_blocks(_assemble_derivation_rows(a), a.dim * a.dim)
+        derivation_space(a, FLOAT)
     return dtypes
 
 
@@ -367,7 +370,7 @@ def test_float_spaces_of_a_rescaled_basis_equal_the_exact_ones():
     scales = [1, 30, 900, 27000]
     p = [[qq(s) if i == j else ZERO for j in range(4)] for i, s in enumerate(scales)]
     a = change_basis(matrix_algebra(2), p)
-    rows = _assemble_derivation_rows(a)
+    rows = qqi_derivation_rows(a)
     want = nullspace(rows, 16, EXACT)
     dense = [[row.get(c, ZERO) for c in range(16)] for row in rows]
     for form in (rows, dense, derivation_constraint_matrix(a)):

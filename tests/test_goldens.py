@@ -9,7 +9,20 @@ Regenerate after an intentional schema change with:
             > tests/goldens/classify_$n.json
     done
 
-for the algebras the constructors build (the wire form of each):
+for two algebras in a dense basis, whose every structure constant is a
+nonzero Gaussian rational, so each system is one block of rows with
+denominators:
+
+    for n in M2C1 TruncPoly5; do
+        python3 -m amenalyzer.cli classify tests/goldens/dense_$n.algebra.json \
+            --json --witnesses > tests/goldens/classify_dense_$n.json
+    done
+
+(their inputs are M2 + C1 and TruncPoly5 put through
+``perfbench/workloads.change_basis`` with the matrix
+``random_basis(5, random.Random(f"golden:{name}"))``, name "M2+C1" or
+"TruncPoly5", and written by ``dump_algebra``), for the algebras the
+constructors build (the wire form of each):
 
     PYTHONPATH=src python3 tests/test_goldens.py
 
@@ -98,6 +111,18 @@ def test_classify_matches_golden(name):
     assert proc.returncode == 0, proc.stderr
     golden = (GOLDEN_DIR / f"classify_{name}.json").read_text()
     assert proc.stdout == golden
+
+
+@pytest.mark.parametrize("name", ["M2C1", "TruncPoly5"])
+def test_classify_of_a_dense_basis_matches_golden(name):
+    path = GOLDEN_DIR / f"dense_{name}.algebra.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "amenalyzer.cli", "classify", str(path), "--json", "--witnesses"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN_DIR / f"classify_dense_{name}.json").read_text()
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
