@@ -16,12 +16,13 @@ place that knows the two backends, or lanes:
   denominators there, once.  The core works fraction-free on those
   integers, each row over one positive integer; the lane converts back to
   ``QQi`` only at the end, into the {column: QQi} dicts of the RREF rows'
-  nonzeros.  A block at least
-  :data:`_SELECT_WIDTH` columns wide with more distinct rows than columns,
-  such as the one block of the derivation system in a dense basis, is not
-  eliminated a redundant row at a time: the rows independent modulo a prime
-  are eliminated, and the others are checked exactly to lie in their span,
-  with a fallback to all rows.
+  nonzeros.  A block with enough nonzeros, :data:`_MODULAR_NONZEROS` in all
+  and :data:`_MODULAR_DENSITY` a row, such as the one block of the
+  derivation system in a dense basis, is eliminated modulo the word-size
+  primes of :data:`_PRIMES` instead (:func:`_modular_rref`): its RREF is
+  read back from the residues and accepted only when an exact check
+  proves it, and the core on all rows is its fallback.  So each block has
+  one exact routine, and no prime decides a rank, a pivot or an entry.
   :func:`rref_exact` is the same elimination, of dense rows, with dense
   rows out.
 * ``float``  - each block is eliminated as a numpy complex128 array; rank
@@ -95,16 +96,38 @@ from .scalars import ONE, ZERO, QQi, gaussian_integers
 DEFAULT_TOL = 1e-9  # the float lane's one tolerance; every float zero test reads it
 _SCALE_BLOCK = 1 << 13  # entries of a row block in matrix_scale: 64 KiB of float64
 _OWN_PAGES = 1 << 20  # bytes from which system_zeros maps a system on pages of its own
-# Columns from which a tall exact block's rows are chosen mod p.  Timed block
-# by block on the tall blocks of one pass of each exact workload: narrower
-# than 16, choosing was slower on all three (ladder-exact 9.5 -> 12.4 ms over
-# 44 blocks, crosscheck-corpus 15.1 -> 16.9 ms over 69, dense-gauss 17.7 ->
-# 19.4 ms over 59); from 16 it broke even on the sparse blocks of the first
-# two (1.1 and 4.8 ms either way) and was 2.9x faster on dense-gauss's six
-# blocks of 16 and 25 columns (124 -> 43 ms).
-_SELECT_WIDTH = 16
-_P = 2147483629  # a prime = 1 (mod 4) below 2^31, for choosing rows in _independent_mod_p
-_I_MOD_P = 1518275076  # a square root of -1 mod _P, the image of i
+# Which exact blocks _modular_rref eliminates, by the nonzeros of their
+# distinct primitive rows: at least _MODULAR_NONZEROS in all and
+# _MODULAR_DENSITY a row on average; the others go to the core.  Both routes
+# were timed on every block of one pass of ladder-exact, two seeds of
+# dense-gauss, one exact crosscheck, exact TruncPoly36, TruncPoly64, M6, M8
+# and Pointwise64, and dense TruncPoly8, M3, TruncPoly10 and Pointwise10
+# (best of three, Python 3.11, numpy 2.4, 2 vCPUs).  Density: below 2.75 a
+# row the core was 10-25% faster on the sparse full-rank blocks of
+# TruncPoly36 and TruncPoly64 (17 to 59 columns, 1.9 to 2.7 a row;
+# TruncPoly64's 1049 x 59: 2.9 against 3.3 ms) and on M8's 176 x 16 blocks,
+# which a rule on width alone sent the other way; from 2.8 a row their
+# rank-deficient blocks were 2-5x faster modular (TruncPoly36's 256 x 32:
+# 9.3 -> 2.9 ms, TruncPoly64's 992 x 63: 74 -> 14 ms), and dense-gauss's 16-
+# and 25-column blocks (7 to 12 a row) 3-12x (125 x 25: 31 -> 2.5 ms).
+# Size: the modular route costs 0.12 ms or more, so on the 522 blocks below
+# 250 nonzeros it gained 0.5 ms at most and took 155 against 46 ms in all
+# (ladder-exact's 69 x 15 at 2.8 a row: 0.82 against 0.47 ms); above it
+# dense narrow blocks gained too (dense TruncPoly10's 55 x 10: 3.4 -> 0.45
+# ms).  On every input the rule's total was within 1.2 ms of the faster
+# route's, block by block, but on dense M3 (64.1 against 59.9 ms, from one
+# 8 x 72 block).
+_MODULAR_NONZEROS = 250
+_MODULAR_DENSITY = 2.75
+# The primes of _modular_rref, the five largest p = 1 (mod 4) below 2^31,
+# each with a square root s of -1 mod p, the image of i
+_PRIMES = (
+    (2147483629, 1518275076),
+    (2147483549, 895500278),
+    (2147483497, 415680079),
+    (2147483489, 625866212),
+    (2147483477, 833330490),
+)
 
 EXACT = "exact"
 FLOAT = "float"
@@ -176,9 +199,9 @@ def _gaussian_items(row):
 
 def _exact_pivot_rows(group, cols):
     """The fully reduced pivot rows of one block of dict rows on the
-    columns ``cols``, computed fraction-free over Z[i]: a dict {pivot
-    column: (N, tail)}, the RREF row being (N at the pivot, tail) / N, N a
-    positive integer and the tail {column: (re, im)} of Gaussian integers.
+    columns ``cols``, computed over Z[i]: a dict {pivot column: (N, tail)},
+    the RREF row being (N at the pivot, tail) / N, N a positive integer and
+    the tail {column: (re, im)} of Gaussian integers.
 
     The rows are Gaussian-integer pairs, or ``QQi`` values, which are
     cleared of denominators (:func:`_gaussian_items`); a pair is zero when
@@ -187,19 +210,14 @@ def _exact_pivot_rows(group, cols):
     that column becomes a pivot with an empty tail, and is dropped from
     every other row.  Each other row has its zero values dropped and is
     divided by its integer content; a row equal to an earlier one is then
-    skipped.  The rows given are left as they are.  The rows left go to
-    :func:`_fraction_free_rref`.
+    skipped.  The rows given are left as they are.
 
-    A block at least :data:`_SELECT_WIDTH` columns wide with more rows left
-    than columns, such as the one block of the derivation system in a dense
-    basis, is not eliminated a redundant row at a time.
-    :func:`_independent_mod_p` chooses a maximal set of rows independent
-    modulo a prime, and only those are eliminated.  Rows independent mod p
-    are independent over Z[i], so when their pivots fill the block every
-    row is in their span.  Otherwise each other row is checked exactly
-    (:func:`_all_in_span`); if one is outside, the prime was unlucky and all
-    rows are eliminated.  The prime only chooses rows: the result is the
-    RREF of all of them either way.
+    The rows left take one of two routes, chosen by :func:`_goes_modular`
+    from their number and nonzeros: :func:`_modular_rref`, which
+    builds the RREF from residues modulo word-size primes and proves it
+    exactly, or the fraction-free core :func:`_fraction_free_rref`, which
+    is also the modular route's only fallback.  Either way the result is
+    the RREF of all the rows.
     """
     units = {c for row in group if len(row) == 1 for c, x in row.items() if _nonzero(x)}
     seen = set()
@@ -216,74 +234,261 @@ def _exact_pivot_rows(group, cols):
         if key not in seen:
             seen.add(key)
             vecs.append(vec)
-    width = len(cols)
-    if width < _SELECT_WIDTH or len(vecs) <= width:
-        pivot_rows = _fraction_free_rref(vecs)
-    else:
-        chosen = set(_independent_mod_p(vecs, cols))
-        # the core changes the rows it is given, and a fallback needs them whole
-        pivot_rows = _fraction_free_rref([dict(vecs[r]) for r in sorted(chosen)])
-        if len(pivot_rows) + len(units) < width and not _all_in_span(
-            (vec for r, vec in enumerate(vecs) if r not in chosen), pivot_rows
-        ):
-            pivot_rows = _fraction_free_rref(vecs)
+    pivot_rows = _modular_rref(vecs) if _goes_modular(vecs) else _fraction_free_rref(vecs)
     pivot_rows.update((c, (1, {})) for c in units)
     return pivot_rows
 
 
-def _independent_mod_p(vecs, cols):
-    """Indices of a maximal set of rows of ``vecs`` independent modulo
-    :data:`_P`, with i mapped to :data:`_I_MOD_P`: the rows that take a
-    pivot in one column-by-column elimination of an int64 array.
+def _goes_modular(vecs):
+    """Whether the distinct primitive rows ``vecs`` of a block are
+    eliminated by :func:`_modular_rref`: when they hold at least
+    :data:`_MODULAR_NONZEROS` nonzeros, :data:`_MODULAR_DENSITY` a row on
+    average."""
+    nonzeros = sum(map(len, vecs))
+    return nonzeros >= max(_MODULAR_NONZEROS, _MODULAR_DENSITY * len(vecs))
 
-    Each part is reduced mod p as a Python int, so parts of any size are
-    safe; residues are below 2^31, so every product is below 2^62 and no
-    int64 step overflows.  A nonzero minor mod p is nonzero over Z[i]
-    (the map is a ring map), so the rows chosen are independent over Q(i);
-    their number is the rank mod p, at most the rank.
+
+def _modular_rref(vecs):
+    """The RREF of the primitive {column: (re, im)} rows ``vecs``, as
+    :func:`_fraction_free_rref` gives it, built from residues modulo the
+    primes of :data:`_PRIMES` and proved exactly; ``vecs`` is left as it is.
+
+    Each prime p = 1 (mod 4) has a square root s of -1, and the ring maps
+    Z[i] -> F_p sending i to s and to -s.  Under the first map of the first
+    prime, one Gauss-Jordan elimination of all rows (:func:`_rref_mod`)
+    picks the rows that take a pivot: a nonzero minor mod p is nonzero over
+    Z[i], so those r rows are independent over Q(i), and r, the rank mod p,
+    is at most the rank.  When their pivots fill the block, its RREF is the
+    identity.  Otherwise, prime by prime, the RREF of the r chosen rows is
+    taken under both maps, and a value x of Q(i) whose images are x+ and x-
+    has real part (x+ + x-) / 2 and imaginary part (x+ - x-) / (2s) mod p.
+    An image whose pivots are not those of the first one is dropped with
+    its prime.  The parts are combined by the Chinese remainder theorem and
+    each row is read back as fractions over one denominator
+    (:func:`_reconstructed`), which gives a candidate R with one row per
+    pivot, r rows.
+
+    R is accepted only when it is proved exactly.  It must be in RREF shape
+    (:func:`_in_rref_shape`): 1 at its pivot, 0 at every other pivot and
+    nothing left of its pivot, which the span check alone does not see: a
+    row with an entry left of its pivot can span the right space.  Every
+    chosen row must lie in its span (:func:`_all_in_span`); if one does
+    not, R was read back from too few primes, and the next prime is added.
+    Then every other row must lie in its span too; if one does not, the
+    chosen rows do not span the block, the first prime was unlucky, and no
+    prime can mend that.  An accepted R holds every row of the block A in
+    its span, so rank(A) <= rank(R) = r = rank of A mod p <= rank(A): the
+    row spaces are equal, and R, in RREF shape, is the RREF of A, which is
+    unique.  No prime decides a rank, a pivot or an entry.  A block
+    refused, or left unproved after the last prime, goes to the core on
+    all its rows.
     """
+    cols = sorted(set().union(*vecs))
     where = dict(zip(cols, range(len(cols))))
-    at_row, at_col, values = [], [], []
+    at_row, at_col, parts = [], [], []
     for r, vec in enumerate(vecs):
         at_row += repeat(r, len(vec))
         at_col += map(where.__getitem__, vec)
-        values += [(a + b * _I_MOD_P) % _P for a, b in vec.values()]
-    a = np.zeros((len(vecs), len(cols)), dtype=np.int64)
-    a[at_row, at_col] = values
-    chosen = []
-    for j in range(len(cols)):
+        parts += chain.from_iterable(vec.values())
+    entries = np.array(at_row, dtype=np.intp), np.array(at_col, dtype=np.intp), _int_array(parts).reshape(-1, 2)
+    (p, s), *_ = _PRIMES
+    chosen, pivots, first = _rref_mod(_image(len(vecs), len(cols), entries, p, s), p)
+    if len(pivots) == len(cols):
+        return {c: (1, {}) for c in cols}
+    # the entries of the chosen rows, renumbered in order
+    at_chosen = np.full(len(vecs), -1, dtype=np.intp)
+    at_chosen[chosen] = range(len(chosen))
+    keep = at_chosen[entries[0]] >= 0
+    entries = at_chosen[entries[0][keep]], entries[1][keep], entries[2][keep]
+    is_chosen = set(chosen)
+    chosen_vecs = [vecs[r] for r in chosen]
+    free = sorted(set(range(len(cols))).difference(pivots))
+    acc, m = [], 1
+    for k, (p, s) in enumerate(_PRIMES):
+        images = [first] if k == 0 else []
+        for t in (s, p - s)[len(images) :]:
+            _, got, red = _rref_mod(_image(len(chosen), len(cols), entries, p, t), p)
+            images.append(red if got == pivots else None)
+        if any(red is None for red in images):
+            continue
+        plus, minus = (red[:, free] for red in images)
+        re = (plus + minus) * ((p + 1) // 2) % p
+        im = (plus - minus) % p * pow(2 * s, -1, p) % p
+        values = np.stack([re, im], axis=-1).ravel().tolist()
+        if m == 1:
+            acc = values
+        else:
+            inv = pow(m, -1, p)
+            acc = [x + m * ((y - x) * inv % p) for x, y in zip(acc, values)]
+        m *= p
+        candidate = _reconstructed(acc, m, [cols[c] for c in pivots], [cols[c] for c in free])
+        if candidate is None or not _in_rref_shape(candidate) or not _all_in_span(chosen_vecs, candidate):
+            continue
+        if _all_in_span((vec for r, vec in enumerate(vecs) if r not in is_chosen), candidate):
+            return candidate
+        break
+    return _fraction_free_rref(vecs)
+
+
+def _int_array(values):
+    """The Python ints ``values`` as an int64 array, or as an object array
+    when one is outside the int64 range."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _image(nrows, ncols, entries, p, s):
+    """The int64 array of the rows' images in F_p, with i mapped to s:
+    ``entries`` is (row indices, column indices, (re, im) parts) of the
+    nonzeros.  Each part is reduced mod p in its own dtype, a Python int
+    when it is outside int64; residues are below 2^31, so re + im * s is
+    below 2^63."""
+    at_row, at_col, parts = entries
+    res = (parts % p).astype(np.int64)
+    a = np.zeros((nrows, ncols), dtype=np.int64)
+    a[at_row, at_col] = (res[:, 0] + res[:, 1] * s) % p
+    return a
+
+
+def _rref_mod(a, p):
+    """Gauss-Jordan elimination of the int64 array ``a`` of residues mod p,
+    which it changes: (the rows that take a pivot, the pivot columns, the
+    RREF rows mod p as an array).
+
+    Column by column, the first row left with a nonzero entry becomes the
+    pivot row, scaled to 1 there, and the column is cleared from every
+    other row, the pivot rows found so far included.  A row that takes a
+    pivot is then cleared, so it takes no other; a row left is zero left of
+    the column.  Residues are below 2^31, so every product is below 2^62
+    and no step overflows.
+    """
+    nrows, width = a.shape
+    red = np.zeros((min(nrows, width), width), dtype=np.int64)
+    chosen, pivots = [], []
+    for j in range(width):
         hits = np.flatnonzero(a[:, j])
         if not hits.size:
             continue
-        k = hits[0]
-        chosen.append(int(k))
-        pivot = a[k, j:] * pow(int(a[k, j]), -1, _P) % _P
-        # every row left is zero left of j; a chosen row is cleared, so it takes no other pivot
-        a[k] = 0
+        k, r = hits[0], len(pivots)
+        row = red[r, j:]
+        row[...] = a[k, j:] * pow(int(a[k, j]), -1, p) % p
+        a[k, j:] = 0
         hits = hits[1:]
-        a[hits, j:] = (a[hits, j:] - a[hits, j, None] * pivot) % _P
-    return chosen
+        a[hits, j:] = (a[hits, j:] - a[hits, j, None] * row) % p
+        above = np.flatnonzero(red[:r, j])
+        red[above, j:] = (red[above, j:] - red[above, j, None] * row) % p
+        chosen.append(int(k))
+        pivots.append(j)
+    return chosen, pivots, red[: len(pivots)]
+
+
+def _reconstructed(acc, m, pivots, free):
+    """The candidate pivot rows {pivot: (N, tail)} read back from the
+    residues ``acc`` mod m: row k holds, free column by free column, the
+    real and then the imaginary part of its entry, and every part is read
+    as a fraction whose numerator and denominator are at most sqrt(m / 2)
+    (Wang's rational reconstruction, :func:`_rational`), over one
+    denominator N per row.  Each part x is first multiplied by the row's
+    denominator d so far; when d * x is not a small number mod m it is
+    reconstructed, and d grows by the new denominator.  None when a part
+    has no such fraction.
+    """
+    bound = math.isqrt(m // 2)
+    step = 2 * len(free)
+    out = {}
+    for k, pivot in enumerate(pivots):
+        d, nums = 1, []
+        for x in acc[k * step : (k + 1) * step]:
+            y = x * d % m
+            if y > m - bound - 1:
+                y -= m
+            elif y > bound:
+                got = _rational(y, m, bound)
+                if got is None:
+                    return None
+                y, e = got
+                d *= e
+                if d > bound:
+                    return None
+                nums = [z * e for z in nums]
+            nums.append(y)
+        out[pivot] = (d, {c: (a, b) for c, a, b in zip(free, nums[::2], nums[1::2]) if a or b})
+    return out
+
+
+def _rational(x, m, bound):
+    """(n, d) with n = d * x (mod m), |n| <= bound and 0 < d <= bound, n and
+    d coprime, from the extended Euclidean algorithm on (m, x); None when
+    there is none."""
+    r0, r1, t0, t1 = m, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or math.gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _in_rref_shape(pivot_rows):
+    """Whether the pivot rows {pivot: (N, tail)} are in RREF shape: N
+    positive, so the row is 1 at its pivot, and every tail entry nonzero,
+    right of its own pivot and at no other pivot.  An entry left of a
+    pivot is what :func:`_all_in_span` cannot see: the span of (1, 1) is
+    also the span of the row with pivot 1 and a 1 left of it."""
+    return all(
+        n > 0 and all(c > p and c not in pivot_rows and (a or b) for c, (a, b) in tail.items())
+        for p, (n, tail) in pivot_rows.items()
+    )
 
 
 def _all_in_span(vecs, pivot_rows):
-    """Whether every {column: (re, im)} row of ``vecs`` lies in the span of
-    the RREF rows (N at p, tail) / N of ``pivot_rows``, decided exactly.
+    """Whether every {column: (re, im)} row of ``vecs`` is the combination
+    sum of v[p] * row_p of the rows (N at p, tail) / N of ``pivot_rows``,
+    decided exactly: for rows in RREF shape, whether it lies in their span.
 
-    The RREF row of pivot p is 1 there and 0 at every other pivot, so the
-    only candidate combination for a row v is the sum of v[p] * row_p.
-    With L the lcm of the N, v is in the span iff, at every free column f,
-    L * v[f] = sum of v[p] * tail_p[f] * (L / N_p).
+    An RREF row is 1 at its pivot and 0 at every other pivot, so that sum
+    is the only combination a row v of the span can be.  With L the lcm of
+    the N and T_p = tail_p * (L / N_p), the sum equals v iff, at every
+    column c of a tail, sum of v[p] * T_p[c] is L * v[c] when c is not a
+    pivot and 0 when it is, and v has no other nonzero outside the pivots.
+
+    Each side is compared at all columns at once, as one integer per part
+    (Kronecker substitution): the column of slot k is the digit at 2^(B*k),
+    so each T_p is packed once and a row costs one product per nonzero, not
+    one per nonzero and column.  B is chosen so that every digit, L * v[c]
+    on one side and a sum of at most len(pivot_rows) products v[p] * T_p[c]
+    on the other, is below 2^(B - 1) in absolute value; two integers whose
+    digits are that small are equal exactly when every digit is, so the
+    comparison is exact.
     """
+    vecs = list(vecs)
     lcm = math.lcm(*(n for n, _ in pivot_rows.values()))
     scaled = {p: (lcm // n, tail) for p, (n, tail) in pivot_rows.items()}
+    top_t = max((m * max(map(abs, chain.from_iterable(tail.values())), default=0) for m, tail in scaled.values()))
+    top_v = max(map(abs, chain.from_iterable(chain.from_iterable(map(dict.values, vecs)))), default=0)
+    bits = max(lcm * top_v, 2 * len(scaled) * top_v * top_t).bit_length() + 1
+    shift = {c: bits * k for k, c in enumerate(sorted(set().union(*(tail for _, tail in scaled.values()))))}
+    packed = {
+        p: (sum(m * a << shift[c] for c, (a, _) in tail.items()), sum(m * b << shift[c] for c, (_, b) in tail.items()))
+        for p, (m, tail) in scaled.items()
+    }
     for vec in vecs:
-        rest = {c: (lcm * a, lcm * b) for c, (a, b) in vec.items() if c not in scaled}
-        for p, (a, b) in vec.items():
-            pivot = scaled.get(p)
+        xr = xi = yr = yi = 0
+        for c, (a, b) in vec.items():
+            pivot = packed.get(c)
             if pivot is not None:
-                m, tail = pivot
-                rest = _eliminate(1, rest, (m * a, m * b), tail)
-        if rest:
+                tr, ti = pivot
+                xr += a * tr - b * ti
+                xi += a * ti + b * tr
+            elif c in shift:
+                yr += a << shift[c]
+                yi += b << shift[c]
+            elif a or b:
+                return False
+        if xr != lcm * yr or xi != lcm * yi:
             return False
     return True
 

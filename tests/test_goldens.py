@@ -9,19 +9,22 @@ Regenerate after an intentional schema change with:
             > tests/goldens/classify_$n.json
     done
 
-for two algebras in a dense basis, whose every structure constant is a
+for three algebras in a dense basis, whose every structure constant is a
 nonzero Gaussian rational, so each system is one block of rows with
 denominators:
 
-    for n in M2C1 TruncPoly5; do
+    for n in M2C1 TruncPoly5 TruncPoly8; do
         python3 -m amenalyzer.cli classify tests/goldens/dense_$n.algebra.json \
             --json --witnesses > tests/goldens/classify_dense_$n.json
     done
 
-(their inputs are M2 + C1 and TruncPoly5 put through
+(their inputs are M2 + C1, TruncPoly5 and TruncPoly8 put through
 ``perfbench/workloads.change_basis`` with the matrix
-``random_basis(5, random.Random(f"golden:{name}"))``, name "M2+C1" or
-"TruncPoly5", and written by ``dump_algebra``), for the algebras the
+``random_basis(a.dim, random.Random(f"golden:{name}"))``, name "M2+C1",
+"TruncPoly5" or "TruncPoly8", and written by ``dump_algebra``; the
+derivation system of TruncPoly8, one block of 288 distinct rows on 64
+columns, is eliminated modulo primes and its RREF read back from two of
+them), for the algebras the
 constructors build (the wire form of each):
 
     PYTHONPATH=src python3 tests/test_goldens.py
@@ -113,7 +116,7 @@ def test_classify_matches_golden(name):
     assert proc.stdout == golden
 
 
-@pytest.mark.parametrize("name", ["M2C1", "TruncPoly5"])
+@pytest.mark.parametrize("name", ["M2C1", "TruncPoly5", "TruncPoly8"])
 def test_classify_of_a_dense_basis_matches_golden(name):
     path = GOLDEN_DIR / f"dense_{name}.algebra.json"
     proc = subprocess.run(

@@ -1,5 +1,6 @@
 """Kernel, RREF, and subspace-lattice behaviour on both backends."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -539,11 +540,7 @@ def test_float_sparse_reduce_equals_the_dense_reference(system, data):
 
 
 # ---------------------------------------------------------------------------
-# wide tall exact blocks: rows chosen mod p, the rest checked exactly
-
-
-def _random_qqi(rng):
-    return QQi(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+# modular RREF of exact blocks, proved exactly
 
 
 def _combination(coeffs, rows):
@@ -553,77 +550,194 @@ def _combination(coeffs, rows):
     return out
 
 
+def _gaussian(rng, bits):
+    return QQi(rng.randint(-(2**bits), 2**bits), rng.randint(-(2**bits), 2**bits))
+
+
+def _cleared(row):
+    """The row times the lcm of its denominators: Gaussian integers."""
+    scale = qq(math.lcm(*(x.re.denominator * x.im.denominator for x in row)))
+    return [x * scale for x in row]
+
+
 @st.composite
-def wide_tall_block(draw):
-    """(rows, width): more rows than columns on one block at least
-    ``_SELECT_WIDTH`` wide, spanned by ``rank`` base rows; ``rank`` equal to
-    the width is the full-rank case.  The rows are the base rows, random
-    Gaussian-rational combinations of them, repeats and scaled copies, in a
-    random order."""
-    width = draw(st.integers(linalg._SELECT_WIDTH, linalg._SELECT_WIDTH + 4))
-    rank = draw(st.sampled_from([1, 2, width // 2, width - 1, width]))
+def wide_block(draw):
+    """(rows, width): one dense block of more rows than columns, 16 to 20
+    columns wide, whose RREF has ``rank`` rows; ``rank`` equal to the width
+    is the full-rank case.  The RREF rows have random pivots and entries
+    whose parts have 40-bit numerators over one 40-bit denominator a row,
+    so they are read back from three primes, not two.  Each row given is a
+    combination of them with Gaussian-integer coefficients of up to 150
+    bits, cleared of denominators, so its parts reach about 2^200.  Repeats
+    and scaled copies are planted, in a random order."""
+    width = draw(st.integers(16, 20))
+    rank = draw(st.sampled_from([2, width // 2, width - 1, width]))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    # the first base row is nonzero everywhere, so the rows form one block
-    base = [[x if x else ONE for x in (_random_qqi(rng) for _ in range(width))]]
-    base += [[_random_qqi(rng) for _ in range(width)] for _ in range(rank - 1)]
-    rows = base + [
-        _combination([_random_qqi(rng) for _ in base], base) for _ in range(width + 1 - rank + draw(st.integers(0, 6)))
-    ]
+    # the first pivot is column 0, so every row given is nonzero in every column
+    pivots = {0, *rng.sample(range(1, width), rank - 1)}
+    base = []
+    for p in sorted(pivots):
+        den = qq(rng.randint(2**39, 2**40))
+        row = [ZERO] * width
+        row[p] = ONE
+        for c in range(p + 1, width):
+            if c not in pivots:
+                row[c] = _gaussian(rng, 40) / den
+        base.append(row)
+    rows = [_cleared(_combination([_gaussian(rng, 150) for _ in base], base)) for _ in range(width + 2)]
     for _ in range(draw(st.integers(0, 4))):
         src = rng.choice(rows)
-        scale = _random_qqi(rng) or ONE
-        rows.append(list(src) if rng.random() < 0.5 else [scale * x for x in src])
+        scale = _gaussian(rng, 8) if rng.random() < 0.5 else ONE
+        rows.append([scale * x for x in src])
     rng.shuffle(rows)
     return rows, width
 
 
-def _spy_core():
-    """A spy on the fraction-free core: the number of rows of each call."""
-    sizes = []
-    core = linalg._fraction_free_rref
+def _spy(name):
+    """(calls, patch): a patch of the ``linalg`` function ``name`` that
+    records the (arguments, result) of each call in ``calls``."""
+    calls = []
+    real = getattr(linalg, name)
 
-    def counted(vecs):
-        sizes.append(len(vecs))
-        return core(vecs)
+    def spied(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
 
-    return sizes, counted
+    return calls, mock.patch.object(linalg, name, spied)
 
 
-@given(block=wide_tall_block())
-@settings(max_examples=30, deadline=None)
-def test_a_wide_tall_block_gives_the_rref_of_all_its_rows(block):
-    rows, width = block
-    sizes, counted = _spy_core()
-    with mock.patch.object(linalg, "_fraction_free_rref", counted):
+def _eliminated(rows, width):
+    """(dense RREF rows, pivots, modular calls, core calls) of one block."""
+    modular, spy_modular = _spy("_modular_rref")
+    core, spy_core = _spy("_fraction_free_rref")
+    with spy_modular, spy_core:
         basis, pivots = linalg._rref_exact_blocks(rows, width)
-    # the exact check accepts the rows chosen mod p, with no fallback: for
-    # random rows the rank mod a prime near 2^31 drops with odds of order 1/p
-    assert len(sizes) == 1
-    assert (linalg._ExactLane.dense(basis, width), pivots) == reference_rref_exact(rows)
+    return linalg._ExactLane.dense(basis, width), pivots, modular, [len(args[0]) for args, _ in core]
+
+
+@given(block=wide_block())
+@settings(max_examples=25, deadline=None)
+def test_a_modular_block_gives_the_rref_of_all_its_rows(block):
+    rows, width = block
+    reads, spy_reads = _spy("_reconstructed")
+    with spy_reads:
+        dense, pivots, modular, core = _eliminated(rows, width)
+    assert (dense, pivots) == reference_rref_exact(rows)
+    # the candidate is proved, with no fallback: for random rows the rank mod
+    # a prime near 2^31 drops with odds of order 1/p
+    assert len(modular) == 1 and core == []
+    if any(x.re.denominator > 1 or x.im.denominator > 1 for row in dense for x in row):
+        # the accepted candidate was read back mod the product of three primes
+        assert reads[-1][0][1] == math.prod(p for p, _ in linalg._PRIMES[:3])
+
+
+def _one_prime_block():
+    """16 columns, rank 8: the RREF rows are e_k + (1 + p) e_(8+k) + e_15
+    with p the first prime, given as 24 Gaussian-integer combinations."""
+    rng = random.Random(3)
+    p = linalg._PRIMES[0][0]
+    base = []
+    for k in range(8):
+        row = [ZERO] * 16
+        row[k], row[8 + k], row[15] = ONE, qq(1 + p), ONE
+        base.append(row)
+    return [_combination([_gaussian(rng, 6) for _ in base], base) for _ in range(24)]
+
+
+def test_a_candidate_read_back_from_too_few_primes_fails_the_exact_check():
+    rows = _one_prime_block()
+    checks, spy_checks = _spy("_all_in_span")
+    with mock.patch.object(linalg, "_PRIMES", linalg._PRIMES[:1]), spy_checks:
+        dense, pivots, modular, core = _eliminated(rows, 16)
+    # mod p alone, 1 + p reads back as 1: the candidate is in RREF shape, but
+    # the exact check refuses it, no prime is left, and the core takes all rows
+    assert [ok for _, ok in checks] == [False]
+    assert len(modular) == 1 and core == [len(rows)]
+    assert (dense, pivots) == reference_rref_exact(rows)
+    # with every prime the same block is proved from two of them
+    dense, pivots, modular, core = _eliminated(rows, 16)
+    assert core == [] and (dense, pivots) == reference_rref_exact(rows)
+
+
+def _repivoted(pivot_rows):
+    """The same rows with each pivot moved to its last tail column: the row
+    over that entry, a nonzero left of its new pivot."""
+    out = {}
+    for p, (n, tail) in pivot_rows.items():
+        q = max(tail)
+        a, b = tail[q]
+        # (n e_p + tail) / (a + b i) = (n e_p + tail)(a - b i) / (a^2 + b^2)
+        row = {c: (x * a + y * b, y * a - x * b) for c, (x, y) in tail.items() if c != q}
+        row[p] = (n * a, -n * b)
+        out[q] = (a * a + b * b, row)
+    return out
+
+
+def test_a_candidate_with_an_entry_left_of_its_pivot_is_refused():
+    # the span of (1, 1): its RREF has pivot 0; the row with pivot 1 and an
+    # entry left of it spans the same line, and the span check reads it so
+    assert linalg._all_in_span([{0: (1, 0), 1: (1, 0)}], {1: (1, {0: (1, 0)})})
+    assert not linalg._in_rref_shape({1: (1, {0: (1, 0)})})
+    assert linalg._in_rref_shape({0: (1, {1: (1, 0)})})
+    # a tail entry at another pivot, a zero tail entry, a denominator below 1
+    assert not linalg._in_rref_shape({0: (1, {1: (1, 0)}), 1: (1, {})})
+    assert not linalg._in_rref_shape({0: (1, {1: (0, 0)})})
+    assert not linalg._in_rref_shape({0: (0, {1: (1, 0)})})
+    # a rank-one block whose every candidate is moved to its last pivot:
+    # each spans the block's line and is refused, and the core takes all rows
+    rng = random.Random(5)
+    line = [_gaussian(rng, 20) or ONE for _ in range(16)]
+    rows = [[QQi(k, 1 - k) * x for x in line] for k in range(2, 22)]
+    real = linalg._reconstructed
+
+    def repivoted(*args):
+        candidate = real(*args)
+        return candidate and _repivoted(candidate)
+
+    with mock.patch.object(linalg, "_reconstructed", repivoted):
+        dense, pivots, modular, core = _eliminated(rows, 16)
+    assert len(modular) == 1 and core == [len(rows)]
+    assert (dense, pivots) == reference_rref_exact(rows)
+    vecs = [dict(_gaussian_pairs(row)) for row in rows]
+    candidate = _repivoted(linalg._modular_rref(vecs))
+    assert linalg._all_in_span(vecs, candidate) and not linalg._in_rref_shape(candidate)
+
+
+def _gaussian_pairs(row):
+    """The {column: (re, im)} Gaussian integers of a dense row of them."""
+    return {c: (int(x.re), int(x.im)) for c, x in enumerate(row) if x}
 
 
 def test_a_chosen_set_missing_a_needed_row_is_refused_and_all_rows_are_eliminated():
     rng = random.Random(7)
-    width = linalg._SELECT_WIDTH
-    base = [[_random_qqi(rng) or ONE for _ in range(width)] for _ in range(10)]
-    rows = base + [_combination([_random_qqi(rng) for _ in base], base) for _ in range(width)]
-    select = linalg._independent_mod_p
-    sizes, counted = _spy_core()
-    with mock.patch.object(linalg, "_independent_mod_p", lambda vecs, cols: select(vecs, cols)[:-1]), \
-         mock.patch.object(linalg, "_fraction_free_rref", counted):
-        basis, pivots = linalg._rref_exact_blocks(rows, width)
-    # the 9 rows left are refused by the exact check, and the core runs on all 26
-    assert sizes == [9, len(rows)]
+    base = [[_gaussian(rng, 3) or ONE for _ in range(16)] for _ in range(10)]
+    rows = base + [_combination([_gaussian(rng, 3) for _ in base], base) for _ in range(16)]
+    real = linalg._rref_mod
+    calls = []
+
+    def dropping(a, p):
+        # the first call, the choice of rows, loses its last chosen row
+        chosen, pivots, red = real(a, p)
+        calls.append(len(chosen))
+        return (chosen[:-1], pivots[:-1], red[:-1]) if len(calls) == 1 else (chosen, pivots, red)
+
+    with mock.patch.object(linalg, "_rref_mod", dropping):
+        dense, pivots, modular, core = _eliminated(rows, 16)
+    # the 9 rows left and the residues read from them are refused by the
+    # exact check, and the core runs on all 26 rows
+    assert calls[0] == 10 and len(modular) == 1 and core == [len(rows)]
     assert len(pivots) == 10
-    assert (linalg._ExactLane.dense(basis, width), pivots) == reference_rref_exact(rows)
+    assert (dense, pivots) == reference_rref_exact(rows)
 
 
 @pytest.mark.parametrize("twin", ["minor p", "i as its image"])
 def test_an_unlucky_prime_still_gives_the_exact_rref(twin):
     """Two rows that are equal mod p but independent over Q(i): the rank
-    mod p is one below the rank, and the check sends the block to the core
-    on all rows."""
-    width = linalg._SELECT_WIDTH
+    mod p is one below the rank, the chosen rows miss one, and the check
+    sends the block to the core on all rows."""
+    width = 16
+    p, s = linalg._PRIMES[0]
 
     def row(entries):
         out = [ZERO] * width
@@ -633,15 +747,112 @@ def test_an_unlucky_prime_still_gives_the_exact_rref(twin):
 
     if twin == "minor p":
         # the minor [[1, 1], [1, 1 + p]] of the first two columns is p
-        first, second = row({0: ONE, 1: ONE}), row({0: ONE, 1: qq(1 + linalg._P)})
+        first, second = row({0: ONE, 1: ONE}), row({0: ONE, 1: qq(1 + p)})
     else:
         # i and its image mod p: the minor [[1, i], [1, s]] is s - i
-        first, second = row({0: ONE, 1: QQi(0, 1)}), row({0: ONE, 1: qq(linalg._I_MOD_P)})
+        first, second = row({0: ONE, 1: QQi(0, 1)}), row({0: ONE, 1: qq(s)})
     chain = [row({k: ONE, k + 1: qq(k + 2)}) for k in range(1, width - 1)]
-    rows = [first, second, *chain, [x + y for x, y in zip(first, chain[1])]]
-    sizes, counted = _spy_core()
-    with mock.patch.object(linalg, "_fraction_free_rref", counted):
-        basis, pivots = linalg._rref_exact_blocks(rows, width)
-    assert sizes == [width - 1, len(rows)]
+    # dense combinations of the others, in their span mod p too, so the
+    # block holds enough nonzeros to go modular
+    rng = random.Random(11)
+    fill = [_combination([qq(rng.randint(1, 9)) for _ in range(width - 1)], [first, *chain]) for _ in range(16)]
+    rows = [first, second, *chain, *fill]
+    dense, pivots, modular, core = _eliminated(rows, width)
+    assert len(modular) == 1 and core == [len(rows)]
     assert pivots == tuple(range(width))
-    assert (linalg._ExactLane.dense(basis, width), pivots) == reference_rref_exact(rows)
+    assert (dense, pivots) == reference_rref_exact(rows)
+
+
+def test_a_later_unlucky_prime_is_dropped_and_the_others_prove_the_block():
+    """A rank-15 block whose chosen rows lose rank modulo the second prime
+    only: that prime's images are dropped, and the RREF is read back from
+    the others, with no fallback."""
+    width = 16
+    p1 = linalg._PRIMES[1][0]
+
+    def row(entries):
+        out = [ZERO] * width
+        for c, x in entries.items():
+            out[c] = x
+        return out
+
+    first, second = row({0: ONE, 1: ONE, 15: ONE}), row({0: ONE, 1: qq(1 + p1), 15: ONE})
+    chain = [row({k: ONE, k + 1: qq(k + 2), 15: ONE}) for k in range(1, width - 2)]
+    rng = random.Random(13)
+    base = [first, second, *chain]
+    rows = base + [_combination([qq(rng.randint(1, 9)) for _ in base], base) for _ in range(16)]
+    reads, spy_reads = _spy("_reconstructed")
+    with spy_reads:
+        dense, pivots, modular, core = _eliminated(rows, width)
+    assert len(modular) == 1 and core == []
+    assert len(pivots) == 15 and (dense, pivots) == reference_rref_exact(rows)
+    assert all(args[1] % p1 for args, _ in reads)
+
+
+def test_the_packed_span_check_sees_a_carry_between_columns():
+    # the span of (1, 1, 1); the row (1, 1 + 2^k, 0) is outside it, but its
+    # packed columns equal the span's when a digit is k bits wide
+    candidate = {0: (1, {1: (1, 0), 2: (1, 0)})}
+    assert linalg._all_in_span([{0: (1, 0), 1: (1, 0), 2: (1, 0)}], candidate)
+    for k in range(1, 400):
+        assert not linalg._all_in_span([{0: (1, 0), 1: (1 + 2**k, 0)}], candidate)
+
+
+def test_the_primes_are_one_mod_four_below_two_to_the_31_with_a_root_of_minus_one():
+    for p, s in linalg._PRIMES:
+        assert p % 4 == 1 and p < 2**31 and s * s % p == p - 1
+        assert all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+    assert len({p for p, _ in linalg._PRIMES}) == len(linalg._PRIMES)
+
+
+@st.composite
+def span_case(draw):
+    """(rows, pivot rows): a random candidate in RREF shape, {pivot: (N,
+    tail)} with parts up to 2^100, and Gaussian-integer rows: combinations
+    of it, some with one part moved by a small or a large amount."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    width = draw(st.integers(2, 12))
+    pivots = sorted(rng.sample(range(width), draw(st.integers(1, width))))
+    candidate = {}
+    for p in pivots:
+        n = rng.randint(1, 2**rng.choice([1, 30, 100]))
+        tail = {}
+        for c in range(p + 1, width):
+            if c not in pivots and rng.random() < 0.8:
+                tail[c] = (rng.randint(-(2**100), 2**100), rng.randint(-(2**100), 2**100)) if rng.random() < 0.5 else (1, 0)
+        candidate[p] = (n, tail)
+    lcm = math.lcm(*(n for n, _ in candidate.values()))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs = {p: (rng.randint(-9, 9), rng.randint(-9, 9)) for p in pivots}
+        row = {}
+        for p, (a, b) in coeffs.items():
+            n, tail = candidate[p]
+            m = lcm // n
+            # lcm * coeff * (e_p + tail / n)
+            for c, (x, y) in [(p, (n, 0)), *tail.items()]:
+                u, v = row.get(c, (0, 0))
+                row[c] = (u + m * (a * x - b * y), v + m * (a * y + b * x))
+        if draw(st.booleans()):
+            c = rng.randrange(width)
+            u, v = row.get(c, (0, 0))
+            row[c] = (u + rng.choice([1, -1, 2**64, 2**200]), v)
+        rows.append({c: x for c, x in row.items() if x != (0, 0)})
+    return [row for row in rows if row], candidate
+
+
+@given(case=span_case())
+@settings(max_examples=200, deadline=None)
+def test_the_packed_span_check_equals_the_entrywise_one(case):
+    rows, candidate = case
+
+    def in_span(row):
+        # row - sum of row[p] * (e_p + tail_p / N_p), entry by entry, in QQi
+        rest = {c: QQi(*x) for c, x in row.items()}
+        for p, (n, tail) in candidate.items():
+            f = rest.get(p, ZERO)
+            for c, (a, b) in [(p, (n, 0)), *tail.items()]:
+                rest[c] = rest.get(c, ZERO) - f * QQi(Fraction(a, n), Fraction(b, n))
+        return all(x.is_zero() for x in rest.values())
+
+    assert linalg._all_in_span(rows, candidate) == all(map(in_span, rows))

@@ -2,12 +2,15 @@
 
 import mmap
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 
+from amenalyzer import linalg
 from amenalyzer.algebra import (
     matrix_algebra,
     pointwise_algebra,
@@ -19,8 +22,9 @@ from amenalyzer.classify import Analysis
 from amenalyzer.derivations import derivation_space
 from amenalyzer.linalg import FLOAT
 from amenalyzer.quasiadd import quasi_additive_space
+from amenalyzer.scalars import QQi
 
-from oracles import oracle_derivation_dim, oracle_inner_dim
+from oracles import change_basis, oracle_derivation_dim, oracle_inner_dim
 
 
 def test_matrix_algebra_3_dims_and_flags():
@@ -30,6 +34,35 @@ def test_matrix_algebra_3_dims_and_flags():
     assert oracle_derivation_dim(a) == oracle_inner_dim(a) == 8
     assert d.weakly_amenable and d.cyclically_amenable and d.cyclically_weakly_amenable
     assert find_characters(a).characters == ()
+
+
+def _dense_basis(a):
+    """``a`` on a seeded basis with entries in {-1, 0, 1} + i{-1, 0, 1}, as
+    in perfbench's dense-gauss: every structure constant a Gaussian
+    rational, and the derivation system one block."""
+    rng = random.Random(f"scale:{a.name}")
+    entries = [QQi(re, im) for re in (-1, 0, 1) for im in (-1, 0, 1) if re or im]
+    while True:
+        b = change_basis(a, [[rng.choice(entries) for _ in range(a.dim)] for _ in range(a.dim)])
+        if b is not None:
+            return b
+
+
+@pytest.mark.parametrize("a", [truncated_polynomial(10), matrix_algebra(3)], ids=lambda a: a.name)
+def test_exact_dims_in_a_dense_basis(a):
+    # the derivation system (1000 x 100 or 729 x 81) is one dense block,
+    # eliminated modulo primes and proved exactly, with no fallback to the core
+    b = _dense_basis(a)
+    core = []
+    real = linalg._fraction_free_rref
+    with mock.patch.object(linalg, "_fraction_free_rref", lambda vecs: core.append(len(vecs)) or real(vecs)):
+        d = Analysis(b)
+        dims = (d.z.dim, d.inner.dim, d.zc.dim)
+    assert max(core, default=0) < a.dim * a.dim
+    assert dims[:2] == (oracle_derivation_dim(b), oracle_inner_dim(b))
+    # the dims do not depend on the basis
+    base = Analysis(a)
+    assert dims == (base.z.dim, base.inner.dim, base.zc.dim)
 
 
 def test_upper_triangular_4_is_weakly_amenable():
