@@ -271,17 +271,16 @@ def _modular_rref(vecs):
     R is accepted only when it is proved exactly.  It must be in RREF shape
     (:func:`_in_rref_shape`): 1 at its pivot, 0 at every other pivot and
     nothing left of its pivot, which the span check alone does not see: a
-    row with an entry left of its pivot can span the right space.  Every
-    chosen row must lie in its span (:func:`_all_in_span`); if one does
-    not, R was read back from too few primes, and the next prime is added.
-    Then every other row must lie in its span too; if one does not, the
-    chosen rows do not span the block, the first prime was unlucky, and no
-    prime can mend that.  An accepted R holds every row of the block A in
-    its span, so rank(A) <= rank(R) = r = rank of A mod p <= rank(A): the
-    row spaces are equal, and R, in RREF shape, is the RREF of A, which is
-    unique.  No prime decides a rank, a pivot or an entry.  A block
-    refused, or left unproved after the last prime, goes to the core on
-    all its rows.
+    row with an entry left of its pivot can span the right space.  And
+    every row of the block must lie in its span (:func:`_all_in_span`).
+    When R fails, the next prime is added: R was read back from too few
+    primes, or, with odds of order 1/p, the first prime was unlucky and the
+    chosen rows do not span the block, which no prime mends.  An accepted R
+    holds every row of the block A in its span, so rank(A) <= rank(R) = r =
+    rank of A mod p <= rank(A): the row spaces are equal, and R, in RREF
+    shape, is the RREF of A, which is unique.  No prime decides a rank, a
+    pivot or an entry.  A block left unproved after the last prime goes to
+    the core on all its rows.
     """
     cols = sorted(set().union(*vecs))
     where = dict(zip(cols, range(len(cols))))
@@ -300,8 +299,6 @@ def _modular_rref(vecs):
     at_chosen[chosen] = range(len(chosen))
     keep = at_chosen[entries[0]] >= 0
     entries = at_chosen[entries[0][keep]], entries[1][keep], entries[2][keep]
-    is_chosen = set(chosen)
-    chosen_vecs = [vecs[r] for r in chosen]
     free = sorted(set(range(len(cols))).difference(pivots))
     acc, m = [], 1
     for k, (p, s) in enumerate(_PRIMES):
@@ -322,11 +319,8 @@ def _modular_rref(vecs):
             acc = [x + m * ((y - x) * inv % p) for x, y in zip(acc, values)]
         m *= p
         candidate = _reconstructed(acc, m, [cols[c] for c in pivots], [cols[c] for c in free])
-        if candidate is None or not _in_rref_shape(candidate) or not _all_in_span(chosen_vecs, candidate):
-            continue
-        if _all_in_span((vec for r, vec in enumerate(vecs) if r not in is_chosen), candidate):
+        if candidate is not None and _in_rref_shape(candidate) and _all_in_span(vecs, candidate):
             return candidate
-        break
     return _fraction_free_rref(vecs)
 
 
@@ -445,9 +439,10 @@ def _in_rref_shape(pivot_rows):
 
 
 def _all_in_span(vecs, pivot_rows):
-    """Whether every {column: (re, im)} row of ``vecs`` is the combination
-    sum of v[p] * row_p of the rows (N at p, tail) / N of ``pivot_rows``,
-    decided exactly: for rows in RREF shape, whether it lies in their span.
+    """Whether every {column: (re, im)} row v of the list ``vecs`` is the
+    combination sum of v[p] * row_p of the rows (N at p, tail) / N of
+    ``pivot_rows``, decided exactly: for rows in RREF shape, whether it
+    lies in their span.  No pivot rows span only the zero row.
 
     An RREF row is 1 at its pivot and 0 at every other pivot, so that sum
     is the only combination a row v of the span can be.  With L the lcm of
@@ -464,10 +459,9 @@ def _all_in_span(vecs, pivot_rows):
     digits are that small are equal exactly when every digit is, so the
     comparison is exact.
     """
-    vecs = list(vecs)
     lcm = math.lcm(*(n for n, _ in pivot_rows.values()))
     scaled = {p: (lcm // n, tail) for p, (n, tail) in pivot_rows.items()}
-    top_t = max((m * max(map(abs, chain.from_iterable(tail.values())), default=0) for m, tail in scaled.values()))
+    top_t = max((m * max(map(abs, chain.from_iterable(tail.values())), default=0) for m, tail in scaled.values()), default=0)
     top_v = max(map(abs, chain.from_iterable(chain.from_iterable(map(dict.values, vecs)))), default=0)
     bits = max(lcm * top_v, 2 * len(scaled) * top_v * top_t).bit_length() + 1
     shift = {c: bits * k for k, c in enumerate(sorted(set().union(*(tail for _, tail in scaled.values()))))}

@@ -571,7 +571,7 @@ def wide_block(draw):
     bits, cleared of denominators, so its parts reach about 2^200.  Repeats
     and scaled copies are planted, in a random order."""
     width = draw(st.integers(16, 20))
-    rank = draw(st.sampled_from([2, width // 2, width - 1, width]))
+    rank = draw(st.sampled_from([1, 2, width // 2, width - 1, width]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     # the first pivot is column 0, so every row given is nonzero in every column
     pivots = {0, *rng.sample(range(1, width), rank - 1)}
@@ -617,7 +617,7 @@ def _eliminated(rows, width):
 
 
 @given(block=wide_block())
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=30, deadline=None)
 def test_a_modular_block_gives_the_rref_of_all_its_rows(block):
     rows, width = block
     reads, spy_reads = _spy("_reconstructed")
@@ -704,6 +704,21 @@ def test_a_candidate_with_an_entry_left_of_its_pivot_is_refused():
     assert linalg._all_in_span(vecs, candidate) and not linalg._in_rref_shape(candidate)
 
 
+def test_a_block_that_is_zero_under_the_first_map_goes_to_the_core():
+    # every row a multiple of s - i, whose image under i -> s is 0: the rank
+    # mod the first prime is 0, no candidate spans the block, and the core
+    # takes all rows
+    s = linalg._PRIMES[0][1]
+    rng = random.Random(17)
+    base = [[_gaussian(rng, 20) or ONE for _ in range(16)] for _ in range(6)]
+    rows = [[QQi(s, -1) * x for x in _combination([_gaussian(rng, 8) for _ in base], base)] for _ in range(20)]
+    dense, pivots, modular, core = _eliminated(rows, 16)
+    assert len(modular) == 1 and core == [len(rows)]
+    assert len(pivots) == 6 and (dense, pivots) == reference_rref_exact(rows)
+    sub = rowspace(rows, 16)
+    assert (linalg._ExactLane.dense(sub.basis, 16), sub.pivots) == reference_rref_exact(rows)
+
+
 def _gaussian_pairs(row):
     """The {column: (re, im)} Gaussian integers of a dense row of them."""
     return {c: (int(x.re), int(x.im)) for c, x in enumerate(row) if x}
@@ -734,8 +749,9 @@ def test_a_chosen_set_missing_a_needed_row_is_refused_and_all_rows_are_eliminate
 @pytest.mark.parametrize("twin", ["minor p", "i as its image"])
 def test_an_unlucky_prime_still_gives_the_exact_rref(twin):
     """Two rows that are equal mod p but independent over Q(i): the rank
-    mod p is one below the rank, the chosen rows miss one, and the check
-    sends the block to the core on all rows."""
+    mod p is one below the rank, the chosen rows miss one, the check
+    refuses the candidate of every prime, and the block goes to the core
+    on all rows."""
     width = 16
     p, s = linalg._PRIMES[0]
 
