@@ -202,31 +202,66 @@ def _combination(terms):
     return {k: x for k, x in out.items() if x[0] or x[1]}
 
 
+def _associator_triples(n, nz):
+    """The triples (i, j, l), in ascending order, at which (e_i e_j) e_l
+    differs from e_i (e_j e_l), for the Gaussian-integer planes ``nz`` of
+    ``integer_nz`` (both sides scaled by D^2).
+
+    (e_i e_j) e_l - e_i (e_j e_l) = sum_k c_ijk e_k e_l - sum_m c_jlm e_i e_m,
+    so a triple gets a term only along a nonzero path: a constant c_ijk with
+    e_k e_l != 0, or c_jlm with e_i e_m != 0.  Each nonzero product e_k e_l
+    is packed once into one integer P (Kronecker substitution): the real
+    part of column t at bit W t, its imaginary part at bit W (n + t).  With
+    I the packing of i e_k e_l, a path with constant c adds re(c) P +
+    im(c) I to its triple's packed difference.  A column of the difference
+    is a sum of at most 2n products of two parts, each part at most
+    ``top``, so each of its parts is at most 4 n top^2 in modulus and below
+    2^(W - 1) for W one bit more than the bit length of 4 n top^2; a packed
+    integer with digits that small is 0 exactly when every digit is.
+    """
+    top = max((abs(x) for plane in nz for terms in plane for _, c in terms for x in c), default=0)
+    width = (4 * n * top * top).bit_length() + 1
+    imag = width * n
+    by_row = [[] for _ in range(n)]  # by_row[k]: (l, P, I) for each e_k e_l != 0
+    by_col = [[] for _ in range(n)]  # by_col[m]: (i, P, I) for each e_i e_m != 0
+    for k, plane in enumerate(nz):
+        for l, terms in enumerate(plane):
+            if terms:
+                packed = sum((a << width * t) + (b << imag + width * t) for t, (a, b) in terms)
+                rotated = sum((-b << width * t) + (a << imag + width * t) for t, (a, b) in terms)
+                by_row[k].append((l, packed, rotated))
+                by_col[l].append((k, packed, rotated))
+    # the packed difference of triple (i, j, l) under the key (i n + j) n + l
+    diff = {}
+    for i, plane in enumerate(nz):
+        for j, terms in enumerate(plane):
+            for k, (cr, ci) in terms:
+                for l, packed, rotated in by_row[k]:
+                    key = (i * n + j) * n + l
+                    diff[key] = diff.get(key, 0) + cr * packed + ci * rotated
+    for j, plane in enumerate(nz):
+        for l, terms in enumerate(plane):
+            for m, (cr, ci) in terms:
+                for i, packed, rotated in by_col[m]:
+                    key = (i * n + j) * n + l
+                    diff[key] = diff.get(key, 0) - cr * packed - ci * rotated
+    keys = sorted(key for key, x in diff.items() if x)
+    return [(key // (n * n), key // n % n, key % n) for key in keys]
+
+
 def validate(a: FiniteAlgebra) -> ValidationReport:
     """Check associativity, unit identities, and weight constraints.
 
     Returns a report listing every violated associativity triple (i, j, l)
     together with any unit or weight violations; empty report iff valid.
     """
-    issues = []
     n = a.dim
-    # the constants as Gaussian integers over one denominator D, so both
-    # sides of each triple below are compared scaled by D^2
+    # the constants as Gaussian integers over one denominator D
     d, nz = a.integer_nz
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                # (e_i e_j) e_l = sum_k c_ijk e_k e_l;  e_i (e_j e_l) = sum_m c_jlm e_i e_m
-                lhs = _combination((c, nz[k][l]) for k, c in nz[i][j])
-                rhs = _combination((c, nz[i][m]) for m, c in nz[j][l])
-                if lhs != rhs:
-                    issues.append(
-                        ValidationIssue(
-                            "associativity",
-                            (i, j, l),
-                            f"(e{i}*e{j})*e{l} != e{i}*(e{j}*e{l})",
-                        )
-                    )
+    issues = [
+        ValidationIssue("associativity", (i, j, l), f"(e{i}*e{j})*e{l} != e{i}*(e{j}*e{l})")
+        for i, j, l in _associator_triples(n, nz)
+    ]
     if a.unit is not None:
         if len(a.unit) != n:
             raise AlgebraFormatError(f"{a.name}: vectors of length {len(a.unit)},{n} in dimension {n}")
@@ -293,7 +328,7 @@ def idempotent_span_issues(a: FiniteAlgebra) -> list:
     issues, rows = [], []
     for idx, v in enumerate(a.idempotent_span):
         if len(v) != n:
-            raise AlgebraFormatError(f"{a.name}: vectors of length {len(v)},{len(v)} in dimension {n}")
+            raise AlgebraFormatError(f"{a.name}: vectors of length {len(v)},{n} in dimension {n}")
         e, ints = gaussian_integers(v)
         p = [(i, x) for i, x in enumerate(ints) if x[0] or x[1]]
         square = _combination(

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import FiniteAlgebra
+from .algebra import AlgebraFormatError, FiniteAlgebra
 from .derivations import (
     flatten_map,
     is_cyclic,
@@ -45,8 +45,9 @@ def resolve_seed(seed=None) -> int:
     return DEFAULT_SEED if seed is None else int(seed)
 
 
-class CharacterVerificationError(ValueError):
-    """A supplied character fails the multiplicativity equations."""
+class CharacterVerificationError(AlgebraFormatError):
+    """A supplied character fails the multiplicativity equations: the
+    algebra's description cannot be accepted."""
 
 
 @dataclass(frozen=True)

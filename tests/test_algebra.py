@@ -33,7 +33,7 @@ from amenalyzer.algebra import (
 from amenalyzer.classify import Analysis, build_report
 from amenalyzer.corpus import corpus
 from amenalyzer.linalg import EXACT, FLOAT, nullspace
-from amenalyzer.scalars import ONE, ZERO, QQi, qq
+from amenalyzer.scalars import MAX_MAGNITUDE, ONE, ZERO, QQi, qq
 
 from oracles import change_basis, oracle_product_span_dim, reference_radical_rows, reference_validate
 
@@ -150,6 +150,8 @@ _LADDER = (
         _perturbed(truncated_polynomial(12), 1, 1, 2, qq(Fraction(1, 2))),
         _perturbed(matrix_algebra(4), 1, 4, 0, QQi(1, -1)),
         _perturbed(upper_triangular(5), 0, 0, 3, qq(-2)),
+        # sparse: 625 nonzero paths a side against 15,625 triples
+        _perturbed(matrix_algebra(5), 7, 10, 12, QQi(Fraction(1, 3), -2)),
     ],
     ids=lambda a: a.name,
 )
@@ -159,6 +161,7 @@ def test_validate_equals_multiply_reference(a):
 
 _SMALL = (*corpus().values(), matrix_algebra(3), upper_triangular(4), _broken_algebra())
 _BIG = st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**6))
+_HUGE = st.builds(Fraction, st.integers(-MAX_MAGNITUDE, MAX_MAGNITUDE), st.integers(1, 97))
 _VALUES = st.one_of(
     st.integers(-3, 3).map(qq),
     st.builds(
@@ -170,6 +173,8 @@ _VALUES = st.one_of(
     st.builds(QQi, st.just(0), st.integers(-3, 3)),
     st.integers(-3, -1).map(qq),
     st.builds(QQi, _BIG, _BIG),
+    # parts near the reader's bound, so the packed digits of validate widen with them
+    st.builds(QQi, _HUGE, _HUGE),
 )
 
 
@@ -183,6 +188,54 @@ _VALUES = st.one_of(
 def test_validate_equals_multiply_reference_after_perturbation(ijk, value):
     a, i, j, k = ijk
     _assert_validate_matches_reference(_perturbed(a, i, j, k, value))
+
+
+def _carry_algebra(g):
+    """A three-dimensional tensor whose largest part is 147 and whose
+    associator at (0, 1, 0) is g e0 - e1, for 0 < g <= 2^17.
+
+    With b = e0 e1 and c = e1 e0, (e0 e1) e0 - e0 (e1 e0) = (b0 - c0) e0 e0
+    + b1 e1 e0 + b2 e2 e0 - c2 e0 e2, since c1 = 0.  Its column 0 is
+    294 (p + q - 2x) + e, with p + q - 2x the integer m nearest g / 294, so
+    |e| <= 147; column 1 is -1, column 2 is b1 c2 - c2 b1 = 0."""
+    m = round(g / 294)
+    x = -(m // 4)
+    p = (m + 2 * x) // 2
+    q, e = m + 2 * x - p, g - 294 * m
+    products = {
+        (0, 0): [(x, x), (0, 0), (0, 0)],
+        (0, 1): [(-147, 147), (p, p), (1, 0)],
+        (1, 0): [(147, -147), (0, 0), (147, 147)],
+        (2, 0): [(e, 0), (-1, 0), (0, 0)],
+        (0, 2): [(-q, q), (0, 0), (p, p)],
+    }
+    sc = [
+        [i, j, k, str(re), str(im)]
+        for (i, j), row in products.items()
+        for k, (re, im) in enumerate(row)
+        if (re, im) != (0, 0)
+    ]
+    return from_json_dict({"name": f"Carry{g}", "dim": 3, "labels": ["e0", "e1", "e2"], "sc": sc})
+
+
+def test_validate_sees_a_carry_between_columns():
+    # the digits of the associator at (0, 1, 0) are 2^k at column 0 and -1 at
+    # column 1, so it packs to 0 when a digit is k bits wide; validate's
+    # digits are 19 bits here, one more than the bit length of 4 * 3 * 147^2
+    for k in range(1, 18):
+        a = _carry_algebra(2**k)
+        assert max(max(abs(c.re), abs(c.im)) for plane in a.sc for v in plane for c in v) == 147
+        lhs = a.multiply(a.basis_product(0, 1), a.basis_vector(0))
+        rhs = a.multiply(a.basis_vector(0), a.basis_product(1, 0))
+        assert [x - y for x, y in zip(lhs, rhs)] == [qq(2**k), qq(-1), ZERO]
+        assert (0, 1, 0) in [i.where for i in _assert_validate_matches_reference(a)]
+
+
+def test_an_idempotent_of_the_wrong_length_names_its_length_and_the_dimension():
+    # the reader refuses such a vector; an algebra built in code reaches validate
+    a = replace(pointwise_algebra(2), idempotent_span=((ONE, ZERO, ZERO),))
+    with pytest.raises(AlgebraFormatError, match=r"vectors of length 3,2 in dimension 2"):
+        validate(a)
 
 
 def test_multiply_basis_vectors_reads_tensor():

@@ -1,17 +1,33 @@
 """End-to-end CLI behaviour: exit codes, JSON output, and determinism."""
 
+import contextlib
 import errno
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amenalyzer import cli
-from amenalyzer.algebra import commutator_span, from_json_dict, ideal_closure, quotient_map
+from amenalyzer.algebra import (
+    commutator_span,
+    from_json_dict,
+    ideal_closure,
+    matrix_algebra,
+    pointwise_algebra,
+    quotient_map,
+    to_json_dict,
+    truncated_polynomial,
+    upper_triangular,
+    zero_algebra,
+)
 
 CLI = [sys.executable, "-m", "amenalyzer.cli"]
 
@@ -342,6 +358,7 @@ def test_malformed_algebra_files_exit_2_without_traceback(tmp_path):
             ("unit", ["1e999999999"]),
             ("unit", [0.1]),
             ("characters", [[True]]),
+            ("characters", [["2"]]),  # well formed, but not multiplicative
             ("weight", ["1e999999999"]),
             ("weight", [True]),
         )
@@ -428,3 +445,84 @@ def test_bad_invocations_exit_1_without_traceback(case, tmp_path):
         assert proc.stderr.startswith("bad parameters for construct semigroup: ")
     else:
         assert "unrecognized arguments: --tol" in proc.stderr
+
+
+# Whole algebra documents for the fuzzer below: a valid document of each of
+# these algebras (dims 1 to 4), with well-formed or malformed values put into
+# any of its fields.
+_FUZZ_BASES = [
+    to_json_dict(a)
+    for a in (
+        zero_algebra(1),
+        pointwise_algebra(2),
+        truncated_polynomial(3),
+        upper_triangular(2),
+        matrix_algebra(2),
+        pointwise_algebra(4),
+    )
+]
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 5),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+)
+_GOOD_PART = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", "1e3", "0.25", "1e-3", "1e150", "1e-150"])
+_PART = st.one_of(
+    _GOOD_PART,
+    st.sampled_from(["1/0", "abc", "", "1e999999999", "nan", "inf", "1e400", "1+i", " 1 "]),
+    _JUNK,
+)
+_INDEX = st.one_of(st.integers(-1, 4), _JUNK)
+
+
+@st.composite
+def algebra_documents(draw):
+    """A document of one of ``_FUZZ_BASES``: ``sc`` is kept or gains
+    well-formed or malformed entries, and every other field is kept or set
+    to a well-formed or a malformed value."""
+    doc = dict(draw(st.sampled_from(_FUZZ_BASES)))
+    n = doc["dim"]
+
+    def vector(part, pair):
+        return st.lists(st.one_of(part, pair), min_size=n, max_size=n)
+
+    vectors = {
+        "good": vector(_GOOD_PART, st.lists(_GOOD_PART, min_size=2, max_size=2)),
+        "bad": st.one_of(vector(_PART, st.lists(_PART, min_size=1, max_size=3)), st.lists(_PART, max_size=5), _JUNK),
+    }
+    entries = {
+        "good": st.tuples(*[st.integers(0, n - 1)] * 3, _GOOD_PART, _GOOD_PART).map(list),
+        "bad": st.one_of(st.tuples(*[_INDEX] * 3, _PART, _PART).map(list), st.lists(_INDEX, max_size=6), _JUNK),
+    }
+    modes = st.sampled_from(["keep", "keep", "good", "bad"])
+    mode = draw(modes)
+    if mode != "keep":
+        sc = list(doc["sc"])
+        for _ in range(draw(st.integers(1, 3))):
+            sc.insert(draw(st.integers(0, len(sc))), draw(entries[mode]))
+        doc["sc"] = sc
+    for key in ("dim", "labels"):
+        if draw(modes) == "bad":
+            doc[key] = draw(_JUNK)
+    for key in ("unit", "weight", "idempotent_span", "characters"):
+        mode = draw(modes)
+        if mode != "keep":
+            many = key in ("idempotent_span", "characters")
+            doc[key] = draw(st.lists(vectors[mode], max_size=3) if many else vectors[mode])
+    return doc
+
+
+@given(doc=algebra_documents())
+@settings(max_examples=200, deadline=None)
+def test_any_algebra_document_exits_0_1_or_2_without_an_exception(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for args in (["validate", path], ["classify", path, "--json"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(args) in (0, 1, 2)
