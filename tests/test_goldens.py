@@ -29,6 +29,13 @@ constructors build (the wire form of each):
 
     PYTHONPATH=src python3 tests/test_goldens.py
 
+and ``quasiadd --json`` of every corpus algebra on both lanes, gathered
+into one file keyed by lane and name (``quasiadd.json``), which holds the
+float lane's ``weighted_norms`` of Z2w, read off the quasi-additive basis
+rows:
+
+    PYTHONPATH=src python3 tests/test_goldens.py
+
 and, for the cross-check suite:
 
     python3 -m amenalyzer.cli crosscheck --json > tests/goldens/crosscheck.json
@@ -40,6 +47,8 @@ holds verdicts and reasons, no computed values, so the float backend must
 print the same file apart from its ``"backend"`` line.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -47,7 +56,7 @@ from pathlib import Path
 
 import pytest
 
-from amenalyzer import corpus
+from amenalyzer import cli, corpus
 from amenalyzer.algebra import (
     commutator_span,
     direct_sum,
@@ -104,6 +113,24 @@ def test_constructors_match_golden():
     assert _algebras_text() == (GOLDEN_DIR / "algebras.json").read_text()
 
 
+def _quasiadd_text():
+    """``quasiadd --json`` of every corpus algebra on both lanes, in
+    process, as one document keyed by lane and then name."""
+    out = {}
+    for backend in ("exact", "float"):
+        for name in corpus.corpus_names():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                rc = cli.main(["quasiadd", f"builtin:{name}", "--json", "--backend", backend])
+            assert rc == 0, (backend, name)
+            out.setdefault(backend, {})[name] = json.loads(buf.getvalue())
+    return json.dumps(out, indent=1, sort_keys=True) + "\n"
+
+
+def test_quasiadd_matches_golden():
+    assert _quasiadd_text() == (GOLDEN_DIR / "quasiadd.json").read_text()
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_classify_matches_golden(name):
     proc = subprocess.run(
@@ -145,3 +172,4 @@ def test_crosscheck_matches_golden(backend):
 
 if __name__ == "__main__":
     (GOLDEN_DIR / "algebras.json").write_text(_algebras_text())
+    (GOLDEN_DIR / "quasiadd.json").write_text(_quasiadd_text())
