@@ -47,23 +47,40 @@ class FiniteAlgebra:
     declared_characters: tuple | None = None
 
     def multiply(self, x, y):
-        """Bilinear product of coordinate vectors via the structure tensor."""
+        """Bilinear product of coordinate vectors of ``QQi`` values via the
+        structure tensor: :meth:`pair_product` of their Gaussian integers,
+        made ``QQi`` once per entry."""
         n = self.dim
         if len(x) != n or len(y) != n:
             raise AlgebraFormatError(
                 f"{self.name}: vectors of length {len(x)},{len(y)} in dimension {n}"
             )
-        out = [ZERO] * n
-        for xi, plane in zip(x, self.nz):
-            if xi.is_zero():
+        dx, px = gaussian_integers(x)
+        dy, py = gaussian_integers(y)
+        e = dx * dy * self.integer_nz[0]
+        return [
+            QQi(Fraction(re, e), Fraction(im, e)) if re or im else ZERO
+            for re, im in self.pair_product(px, py)
+        ]
+
+    def pair_product(self, x, y):
+        """The product of two coordinate vectors of Gaussian integers, lists
+        of (re, im), read off ``integer_nz``: the list of its n entries as
+        (re, im), over D times the denominators of x and y, D that of
+        ``integer_nz``.  Only the products of nonzero entries are formed."""
+        re, im = [0] * self.dim, [0] * self.dim
+        for (xr, xi), plane in zip(x, self.integer_nz[1]):
+            if not (xr or xi):
                 continue
-            for yj, terms in zip(y, plane):
-                if not terms or yj.is_zero():
+            for (yr, yi), terms in zip(y, plane):
+                if not terms or not (yr or yi):
                     continue
-                coef = xi * yj
-                for k, c in terms:
-                    out[k] = out[k] + coef * c
-        return out
+                pr = xr * yr - xi * yi
+                pi = xr * yi + xi * yr
+                for k, (cr, ci) in terms:
+                    re[k] += pr * cr - pi * ci
+                    im[k] += pr * ci + pi * cr
+        return list(zip(re, im))
 
     def basis_vector(self, i):
         return [ONE if j == i else ZERO for j in range(self.dim)]

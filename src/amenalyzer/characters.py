@@ -392,6 +392,11 @@ def check_prop_2_5(an, d, phi: Character):
     return checks
 
 
+def _nonzeros(values, lane):
+    """The (index, value) pairs of the nonzero values."""
+    return [(i, x) for i, x in enumerate(values) if not lane.is_zero(x)]
+
+
 def tensor_point_derivation(an1, phi1, d1, an2, phi2, d2, big):
     """Combine point derivations of two factors into one on their tensor product.
 
@@ -409,12 +414,21 @@ def tensor_point_derivation(an1, phi1, d1, an2, phi2, d2, big):
     if not an2.pd_space(phi2).contains(d2v):
         raise ValueError("d2 is not a point derivation of the second factor")
     n1, n2 = an1.algebra.dim, an2.algebra.dim
-    p1 = _phi_entries(phi1, n1, lane)
-    p2 = _phi_entries(phi2, n2, lane)
-    combined = lane.vector(
-        [d1v[i] * p2[p] + d2v[p] * p1[i] for i in range(n1) for p in range(n2)]
-    )
-    phi_vals = [lane.coerce(p1[i] * p2[p]) for i in range(n1) for p in range(n2)]
+    p1 = _nonzeros(_phi_entries(phi1, n1, lane), lane)
+    p2 = _nonzeros(_phi_entries(phi2, n2, lane), lane)
+    # d1 (x) phi2 + phi1 (x) d2 and phi1 (x) phi2, on the products of nonzeros
+    combined = [lane.zero] * (n1 * n2)
+    for i, x in _nonzeros(d1v, lane):
+        for p, y in p2:
+            combined[i * n2 + p] = x * y
+    for p, x in _nonzeros(d2v, lane):
+        for i, y in p1:
+            combined[i * n2 + p] = combined[i * n2 + p] + x * y
+    combined = lane.vector(combined)
+    phi_vals = [lane.zero] * (n1 * n2)
+    for i, x in p1:
+        for p, y in p2:
+            phi_vals[i * n2 + p] = lane.coerce(x * y)
     big_phi = None
     if not all(lane.is_zero(x, DEFAULT_TOL) for x in phi_vals):
         big_phi = Character(tuple(phi_vals), lane.exact)

@@ -232,14 +232,15 @@ def cmd_corpus(args):
 
 def cmd_crosscheck(args):
     only = None
-    if args.only:
-        only = set()
-        for chunk in args.only.split(","):
-            cid = chunk.strip()
-            if cid not in CHECK_IDS:
-                print(f"unknown theorem id {cid!r}; known: {','.join(CHECK_IDS)}", file=sys.stderr)
-                return 1
-            only.add(cid)
+    if args.only is not None:
+        # empty chunks, such as a trailing comma leaves, name nothing
+        ids = [cid for cid in map(str.strip, args.only.split(",")) if cid]
+        unknown = [cid for cid in ids if cid not in CHECK_IDS]
+        if not ids or unknown:
+            what = f"unknown theorem id {unknown[0]!r}" if unknown else "--only names no theorem id"
+            print(f"{what}; known: {','.join(CHECK_IDS)}", file=sys.stderr)
+            return 1
+        only = set(ids)
     result = run_crosscheck(only=only, backend=args.backend, seed=args.seed)
     if args.as_json:
         _emit_json(result)

@@ -157,11 +157,24 @@ def t_operator_rank(z: Subspace, zc: Subspace) -> int:
 
 
 def rank_one_dual_map(f1, f2, backend=EXACT):
-    """Dual map pairing a against b as F1(a) * F2(b)."""
+    """Dual map pairing a against b as F1(a) * F2(b).
+
+    Only nonzero factors are multiplied: a row of a zero F1(a), or a
+    column of a zero F2(b), is the lane's zero, so the map costs the
+    products of its nonzeros."""
     if len(f1) != len(f2):
         raise ValueError(f"length mismatch: {len(f1)} vs {len(f2)}")
     lane = LANES[backend]
-    return lane.matrix([[lane.coerce(x) * lane.coerce(y) for y in f2] for x in f1])
+    zero = lane.zero
+    right = [(b, y) for b, y in enumerate(map(lane.coerce, f2)) if not lane.is_zero(y)]
+    rows = []
+    for x in map(lane.coerce, f1):
+        row = [zero] * len(f2)
+        if not lane.is_zero(x):
+            for b, y in right:
+                row[b] = x * y
+        rows.append(row)
+    return lane.matrix(rows)
 
 
 def vanishes_on_diameter(m) -> bool:

@@ -5,9 +5,21 @@ P[i][j] = p(e_i tensor e_j), flattened row-major, in the same coordinate
 layout as dual maps.  That makes the correspondence with derivation spaces
 a literal subspace equality, which the cross-check suite verifies against
 the independently assembled systems in :mod:`amenalyzer.derivations`.
+
+Every system here is built on Gaussian integers, as {column: (re, im)}
+dict rows over one positive integer denominator, and handed to its lane
+by ``pair_system`` (see :mod:`amenalyzer.linalg`): the exact lane takes the
+rows as they are, the float lane as complex(re / D, im / D), the bits
+``complex`` of the ``QQi`` value gives.  The general builders still read
+each product e_i e_j off :meth:`FiniteAlgebra.pair_product` of two
+coordinate vectors and expand the elementary tensors of each identity, so
+they never read the derivation system; the semigroup builders read the
+product table, with entries over 1.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .algebra import FiniteAlgebra, cayley_identity, recover_cayley_table
 from .characters import Character, _lane, character_backend
@@ -23,33 +35,41 @@ from .linalg import (
     subspace_equal,
     subspace_intersect,
 )
-from .scalars import ONE, ZERO
+
+_ONE = (1, 0)  # a basis vector's coefficient, the Gaussian integer 1 over 1
 
 
 def _basis_products(a: FiniteAlgebra):
-    """The basis vectors and every product e_i e_j, evaluated by multiply,
-    each as the list of its nonzero (index, value) terms."""
-    basis = [a.basis_vector(i) for i in range(a.dim)]
+    """(D, basis, prod): the basis vectors and every product e_i e_j,
+    evaluated by ``pair_product`` of coordinate vectors, each as the list
+    of its nonzero (index, (re, im)) terms; a basis term is ``_ONE`` over
+    1 and a product term is over D, the denominator of ``integer_nz``."""
+    n = a.dim
+    units = [[_ONE if j == i else (0, 0) for j in range(n)] for i in range(n)]
     prod = [
-        [[(k, c) for k, c in enumerate(a.multiply(x, y)) if not c.is_zero()] for y in basis]
-        for x in basis
+        [[(k, c) for k, c in enumerate(a.pair_product(x, y)) if c[0] or c[1]] for y in units]
+        for x in units
     ]
-    return [[(i, ONE)] for i in range(a.dim)], prod
+    return a.integer_nz[0], [[(i, _ONE)] for i in range(n)], prod
 
 
-def _add_elementary(row, u, v, n, subtract=False):
-    """Add (or subtract) the coefficients of p(u tensor v) against the P[a][b]
-    to the dict row; u and v are lists of nonzero (index, value) terms.  A
-    coefficient of one is not multiplied, and a term whose column is new is
-    stored as it is."""
-    for s, ua in u:
-        for t, vb in v:
+def _add_elementary(row, u, v, n, sign=1):
+    """Add sign times the coefficients of p(u tensor v) against the P[a][b]
+    to the dict row of Gaussian integers; u and v are lists of nonzero
+    (index, (re, im)) terms.  A coefficient ``_ONE`` is not multiplied, and
+    a term whose column is new is stored as it is; a sum that cancels keeps
+    its column as (0, 0)."""
+    for s, x in u:
+        for t, y in v:
+            if x is _ONE:
+                re, im = y
+            elif y is _ONE:
+                re, im = x
+            else:
+                re, im = x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
             k = s * n + t
-            term = vb if ua is ONE else ua if vb is ONE else ua * vb
-            if subtract:
-                term = -term
-            x = row.get(k)
-            row[k] = term if x is None else x + term
+            z = row.get(k)
+            row[k] = (sign * re, sign * im) if z is None else (z[0] + sign * re, z[1] + sign * im)
 
 
 def quasi_additive_space(a: FiniteAlgebra, backend=EXACT) -> Subspace:
@@ -58,36 +78,43 @@ def quasi_additive_space(a: FiniteAlgebra, backend=EXACT) -> Subspace:
     p is quasi-additive when p(xy tensor z) = p(x tensor yz) + p(y tensor zx).
     Each basis triple (e_i, e_j, e_l) gives one equation, read off by
     expanding the three elementary tensors, whose products are evaluated by
-    ``multiply``, against the coordinates P[a][b] = p(e_a tensor e_b).  The
-    structure tensor is never read directly, so this is a second route to
-    the derivation space of Theorem 3.1.
+    ``pair_product`` of coordinate vectors, against the coordinates
+    P[a][b] = p(e_a tensor e_b).  Each elementary tensor pairs one product
+    with one basis vector, so every row is Gaussian integers over the
+    denominator of ``integer_nz``.  The structure tensor is never read
+    directly, so this is a second route to the derivation space of
+    Theorem 3.1.
     """
     n = a.dim
-    basis, prod = _basis_products(a)
+    d, basis, prod = _basis_products(a)
     rows = []
     for i in range(n):
         for j in range(n):
             for l in range(n):
                 row = {}
                 _add_elementary(row, prod[i][j], basis[l], n)
-                _add_elementary(row, basis[i], prod[j][l], n, subtract=True)
-                _add_elementary(row, basis[j], prod[l][i], n, subtract=True)
+                _add_elementary(row, basis[i], prod[j][l], n, -1)
+                _add_elementary(row, basis[j], prod[l][i], n, -1)
                 rows.append(row)
-    return nullspace(rows, n * n, backend)
+    return nullspace(LANES[backend].pair_system(rows, repeat(d)), n * n, backend)
 
 
 def inner_quasi_space(a: FiniteAlgebra, backend=EXACT) -> Subspace:
-    """Functionals of the form p(a tensor b) = F(ab - ba), one row per dual basis F."""
+    """Functionals of the form p(a tensor b) = F(ab - ba), one row per dual
+    basis F, on the Gaussian integers of the products e_i e_j."""
     n = a.dim
-    _, prod = _basis_products(a)
+    d, _, prod = _basis_products(a)
     rows = [{} for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            for k, c in prod[i][j]:
-                rows[k][i * n + j] = rows[k].get(i * n + j, ZERO) + c
-            for k, c in prod[j][i]:
-                rows[k][i * n + j] = rows[k].get(i * n + j, ZERO) - c
-    return rowspace(rows, n * n, backend)
+            col = i * n + j
+            for k, (cr, ci) in prod[i][j]:
+                x = rows[k].get(col, (0, 0))
+                rows[k][col] = (x[0] + cr, x[1] + ci)
+            for k, (cr, ci) in prod[j][i]:
+                x = rows[k].get(col, (0, 0))
+                rows[k][col] = (x[0] - cr, x[1] - ci)
+    return rowspace(LANES[backend].pair_system(rows, repeat(d)), n * n, backend)
 
 
 def cyclic_quasi_space(a: FiniteAlgebra, qa: Subspace) -> Subspace:
@@ -195,7 +222,8 @@ def semigroup_quasi_additive(a: FiniteAlgebra, backend=EXACT) -> Subspace:
     """Quasi-additive functions on a semigroup, indexed by pairs of elements.
 
     Same kernel as the general construction, assembled directly from the
-    product table: q(xy, z) - q(x, yz) - q(y, zx) = 0 for all x, y, z.
+    product table: q(xy, z) - q(x, yz) - q(y, zx) = 0 for all x, y, z, as
+    rows of Gaussian integers over 1.
     """
     table = _require_table(a)
     n = a.dim
@@ -203,11 +231,12 @@ def semigroup_quasi_additive(a: FiniteAlgebra, backend=EXACT) -> Subspace:
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                row = {table[x][y] * n + z: ONE}
+                row = {table[x][y] * n + z: _ONE}
                 for k in (x * n + table[y][z], y * n + table[z][x]):
-                    row[k] = row.get(k, ZERO) - ONE
+                    re, im = row.get(k, (0, 0))
+                    row[k] = (re - 1, im)
                 rows.append(row)
-    return nullspace(rows, n * n, backend)
+    return nullspace(LANES[backend].pair_system(rows, repeat(1)), n * n, backend)
 
 
 def cd_space(a: FiniteAlgebra, qa: Subspace) -> Subspace:
@@ -223,23 +252,26 @@ def cd_space(a: FiniteAlgebra, qa: Subspace) -> Subspace:
     if e is None:
         raise NotASemigroupAlgebra(f"{a.name}: no identity element for normalization")
     n = a.dim
-    rows = [{x * n + e: ONE} for x in range(n)]
-    normal = nullspace(rows, n * n, qa.backend)
+    rows = [{x * n + e: _ONE} for x in range(n)]
+    normal = nullspace(LANES[qa.backend].pair_system(rows, repeat(1)), n * n, qa.backend)
     return subspace_intersect(qa, normal)
 
 
 def inner_q(a: FiniteAlgebra, backend=EXACT) -> Subspace:
-    """Image of h -> q(x, y) = h(xy) - h(yx) on a semigroup."""
+    """Image of h -> q(x, y) = h(xy) - h(yx) on a semigroup, as rows of
+    Gaussian integers over 1."""
     table = _require_table(a)
     n = a.dim
     rows = [{} for _ in range(n)]
     for x in range(n):
         for y in range(n):
             row = rows[table[x][y]]
-            row[x * n + y] = row.get(x * n + y, ZERO) + ONE
+            re, im = row.get(x * n + y, (0, 0))
+            row[x * n + y] = (re + 1, im)
             row = rows[table[y][x]]
-            row[x * n + y] = row.get(x * n + y, ZERO) - ONE
-    return rowspace(rows, n * n, backend)
+            re, im = row.get(x * n + y, (0, 0))
+            row[x * n + y] = (re - 1, im)
+    return rowspace(LANES[backend].pair_system(rows, repeat(1)), n * n, backend)
 
 
 def weighted_norm(p_flat, weight, n=None):

@@ -26,14 +26,18 @@ its builders read the Gaussian integers of ``FiniteAlgebra.integer_nz``:
 the same rows, in the same order and with the same columns, built in
 ``QQi`` arithmetic off ``nz`` (or in complex arithmetic, for a float
 subspace), for tests that the integer rows span the same space and that
-the float lane reads them to the same bits.
+the float lane reads them to the same bits.  The tensor-square builders
+among them expand elementary tensors whose products come from
+:func:`qqi_multiply`, the product of ``QQi`` vectors ``multiply`` was
+before it computed on Gaussian integers; the semigroup ones read the
+product table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from amenalyzer.algebra import FiniteAlgebra, ValidationIssue, unitize
+from amenalyzer.algebra import FiniteAlgebra, ValidationIssue, recover_cayley_table, unitize
 from amenalyzer.linalg import EXACT, LANES, rowspace
 from amenalyzer.scalars import ONE, ZERO
 
@@ -525,3 +529,103 @@ def qqi_idempotent_span_issues(a):
     if rowspace(list(a.idempotent_span), a.dim, EXACT).dim != a.dim:
         issues.append(ValidationIssue("idempotent", (), "declared idempotents do not span the algebra"))
     return issues
+
+
+def qqi_multiply(a, x, y):
+    """The product of two ``QQi`` coordinate vectors, summed term by term
+    in ``QQi`` arithmetic off ``nz``."""
+    out = [ZERO] * a.dim
+    for xi, plane in zip(x, a.nz):
+        if xi.is_zero():
+            continue
+        for yj, terms in zip(y, plane):
+            if not terms or yj.is_zero():
+                continue
+            coef = xi * yj
+            for k, c in terms:
+                out[k] = out[k] + coef * c
+    return out
+
+
+def _qqi_basis_products(a):
+    """The basis vectors and every product e_i e_j by :func:`qqi_multiply`,
+    each as the list of its nonzero (index, value) terms."""
+    basis = [a.basis_vector(i) for i in range(a.dim)]
+    prod = [
+        [[(k, c) for k, c in enumerate(qqi_multiply(a, x, y)) if not c.is_zero()] for y in basis]
+        for x in basis
+    ]
+    return [[(i, ONE)] for i in range(a.dim)], prod
+
+
+def _qqi_add_elementary(row, u, v, n, subtract=False):
+    """Add (or subtract) the coefficients of p(u tensor v) against the
+    P[a][b] to the dict row; a coefficient of one is not multiplied."""
+    for s, ua in u:
+        for t, vb in v:
+            k = s * n + t
+            term = vb if ua is ONE else ua if vb is ONE else ua * vb
+            if subtract:
+                term = -term
+            x = row.get(k)
+            row[k] = term if x is None else x + term
+
+
+def qqi_quasi_additive_rows(a):
+    """One row per basis triple (i, j, l): p(e_i e_j tensor e_l) minus
+    p(e_i tensor e_j e_l) and p(e_j tensor e_l e_i), expanded."""
+    n = a.dim
+    basis, prod = _qqi_basis_products(a)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                row = {}
+                _qqi_add_elementary(row, prod[i][j], basis[l], n)
+                _qqi_add_elementary(row, basis[i], prod[j][l], n, subtract=True)
+                _qqi_add_elementary(row, basis[j], prod[l][i], n, subtract=True)
+                rows.append(row)
+    return rows
+
+
+def qqi_inner_quasi_rows(a):
+    """Row k holds the coefficient of e_k in e_i e_j - e_j e_i at (i, j)."""
+    n = a.dim
+    _, prod = _qqi_basis_products(a)
+    rows = [{} for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k, c in prod[i][j]:
+                rows[k][i * n + j] = rows[k].get(i * n + j, ZERO) + c
+            for k, c in prod[j][i]:
+                rows[k][i * n + j] = rows[k].get(i * n + j, ZERO) - c
+    return rows
+
+
+def qqi_semigroup_rows(a):
+    """q(xy, z) - q(x, yz) - q(y, zx), one row per triple of elements."""
+    table = recover_cayley_table(a)
+    n = a.dim
+    rows = []
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                row = {table[x][y] * n + z: ONE}
+                for k in (x * n + table[y][z], y * n + table[z][x]):
+                    row[k] = row.get(k, ZERO) - ONE
+                rows.append(row)
+    return rows
+
+
+def qqi_inner_q_rows(a):
+    """Row t holds +1 at (x, y) for xy = t and -1 for yx = t, summed."""
+    table = recover_cayley_table(a)
+    n = a.dim
+    rows = [{} for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            row = rows[table[x][y]]
+            row[x * n + y] = row.get(x * n + y, ZERO) + ONE
+            row = rows[table[y][x]]
+            row[x * n + y] = row.get(x * n + y, ZERO) - ONE
+    return rows

@@ -8,7 +8,9 @@ space must be the same, and the float lane must receive the same rows,
 column for column, each value with the bits of ``complex`` of the QQi
 value.  The algebras are random Gaussian-rational tensors of dimension at
 most 4, with constants of moduli from 1e-100 to 1e150 over denominators, and
-seeded dense bases at n = 5.
+seeded dense bases at n = 5.  The tensor-square builders are held to their
+``qqi_*`` references the same way, the semigroup ones on random product
+tables, and ``multiply`` to the ``QQi`` product it was.
 """
 
 import random
@@ -35,6 +37,7 @@ from amenalyzer.characters import ideal_product_span
 from amenalyzer.corpus import corpus
 from amenalyzer.derivations import derivation_space, inner_space
 from amenalyzer.linalg import EXACT, FLOAT, nullspace, rowspace
+from amenalyzer.quasiadd import cd_space, inner_q, inner_quasi_space, quasi_additive_space, semigroup_quasi_additive
 from amenalyzer.scalars import ONE, ZERO, QQi
 
 from oracles import (
@@ -44,9 +47,14 @@ from oracles import (
     qqi_ideal_closure,
     qqi_ideal_product_rows,
     qqi_idempotent_span_issues,
+    qqi_inner_q_rows,
+    qqi_inner_quasi_rows,
     qqi_inner_rows,
+    qqi_multiply,
     qqi_product_rows,
+    qqi_quasi_additive_rows,
     qqi_radical_rows,
+    qqi_semigroup_rows,
 )
 
 
@@ -78,18 +86,27 @@ def _same_space(s, t):
     return (s.basis, s.pivots) == (t.basis, t.pivots)
 
 
-def _check_builders(a):
-    n = a.dim
-    for build, reference, ncols, kernel in (
-        (derivation_space, qqi_derivation_rows, n * n, True),
-        (inner_space, qqi_inner_rows, n * n, False),
-        (product_span, qqi_product_rows, n, False),
-        (radical, qqi_radical_rows, n, True),
-    ):
+def _check_against_references(a, builders):
+    """Each (builder, its qqi_* reference, columns, whether the space is
+    the kernel of the rows): the same space on the exact lane, the same
+    bits on the float lane."""
+    for build, reference, ncols, kernel in builders:
         rows = reference(a)
         want = (nullspace if kernel else rowspace)(rows, ncols, EXACT)
         assert _same_space(build(a, EXACT), want), build.__name__
         assert _bits(_float_rows(build, a)) == _bits(rows), build.__name__
+
+
+def _check_builders(a):
+    n = a.dim
+    _check_against_references(a, (
+        (derivation_space, qqi_derivation_rows, n * n, True),
+        (inner_space, qqi_inner_rows, n * n, False),
+        (product_span, qqi_product_rows, n, False),
+        (radical, qqi_radical_rows, n, True),
+        (quasi_additive_space, qqi_quasi_additive_rows, n * n, True),
+        (inner_quasi_space, qqi_inner_quasi_rows, n * n, False),
+    ))
     commutators = commutator_span(a)
     assert _same_space(commutators, rowspace(qqi_commutator_rows(a), n, EXACT))
     rng = random.Random(n)
@@ -154,6 +171,52 @@ def _algebras(draw):
 @settings(max_examples=40, deadline=None)
 def test_builders_on_random_gaussian_rational_tensors(a):
     _check_builders(a)
+
+
+@given(a=_algebras(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_multiply_equals_the_qqi_product(a, data):
+    vectors = st.lists(_SCALARS, min_size=a.dim, max_size=a.dim)
+    x, y = data.draw(vectors), data.draw(vectors)
+    assert a.multiply(x, y) == qqi_multiply(a, x, y)
+
+
+@st.composite
+def _tables(draw):
+    """The algebra of a random product table on at most 4 elements,
+    associative or not, and sometimes with an identity."""
+    n = draw(st.integers(1, 4))
+    table = [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) for _ in range(n)]
+    e = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    if e is not None:
+        for x in range(n):
+            table[e][x] = table[x][e] = x
+    sc = tuple(tuple(tuple(ONE if k == table[i][j] else ZERO for k in range(n)) for j in range(n)) for i in range(n))
+    return FiniteAlgebra(name="table", dim=n, sc=sc, labels=tuple(f"s{i}" for i in range(n)))
+
+
+@given(a=_tables())
+@settings(max_examples=40, deadline=None)
+def test_semigroup_builders_on_random_tables(a):
+    n = a.dim
+    _check_against_references(a, (
+        (semigroup_quasi_additive, qqi_semigroup_rows, n * n, True),
+        (inner_q, qqi_inner_q_rows, n * n, False),
+        (quasi_additive_space, qqi_quasi_additive_rows, n * n, True),
+        (inner_quasi_space, qqi_inner_quasi_rows, n * n, False),
+    ))
+    # the table-indexed kernel is the general one, coordinate for coordinate
+    assert _same_space(semigroup_quasi_additive(a), quasi_additive_space(a))
+    table = [[a.nz[x][y][0][0] for y in range(n)] for x in range(n)]
+    e = next((e for e in range(n) if all(table[e][x] == table[x][e] == x for x in range(n))), None)
+    if e is not None:
+        for backend in (EXACT, FLOAT):
+            qa = semigroup_quasi_additive(a, backend)
+            normal = nullspace([{x * n + e: ONE} for x in range(n)], n * n, backend)
+            want = linalg.subspace_intersect(qa, normal)
+            got = cd_space(a, qa)
+            assert got.pivots == want.pivots
+            assert _bits(got.basis) == _bits(want.basis)
 
 
 def _dense(base, seed):

@@ -315,6 +315,26 @@ def test_crosscheck_unknown_id_exit_1():
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("only", ["T4.1,", ",T4.1", " T4.1 , ,"])
+def test_crosscheck_only_skips_empty_chunks(only, capsys):
+    assert cli.main(["crosscheck", "--only", only, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert {r["theorem"] for r in data["results"]} == {"T4.1"}
+
+
+@pytest.mark.parametrize("only", [",", " , ", ""])
+def test_crosscheck_only_naming_no_id_exits_1(only, capsys):
+    assert cli.main(["crosscheck", "--only", only]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("--only names no theorem id; known: P2.1,")
+
+
+def test_crosscheck_unknown_id_is_named_beside_a_trailing_comma(capsys):
+    assert cli.main(["crosscheck", "--only", "T4.1,T9.9,"]) == 1
+    assert capsys.readouterr().err.startswith("unknown theorem id 'T9.9'; known: ")
+
+
 def test_usage_error_exit_1():
     proc = run_cli(["classify"])  # missing target
     assert proc.returncode == 1

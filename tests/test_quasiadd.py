@@ -257,3 +257,29 @@ def test_group_checks_solve_table_system_once(monkeypatch, backend):
     groups = {r["algebra"] for r in out["results"] if r["status"] != "skip"}
     assert groups and all(r["status"] != "fail" for r in out["results"])
     assert sorted(solved) == sorted(groups)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_quasi_additive_space_never_reads_the_derivation_builder(monkeypatch, backend):
+    # T3.1 compares the two spaces, so the tensor-square side must be built
+    # from multiplied products, never from the derivation system's rows
+    from amenalyzer import derivations
+
+    called = []
+    for fn in ("_assemble_derivation_rows", "derivation_space"):
+        real = getattr(derivations, fn)
+
+        def spy(*args, _fn=fn, _real=real, **kwargs):
+            called.append(_fn)
+            return _real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("amenalyzer") and getattr(module, fn, None) is real:
+                monkeypatch.setattr(module, fn, spy)
+    for name in ("M2", "S3", "TruncPoly3", "UpperTri2", "Czero2"):
+        a = corpus()[name]
+        qa = quasi_additive_space(a, backend)
+        assert not called, name
+        assert qa.dim == oracle_derivation_dim(a), name
+    derivations.derivation_space(corpus()["M2"], backend)  # the spies see a call
+    assert called == ["derivation_space", "_assemble_derivation_rows"]
