@@ -417,15 +417,17 @@ def tensor_point_derivation(an1, phi1, d1, an2, phi2, d2, big):
     p1 = _nonzeros(_phi_entries(phi1, n1, lane), lane)
     p2 = _nonzeros(_phi_entries(phi2, n2, lane), lane)
     # d1 (x) phi2 + phi1 (x) d2 and phi1 (x) phi2, on the products of nonzeros
-    combined = [lane.zero] * (n1 * n2)
+    zero = lane.zero
+    combined = [zero] * (n1 * n2)
     for i, x in _nonzeros(d1v, lane):
         for p, y in p2:
             combined[i * n2 + p] = x * y
     for p, x in _nonzeros(d2v, lane):
         for i, y in p1:
-            combined[i * n2 + p] = combined[i * n2 + p] + x * y
+            z = combined[i * n2 + p]
+            combined[i * n2 + p] = x * y if z is zero else z + x * y
     combined = lane.vector(combined)
-    phi_vals = [lane.zero] * (n1 * n2)
+    phi_vals = [zero] * (n1 * n2)
     for i, x in p1:
         for p, y in p2:
             phi_vals[i * n2 + p] = lane.coerce(x * y)

@@ -245,8 +245,9 @@ def cd_space(a: FiniteAlgebra, qa: Subspace) -> Subspace:
     Defined as the quasi-additive functions q with q(x, e) = 0 for every x,
     where e is the two-sided identity; requires a monoid.  ``qa`` is the
     solved table-indexed space :func:`semigroup_quasi_additive` of ``a``,
-    on the backend under test.  For semigroups without identity use the
-    antisymmetric form via :func:`cyclic_quasi_space` on the group algebra.
+    on the backend under test; the rows q(x, e) = 0 are Gaussian integers
+    over 1.  For semigroups without identity use the antisymmetric form via
+    :func:`cyclic_quasi_space` on the group algebra.
     """
     e = cayley_identity(_require_table(a))
     if e is None:

@@ -194,6 +194,18 @@ def test_rank_one_dual_map_outer_product():
         rank_one_dual_map([ONE], [ONE, ZERO])
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_rank_one_dual_map_equals_every_product(backend):
+    # zero factors are skipped; every entry still equals F1(a) * F2(b)
+    lane = LANES[backend]
+    values = [ZERO, ONE, qq(-3, 2), QQi(0, qq(1, 7).re), ZERO]
+    for k in range(len(values)):
+        f1, f2 = values[k:] + values[:k], values[::-1]
+        m = rank_one_dual_map(f1, f2, backend)
+        want = [[lane.coerce(x) * lane.coerce(y) for y in f2] for x in f1]
+        assert all(m[a][b] == want[a][b] for a in range(5) for b in range(5))
+
+
 def test_rank_one_annihilating_functional_is_derivation():
     # EF: F kills the product span (= span e), F(f) = 1
     ef = corpus()["EF"]
