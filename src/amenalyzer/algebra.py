@@ -85,9 +85,6 @@ class FiniteAlgebra:
     def basis_vector(self, i):
         return [ONE if j == i else ZERO for j in range(self.dim)]
 
-    def basis_product(self, i, j):
-        return list(self.sc[i][j])
-
     def is_commutative(self) -> bool:
         n = self.dim
         nz = self.nz
@@ -773,7 +770,7 @@ def subalgebra_on(a: FiniteAlgebra, s: Subspace, name=None):
 
     Returns None when the subspace is not closed under the product.
     """
-    basis = [list(v) for v in s.basis_vectors()]
+    basis = [list(v) for v in s.rows]
     m = len(basis)
     if m == 0:
         return None

@@ -30,6 +30,7 @@ from .linalg import (
     FLOAT,
     LANES,
     Subspace,
+    dot,
     lane_of,
     nullspace,
     rowspace,
@@ -238,7 +239,9 @@ def character_backend(phi) -> str:
 
 
 def _phi_entries(phi, n, lane):
-    return [lane.zero] * n if phi is None else lane.vector(phi.phi)
+    """The values of a character, or of the zero functional when ``phi`` is
+    None, as a list of the lane's scalars."""
+    return [lane.zero] * n if phi is None else list(map(lane.coerce, phi.phi))
 
 
 def point_derivation_space(a: FiniteAlgebra, phi, backend=EXACT) -> Subspace:
@@ -334,7 +337,7 @@ def check_prop_2_4(an, d, phi: Character):
     whether d kills the span of products of the maximal ideal.
     """
     lane = _lane(an, phi)
-    d = lane.vector(d)
+    d = list(map(lane.coerce, d))
     _, flat = _rank_one_map(d, phi, lane)
     via_derivation = an.z.contains(flat)
     via_point = an.pd_space(phi).contains(d)
@@ -347,7 +350,7 @@ def check_prop_2_4(an, d, phi: Character):
     if via_point:
         _, msq = an.ideal_square(phi)
         result["annihilates_ideal_square"] = all(
-            lane.is_zero(lane.dot(d, w), DEFAULT_TOL * 100) for w in msq.basis_vectors()
+            lane.is_zero(dot(d, w, lane.zero), DEFAULT_TOL * 100) for w in msq.rows
         )
     return result
 
@@ -378,7 +381,7 @@ def check_prop_2_5(an, d, phi: Character):
     }
     if not any(gates.values()):
         return {"applicable": False, "gates": gates}
-    dmap, flat = _rank_one_map(lane.vector(d), phi, lane)
+    dmap, flat = _rank_one_map(d, phi, lane)
     checks = {"applicable": True, "gates": gates}
     checks["is_derivation"] = an.z.contains(flat)
     if gates["commutative"] or unital:
@@ -407,8 +410,8 @@ def tensor_point_derivation(an1, phi1, d1, an2, phi2, d2, big):
     its membership verdict in the tensor algebra's point-derivation space.
     """
     lane = _lane(big, phi1, phi2)
-    d1v = lane.vector(d1)
-    d2v = lane.vector(d2)
+    d1v = list(map(lane.coerce, d1))
+    d2v = list(map(lane.coerce, d2))
     if not an1.pd_space(phi1).contains(d1v):
         raise ValueError("d1 is not a point derivation of the first factor")
     if not an2.pd_space(phi2).contains(d2v):
@@ -426,7 +429,6 @@ def tensor_point_derivation(an1, phi1, d1, an2, phi2, d2, big):
         for i, y in p1:
             z = combined[i * n2 + p]
             combined[i * n2 + p] = x * y if z is zero else z + x * y
-    combined = lane.vector(combined)
     phi_vals = [zero] * (n1 * n2)
     for i, x in p1:
         for p, y in p2:

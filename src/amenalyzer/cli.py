@@ -168,7 +168,7 @@ def cmd_quasiadd(args):
         if an.algebra.weight is not None:
             sg["weighted_norms"] = [
                 weighted_norm(flat, an.algebra.weight, an.algebra.dim)
-                for flat in an.qa_space.basis_vectors()
+                for flat in an.qa_space.rows
             ]
         data["semigroup"] = sg
     if args.as_json:
@@ -207,11 +207,8 @@ def cmd_construct(args):
             a = unitize(_load_target(params[0]))
         elif kind == "tensor":
             a = tensor_product(_load_target(params[0]), _load_target(params[1]))
-        elif kind == "directsum":
+        else:  # "directsum", the last kind argparse admits
             a = direct_sum(_load_target(params[0]), _load_target(params[1]))
-        else:
-            print(f"unknown construct kind {kind!r}", file=sys.stderr)
-            return 1
     except (IndexError, ValueError, json.JSONDecodeError) as exc:
         print(f"bad parameters for construct {kind}: {exc}", file=sys.stderr)
         return 1
@@ -221,13 +218,11 @@ def cmd_construct(args):
 
 
 def cmd_corpus(args):
-    if args.action == "list":
-        for name in _corpus_names():
-            a = _corpus_get(name)
-            print(f"{name}\tdim={a.dim}")
-        return 0
-    print(f"unknown corpus action {args.action!r}", file=sys.stderr)
-    return 1
+    # argparse admits one action, "list"
+    for name in _corpus_names():
+        a = _corpus_get(name)
+        print(f"{name}\tdim={a.dim}")
+    return 0
 
 
 def cmd_crosscheck(args):

@@ -1,9 +1,11 @@
 """Derivations into the dual module: the spaces Z, Inn and Zc.
 
 A linear map D from the algebra into its dual is stored as the n-by-n
-matrix M with M[i][j] the pairing of D(e_i) against e_j.  Matrices are
-flattened row-major into coordinate vectors of length n*n, so spaces of
-dual maps are ordinary subspaces and the lattice operations apply.
+matrix M with M[i][j] the pairing of D(e_i) against e_j, a tuple of row
+tuples of the lane's scalars (``QQi`` exact, Python ``complex`` float) on
+both lanes.  Matrices are flattened row-major into coordinate vectors of
+length n*n, lists of the same scalars, so spaces of dual maps are ordinary
+subspaces and the lattice operations apply.
 
 Z is the kernel of the n^3-by-n^2 derivation system.  Both lanes build it
 once, as one {column: (re, im)} dict row of Gaussian integers per basis
@@ -23,6 +25,7 @@ from .linalg import (
     EXACT,
     LANES,
     Subspace,
+    dot,
     lane_of,
     nullspace,
     rowspace,
@@ -32,12 +35,21 @@ from .scalars import ONE
 
 
 def flatten_map(m, n):
-    """Row-major flattening of an n-by-n dual-map matrix."""
-    return lane_of(m).vector([m[i][j] for i in range(n) for j in range(n)])
+    """Row-major flattening of an n-by-n dual-map matrix: the list of its
+    scalars, on either lane."""
+    return [m[i][j] for i in range(n) for j in range(n)]
 
 
 def unflatten_map(v, n):
-    return lane_of(v).matrix([v[i * n:(i + 1) * n] for i in range(n)])
+    """The n-by-n dual-map matrix of a row-major flattening ``v``: a tuple
+    of row tuples of its scalars, on either lane."""
+    return tuple(tuple(v[i * n:(i + 1) * n]) for i in range(n))
+
+
+def _map_lane(m):
+    """The lane of a dual-map matrix, read off the scalars of its first
+    row: a matrix holds the scalars of one lane."""
+    return lane_of(*(m[0] if m else ()))
 
 
 def _assemble_derivation_rows(a: FiniteAlgebra):
@@ -157,7 +169,8 @@ def t_operator_rank(z: Subspace, zc: Subspace) -> int:
 
 
 def rank_one_dual_map(f1, f2, backend=EXACT):
-    """Dual map pairing a against b as F1(a) * F2(b).
+    """Dual map pairing a against b as F1(a) * F2(b), a tuple of row tuples
+    of the scalars of ``backend``'s lane, to which F1 and F2 are coerced.
 
     Only nonzero factors are multiplied: a row of a zero F1(a), or a
     column of a zero F2(b), is the lane's zero, so the map costs the
@@ -173,18 +186,19 @@ def rank_one_dual_map(f1, f2, backend=EXACT):
         if not lane.is_zero(x):
             for b, y in right:
                 row[b] = x * y
-        rows.append(row)
-    return lane.matrix(rows)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def vanishes_on_diameter(m) -> bool:
-    """Whether the pairing of D(a) against a vanishes for every a.
+    """Whether the pairing of D(a) against a vanishes for every a, for a
+    dual-map matrix ``m`` of either lane.
 
     Decided by evaluating the quadratic form on the spanning family of
     basis vectors and pairwise sums, which is an independent route from
     the antisymmetry test.
     """
-    lane = lane_of(m)
+    lane = _map_lane(m)
     bound = DEFAULT_TOL * lane.scale(m)
     n = len(m)
     for i in range(n):
@@ -197,8 +211,8 @@ def vanishes_on_diameter(m) -> bool:
 
 
 def is_cyclic(m) -> bool:
-    """Antisymmetry of the coordinate matrix."""
-    lane = lane_of(m)
+    """Antisymmetry of the dual-map matrix ``m``, of either lane."""
+    lane = _map_lane(m)
     bound = DEFAULT_TOL * lane.scale(m)
     n = len(m)
     return all(
@@ -207,11 +221,12 @@ def is_cyclic(m) -> bool:
 
 
 def pairing_with_unit_vanishes(a: FiniteAlgebra, m) -> bool:
-    """Whether D(a) pairs to zero against the unit, for all a."""
+    """Whether D(a) pairs to zero against the unit, for all a, for a
+    dual-map matrix ``m`` of either lane; the unit is coerced to its lane."""
     ok, u = is_unital(a)
     if not ok:
         raise ValueError(f"{a.name} is not unital")
-    lane = lane_of(m)
+    lane = _map_lane(m)
     bound = DEFAULT_TOL * lane.scale(m)
-    u = lane.vector(u)
-    return all(lane.is_zero(lane.dot(row, u), bound) for row in m)
+    u = list(map(lane.coerce, u))
+    return all(lane.is_zero(dot(row, u, lane.zero), bound) for row in m)

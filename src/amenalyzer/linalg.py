@@ -36,11 +36,17 @@ place that knows the two backends, or lanes:
 
 Each lane is an ops object in :data:`LANES` holding its zero and one, scalar
 coercion, a zero test (``QQi.is_zero()`` exact, ``abs(x) <= bound`` float),
-its vector and matrix containers, its elimination and its dense form of a
-basis.  :func:`nullspace`,
-:func:`rowspace` and :meth:`Subspace.contains` take ``QQi`` input on either
-backend, or complex input on the float one, and convert it to the lane of
-their backend; every algorithm above them is written once.
+the scale its zero tests are relative to, its elimination and its two pair
+forms.  A dense vector, a dual-map matrix and a dense row are one kind of
+object on both lanes: a list or tuple of the lane's scalars, ``QQi`` exact
+and Python ``complex`` float, filled with ``ZERO`` or ``0j``; :func:`dot`
+pairs two of them, and :func:`lane_of` reads a lane off a backend name or a
+scalar.  numpy arrays stay inside the eliminations, the float lane's and
+the residues of :func:`_modular_rref`, and the float lane's scale.
+:func:`nullspace`, :func:`rowspace` and :meth:`Subspace.contains` take
+``QQi`` input on either backend, or complex input on the float one, and
+convert it to the lane of their backend; every algorithm above them is
+written once.
 
 The system builders compute on pairs (re, im) over a positive integer
 denominator, one row at a time, and hand each lane its own form of them:
@@ -73,8 +79,8 @@ in one form on both lanes: the {column: value} dict of the row's nonzeros,
 pivot first, with ``QQi`` values on the exact lane and Python ``complex``
 values on the float lane.  One routine reduces a vector against those rows
 and tests membership on either lane; the lanes differ only in their
-arithmetic and their zero test.  The dense rows, QQi tuples or a read-only
-complex128 array, are made only when a caller reads ``Subspace.rows``.
+arithmetic and their zero test.  The dense rows, tuples of the lane's
+scalars, are made only when a caller reads ``Subspace.rows``.
 """
 
 from __future__ import annotations
@@ -179,7 +185,7 @@ def rref_exact(rows):
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
     basis, pivots = _rref_exact_blocks(rows, ncols)
-    return _ExactLane.dense(basis, ncols), pivots
+    return tuple(tuple(_densified(row, ncols)) for row in basis), pivots
 
 
 def _nonzero(x) -> bool:
@@ -747,11 +753,23 @@ def _rref_float_blocks(rows, ncols):
 
 
 def _densified(row, ncols, zero=ZERO):
-    """A {column: value} dict row as a dense list of length ``ncols``."""
+    """A {column: value} dict row as a dense list of length ``ncols``,
+    filled with the lane's ``zero``."""
     dense = [zero] * ncols
     for c, x in row.items():
         dense[c] = x
     return dense
+
+
+def dot(u, v, zero=ZERO):
+    """The sum of x * y over the pairs of entries of the dense vectors
+    ``u`` and ``v`` that are both nonzero, from the lane's ``zero``: both
+    hold scalars of one lane, ``QQi`` or Python ``complex``."""
+    acc = zero
+    for x, y in zip(u, v):
+        if x and y:
+            acc = acc + x * y
+    return acc
 
 
 class _ExactLane:
@@ -773,31 +791,6 @@ class _ExactLane:
     @staticmethod
     def scale(values) -> float:
         return 1.0
-
-    @staticmethod
-    def vector(values):
-        return list(values)
-
-    @staticmethod
-    def matrix(rows):
-        return tuple(tuple(r) for r in rows)
-
-    @staticmethod
-    def dot(u, v):
-        acc = ZERO
-        for x, y in zip(u, v):
-            if not (x.is_zero() or y.is_zero()):
-                acc = acc + x * y
-        return acc
-
-    @staticmethod
-    def rows_equal(r1, r2, bound) -> bool:
-        return r1 == r2
-
-    @staticmethod
-    def dense(basis, ncols):
-        """The dict rows as dense tuples of length ``ncols``."""
-        return tuple(tuple(_densified(row, ncols)) for row in basis)
 
     rref = staticmethod(_rref_exact_blocks)
 
@@ -834,30 +827,6 @@ class _FloatLane:
         a = np.asarray(values, dtype=np.complex128)
         return max(1.0, float(np.abs(a).max())) if a.size else 1.0
 
-    @staticmethod
-    def vector(values):
-        return np.array(values, dtype=np.complex128)
-
-    matrix = vector
-
-    @staticmethod
-    def dot(u, v):
-        return complex(np.dot(np.asarray(u, dtype=np.complex128), np.asarray(v, dtype=np.complex128)))
-
-    @staticmethod
-    def rows_equal(r1, r2, bound) -> bool:
-        diff = np.abs(np.asarray(r1) - np.asarray(r2))
-        return bool(diff.max() <= bound) if diff.size else True
-
-    @staticmethod
-    def dense(basis, ncols):
-        """The dict rows as a read-only complex128 array of ``ncols`` columns."""
-        out = np.zeros((len(basis), ncols), dtype=np.complex128)
-        for r, row in enumerate(basis):
-            out[r, list(row)] = list(row.values())
-        out.setflags(write=False)
-        return out
-
     rref = staticmethod(_rref_float_blocks)
 
     @staticmethod
@@ -893,12 +862,12 @@ LANES = {EXACT: _ExactLane, FLOAT: _FloatLane}
 
 
 def lane_of(*parts):
-    """The lane of a computation on ``parts``: backend names, vectors or matrices.
+    """The lane of a computation on ``parts``: backend names or scalars.
 
-    Float when any part is ``FLOAT`` or a numpy array, so exact arithmetic
-    runs only on exact data; exact otherwise.
+    Float when any part is ``FLOAT`` or a Python ``complex``, so exact
+    arithmetic runs only on exact data; exact otherwise.
     """
-    if any(isinstance(p, np.ndarray) or p == FLOAT for p in parts):
+    if any(isinstance(p, complex) or p == FLOAT for p in parts):
         return _FloatLane
     return _ExactLane
 
@@ -911,10 +880,10 @@ class Subspace:
     a tuple of {column: value} dicts of their nonzeros in column order,
     pivot first, its value the lane's one; the values are ``QQi`` on the
     exact lane and Python ``complex`` on the float lane.  The rows are
-    shared and never changed.  ``rows`` is the same rows as dense vectors,
-    made on first use: tuples of ``QQi`` on the exact lane, a read-only
-    complex128 array on the float lane.  Two subspaces are compared as sets
-    with :func:`subspace_equal`; ``==`` is identity.
+    shared and never changed.  ``rows`` is the same rows as dense tuples of
+    the lane's scalars, filled with its zero (``ZERO`` or ``0j``), made on
+    first use.  Two subspaces are compared as sets with
+    :func:`subspace_equal`; ``==`` is identity.
     """
 
     ambient: int
@@ -928,7 +897,8 @@ class Subspace:
 
     @cached_property
     def rows(self):
-        return LANES[self.backend].dense(self.basis, self.ambient)
+        zero = LANES[self.backend].zero
+        return tuple(tuple(_densified(row, self.ambient, zero)) for row in self.basis)
 
     def _entries(self, vec):
         """A dense vector or a {column: value} dict as the dict of its
@@ -975,11 +945,10 @@ class Subspace:
         subtracted in order, so vec = sum(coef * row) + remainder and the
         remainder vanishes on every pivot column.  ``vec`` is a dense vector
         or a {column: value} dict of its nonzeros; the remainder is a dense
-        vector of the lane.
+        list of the lane's scalars.
         """
-        lane = LANES[self.backend]
         coeffs, rest = self._remainder(self._entries(vec))
-        return coeffs, lane.vector(_densified(rest, self.ambient, lane.zero))
+        return coeffs, _densified(rest, self.ambient, LANES[self.backend].zero)
 
     def contains(self, vec) -> bool:
         """Membership test: every entry of the remainder is zero by the
@@ -989,9 +958,6 @@ class Subspace:
         v = self._entries(vec)
         bound = DEFAULT_TOL * lane.scale(list(v.values()))
         return all(lane.is_zero(x, bound) for x in self._remainder(v)[1].values())
-
-    def basis_vectors(self):
-        return list(self.rows)
 
 
 def rowspace(rows, ncols, backend=EXACT) -> Subspace:

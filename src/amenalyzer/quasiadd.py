@@ -29,6 +29,7 @@ from .linalg import (
     EXACT,
     LANES,
     Subspace,
+    dot,
     lane_of,
     nullspace,
     rowspace,
@@ -158,11 +159,11 @@ def corollary_3_2_check(an):
     n = an.algebra.dim
     columns_vanish = True
     witness = None
-    for p_flat in qa.basis_vectors():
+    for p_flat in qa.rows:
         for ch in characters:
             if lane_of(qa.backend, character_backend(ch)) is not lane:
                 continue  # a float character on the exact lane: the float backend run covers it
-            phi = lane.vector(ch.phi)
+            phi = list(map(lane.coerce, ch.phi))
             for bidx in range(n):
                 if lane.is_zero(phi[bidx], DEFAULT_TOL):
                     continue
@@ -185,19 +186,22 @@ def point_derivation_from_quasi(an, p_flat, phi: Character, a0):
     """Candidate point derivation d(x) = p(x tensor a0) / phi(a0), with verdict.
 
     ``an`` is an Analysis of the algebra; the verdict reads its solved
-    point-derivation space at phi.
+    point-derivation space at phi.  ``p_flat`` and ``a0`` are coerced to
+    the lane of ``an``, and d is a list of its scalars.
     The construction is guaranteed to recover d when p comes from the
     rank-one map of an actual point derivation; for an arbitrary
     quasi-additive p the membership verdict is recorded, not assumed.
     """
     lane = _lane(an, phi)
     n = an.algebra.dim
-    phi_a0 = lane.dot(phi.phi, a0)
+    a0 = list(map(lane.coerce, a0))
+    p_flat = list(map(lane.coerce, p_flat))
+    phi_a0 = dot(phi.phi, a0, lane.zero)
     if lane.is_zero(phi_a0, DEFAULT_TOL):
         raise ValueError("phi(a0) must be nonzero")
     # the functional x -> p(x tensor a0), one pairing per row of P
-    col = [lane.dot(p_flat[i * n:(i + 1) * n], a0) for i in range(n)]
-    d = lane.vector([x / phi_a0 for x in col])
+    col = [dot(p_flat[i * n:(i + 1) * n], a0, lane.zero) for i in range(n)]
+    d = [x / phi_a0 for x in col]
     return d, an.pd_space(phi).contains(d)
 
 
@@ -275,10 +279,9 @@ def inner_q(a: FiniteAlgebra, backend=EXACT) -> Subspace:
     return rowspace(LANES[backend].pair_system(rows, repeat(1)), n * n, backend)
 
 
-def weighted_norm(p_flat, weight, n=None):
-    """Largest |P[x][y]| / (w_x * w_y) over all pairs."""
-    if n is None:
-        n = int(round(len(p_flat) ** 0.5))
+def weighted_norm(p_flat, weight, n):
+    """Largest |P[x][y]| / (w_x * w_y) over all pairs of the n-by-n matrix
+    P flattened row-major as ``p_flat``."""
     worst = 0.0
     for x in range(n):
         for y in range(n):

@@ -241,8 +241,8 @@ def reference_validate(a):
     for i in range(n):
         for j in range(n):
             for l in range(n):
-                lhs = a.multiply(a.basis_product(i, j), a.basis_vector(l))
-                rhs = a.multiply(a.basis_vector(i), a.basis_product(j, l))
+                lhs = a.multiply(list(a.sc[i][j]), a.basis_vector(l))
+                rhs = a.multiply(a.basis_vector(i), list(a.sc[j][l]))
                 if lhs != rhs:
                     issues.append(
                         ValidationIssue(
@@ -292,7 +292,7 @@ def reference_ideal_product_span(a, s):
     """The canonical RREF (rows, pivots) of the span of the products u v of
     the basis vectors of an exact subspace, each product by ``multiply``
     and the span by :func:`reference_rref_exact`."""
-    vecs = s.basis_vectors()
+    vecs = s.rows
     return reference_rref_exact([a.multiply(u, v) for u in vecs for v in vecs])
 
 
@@ -311,16 +311,16 @@ def reference_reduce(s, vec):
 
 
 def reference_reduce_float(s, vec):
-    """(coefficients, remainder) of a vector against the dense complex128
-    RREF rows of a float subspace: each row is subtracted, times the
-    vector's entry at its pivot, from the whole complex128 vector."""
+    """(coefficients, remainder) of a vector against the dense RREF rows of
+    a float subspace, as complex128 arrays: each row is subtracted, times
+    the vector's entry at its pivot, from the whole complex128 vector."""
     v = np.array(vec, dtype=np.complex128)
     coeffs = []
     for row, p in zip(s.rows, s.pivots):
         coef = v[p]
         coeffs.append(coef)
         if not abs(coef) <= 0.0:
-            v = v - coef * row
+            v = v - coef * np.array(row, dtype=np.complex128)
     return coeffs, v
 
 

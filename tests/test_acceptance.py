@@ -73,7 +73,7 @@ def test_criterion_03_cyclicity_characterizations(entries):
         a = an.algebra
         n = a.dim
         unital = an.unital[0]
-        for flat in an.z.basis_vectors():
+        for flat in an.z.rows:
             mat = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
             cyc = is_cyclic(mat)
             assert cyc == vanishes_on_diameter(mat), name
@@ -94,7 +94,7 @@ def test_criterion_04_non_essential_witness(entries):
         ann = annihilator(an.product_span)
         span_pivots = set(an.product_span.pivots)
         witness = a0 = None
-        for row in ann.basis_vectors():
+        for row in ann.rows:
             for idx in range(an.algebra.dim):
                 if idx not in span_pivots and not row[idx].is_zero():
                     witness = [x / row[idx] for x in row]
@@ -188,7 +188,7 @@ def test_criterion_08_tensor_point_derivations(entries):
                 continue
             pd = an.pd_space(ch)
             if pd.dim > 0:
-                out.append((ch, [list(v) for v in pd.basis_vectors()]))
+                out.append((ch, [list(v) for v in pd.rows]))
         return out
 
     contributors = [
@@ -228,9 +228,9 @@ def test_criterion_09_finite_group_checks(entries):
     assert subspace_leq(cds, iq) and subspace_leq(iq, cds)
     assert names["Z2"].flags == names["Z2w"].flags
     heavier = [1, 2, 2, 3, 2, 4]
-    for flat in iq.basis_vectors():
-        base = weighted_norm(list(flat), [1] * 6)
-        assert weighted_norm(list(flat), heavier) <= base
+    for flat in iq.rows:
+        base = weighted_norm(list(flat), [1] * 6, 6)
+        assert weighted_norm(list(flat), heavier, 6) <= base
     report_line(
         9,
         True,

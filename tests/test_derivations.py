@@ -162,7 +162,7 @@ def test_cyclic_basis_vanishes_on_diameter():
         a = corpus()[name]
         d = Analysis(a)
         n = a.dim
-        for flat in d.zc.basis_vectors():
+        for flat in d.zc.rows:
             mat = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
             assert vanishes_on_diameter(mat), name
 
@@ -180,7 +180,7 @@ def test_cyclic_derivations_of_unital_algebras_kill_unit():
         a = corpus()[name]
         d = Analysis(a)
         n = a.dim
-        for flat in d.zc.basis_vectors():
+        for flat in d.zc.rows:
             mat = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
             assert pairing_with_unit_vanishes(a, mat), name
 
@@ -347,14 +347,14 @@ LANE_ALGEBRAS = dict(corpus(), UpperTri4=upper_triangular(4))
 
 
 def test_predicates_give_the_same_verdict_on_both_lanes():
-    # each predicate is written once; an exact matrix and its complex128
+    # each predicate is written once; an exact matrix and its complex
     # form must take the same verdict through the exact and float lanes
     verdicts = set()
     for name, a in sorted(LANE_ALGEBRAS.items()):
         unital, _ = is_unital(a)
-        for v in derivation_space(a).basis_vectors():
+        for v in derivation_space(a).rows:
             m = unflatten_map(v, a.dim)
-            mf = np.array(m, dtype=np.complex128)
+            mf = tuple(tuple(map(complex, row)) for row in m)
             cyc = is_cyclic(m)
             assert is_cyclic(mf) == cyc, name
             assert vanishes_on_diameter(mf) == vanishes_on_diameter(m), name
@@ -363,6 +363,50 @@ def test_predicates_give_the_same_verdict_on_both_lanes():
                 assert pairing_with_unit_vanishes(a, mf) == pu, name
             verdicts.add(cyc)
     assert verdicts == {True, False}
+
+
+def _dense(v, scalar):
+    """Whether v is a list or tuple of scalars of exactly the type ``scalar``."""
+    return type(v) in (list, tuple) and all(type(x) is scalar for x in v)
+
+
+def test_vectors_and_dual_maps_are_sequences_of_the_lanes_scalars():
+    # one dense form on both lanes: QQi exact, Python complex float, never
+    # a numpy array or numpy scalar
+    a = corpus()["TruncPoly3"]
+    n = a.dim
+    for backend, scalar in ((EXACT, QQi), (FLOAT, complex)):
+        z = derivation_space(a, backend)
+        assert z.dim > 0 and type(z.rows) is tuple
+        assert all(_dense(row, scalar) for row in z.rows)
+        _, rest = z.reduce([qq(k + 1) for k in range(n * n)])
+        assert _dense(rest, scalar) and len(rest) == n * n
+        m = unflatten_map(z.rows[0], n)
+        assert type(m) is tuple and len(m) == n and all(_dense(row, scalar) for row in m)
+        flat = flatten_map(m, n)
+        assert _dense(flat, scalar) and list(flat) == list(z.rows[0])
+        one = rank_one_dual_map([qq(1), ZERO, qq(2)], [ZERO, qq(3), qq(0, 1)], backend)
+        assert type(one) is tuple and len(one) == n and all(_dense(row, scalar) for row in one)
+
+
+def test_float_witnesses_match_the_exact_ones():
+    # the goldens pin the exact witnesses only; a float witness is the same
+    # RREF basis row of the same space, so it has the same flags and its
+    # entries lie within the float tolerance of the exact ones
+    checked = 0
+    for name, a in sorted(corpus().items()):
+        exact, fl = Analysis(a, EXACT).witnesses, Analysis(a, FLOAT).witnesses
+        assert fl.keys() == exact.keys(), name
+        for flag, m in exact.items():
+            want = [[complex(x) for x in row] for row in m]
+            bound = DEFAULT_TOL * 100 * LANES[FLOAT].scale(want)
+            got = fl[flag]
+            assert len(got) == len(want) and all(_dense(row, complex) for row in got), (name, flag)
+            for row, want_row in zip(got, want):
+                assert len(row) == len(want_row)
+                assert all(abs(x - y) <= bound for x, y in zip(row, want_row)), (name, flag)
+            checked += 1
+    assert checked == 23
 
 
 def test_float_system_whose_row_norm_overflows_raises():
